@@ -7,7 +7,7 @@ each dimension.
 
 import time
 
-from finslercalc import FinslerStructure, build, registry
+from finslercalc import FinslerStructure, base_object_ids, build, resolve
 
 for dim in (2, 3, 4, 5):
     coords = [f"x{i}" for i in range(1, dim + 1)]
@@ -19,11 +19,11 @@ for dim in (2, 3, 4, 5):
     ):
         t0 = time.perf_counter()
         geom = build(FinslerStructure(dim, coords, fibers, f2, constraints))
-        for object_id in registry.base_object_ids():
-            registry.resolve(geom, object_id)
+        for object_id in base_object_ids():
+            resolve(geom, object_id)
         cls = geom.classify()
         print(
-            f"dim {dim} {label:9s}: {len(registry.base_object_ids())} objects in "
+            f"dim {dim} {label:9s}: {len(base_object_ids())} objects in "
             f"{time.perf_counter() - t0:6.2f}s  riemannian={cls.riemannian} "
             f"berwaldian={cls.berwaldian}"
         )

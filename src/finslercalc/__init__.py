@@ -53,14 +53,6 @@ from .geometry import (
     NotHomogeneous,
     build,
 )
-from .lowering import (
-    EquivalenceFailure,
-    LoweringPlan,
-    UnsupportedObject,
-    lowered_form,
-    node_counts,
-    simplify_via_lowering,
-)
 from .oracle import (
     NumericGeometry,
     SamplingExhausted,
@@ -87,8 +79,6 @@ __all__ = [
     "Classification", "ConnectionKind", "ConnectionTriple", "Constraint",
     "DegenerateMetric", "FinslerStructure", "Geometry", "GeometryError",
     "NotHomogeneous", "build",
-    "EquivalenceFailure", "LoweringPlan", "UnsupportedObject",
-    "lowered_form", "node_counts", "simplify_via_lowering",
     "NumericGeometry", "SamplingExhausted", "SingularMetricAt",
     "VerificationReport", "numeric_object", "sample_points", "verify",
     "verify_many",

@@ -24,7 +24,7 @@ from .geometry import (
     NotHomogeneous,
     build,
 )
-from .oracle import SamplingExhausted, verify
+from .oracle import SamplingExhausted, verify_many
 from .parsing import to_latex
 from .tensor import Tensor, nonzero_components
 from .expr import ZeroStatus
@@ -73,7 +73,6 @@ class RunConfig:
     objects: list[str] = field(default_factory=list)
     format: str = "text"
     full_table: bool = False
-    lower_simplify: bool = False
     check: CheckParams | None = None
     seed: int = 0
 
@@ -130,7 +129,6 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--objects", help="comma-separated object ids")
     parser.add_argument("--format", choices=["text", "json", "latex"])
     parser.add_argument("--full-table", action="store_true", default=None)
-    parser.add_argument("--lower-simplify", action="store_true", default=None)
     parser.add_argument("--check", help="points=<n>,tol=<t>,seed=<s>,box=<lo:hi>")
     parser.add_argument("--config", help="file with 'key = value' lines (same keys)")
     args = parser.parse_args(argv)
@@ -148,7 +146,6 @@ def build_config(argv: list[str]) -> RunConfig:
         "objects": args.objects,
         "format": args.format,
         "full-table": args.full_table,
-        "lower-simplify": args.lower_simplify,
         "check": args.check,
     }
     for key, value in cli_pairs.items():
@@ -166,7 +163,6 @@ def build_config(argv: list[str]) -> RunConfig:
     cfg.objects = _split_csv(values.get("objects", ""))
     cfg.format = values.get("format", "text")
     cfg.full_table = values.get("full-table") in (True, "true", "yes", "1")
-    cfg.lower_simplify = values.get("lower-simplify") in (True, "true", "yes", "1")
     if values.get("check"):
         cfg.check = CheckParams.parse(values["check"])
     env_seed = os.environ.get("FINSLER_SEED")
@@ -275,7 +271,7 @@ def run(config: RunConfig, out=None) -> int:
         geom = build(structure)
         documents = []
         for object_id in config.objects:
-            obj = registry.resolve(geom, object_id, lower_simplify=config.lower_simplify)
+            obj = registry.resolve(geom, object_id)
             documents.append(
                 emit(obj, config.format, structure, object_id,
                      full_table=config.full_table, seed=config.seed)
@@ -287,24 +283,21 @@ def run(config: RunConfig, out=None) -> int:
     print("\n\n".join(documents), file=out)
     if config.check is None:
         return 0
-    failed = False
+    try:
+        reports = verify_many(
+            geom,
+            config.objects,
+            n_points=config.check.points,
+            tol=config.check.tol,
+            seed=config.check.seed,
+            box=config.check.box,
+        )
+    except SamplingExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for object_id in config.objects:
-        try:
-            report = verify(
-                geom,
-                object_id,
-                n_points=config.check.points,
-                tol=config.check.tol,
-                seed=config.check.seed,
-                box=config.check.box,
-            )
-        except SamplingExhausted as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"check {report.summary()}", file=out)
-        if not report.passed:
-            failed = True
-    return 2 if failed else 0
+        print(f"check {reports[object_id].summary()}", file=out)
+    return 0 if all(report.passed for report in reports.values()) else 2
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .expr import DomainError, NumericPoint
-from .geometry import ConnectionKind, FinslerStructure, Geometry
+from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
 from . import registry
 
 
@@ -533,44 +533,27 @@ class NumericGeometry:
                         out[i][h][j][k] = val
         return out
 
-    # registry mirror -------------------------------------------------------------
+    # registry objects ------------------------------------------------------------
 
     def object_table(self, object_id: str, coords):
         """Numeric component tree for a registry object id."""
-        simple = {
-            "g": self.g_mat,
-            "ginv": self.ginv_mat,
-            "l": self.l_down,
-            "lup": self.l_up,
-            "h": self.h_mat,
-            "C": self.cartan_down,
-            "Cmixed": self.cartan_mixed,
-            "gamma": self.gamma,
-            "Gspray": self.spray,
-            "N": self.n_mat,
-            "Gberwald": self.berwald,
-            "Gamma": self.big_gamma,
-            "Rtorsion": self.r_torsion,
-            "Ptorsion": self.p_torsion,
-        }
-        if object_id in simple:
-            return simple[object_id](coords)
-        parts = object_id.split(":")
-        if len(parts) == 2 and parts[0] in ("R", "P", "S"):
-            which = {"R": "h", "P": "hv", "S": "v"}[parts[0]]
-            return self.curvature(ConnectionKind(parts[1]), which, coords)
-        if len(parts) == 3 and parts[0] in ("hcov", "vcov"):
-            base_id, kind = parts[1], ConnectionKind(parts[2])
-            sig = registry.object_signature(base_id)
-            return self.cov_derivative(
-                lambda c: self.object_table(base_id, c),
-                sig,
-                kind,
-                coords,
-                horizontal=parts[0] == "hcov",
-                name=object_id,
-            )
-        raise registry.UnknownObjectError(object_id)
+        op, *rest = registry.parse(object_id)
+        if op == "classify":
+            raise ValueError("classify is not a tensor")
+        if op == "base":
+            return getattr(self, rest[0].numeric)(coords)
+        if op == "curvature":
+            kind, which = rest
+            return self.curvature(kind, which, coords)
+        entry, kind = rest
+        return self.cov_derivative(
+            getattr(self, entry.numeric),
+            entry.sig,
+            kind,
+            coords,
+            horizontal=op == "hcov",
+            name=object_id,
+        )
 
 
 def _reciprocal_any(v):
@@ -662,6 +645,7 @@ class VerificationReport:
     tolerance: float
     points: list[NumericPoint]
     components: dict[tuple[int, ...], ComponentCheck] = field(default_factory=dict)
+    classification: Classification | None = None  # set for ``classify`` only
 
     @property
     def passed(self) -> bool:
@@ -673,10 +657,15 @@ class VerificationReport:
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
+        cls = self.classification
+        if cls is None:
+            detail = f"max rel dev {self.max_rel_deviation:.3e}, tol {self.tolerance:g}"
+        else:
+            detail = (f"{'' if cls.riemannian else 'not '}riemannian, "
+                      f"{'' if cls.berwaldian else 'not '}berwaldian")
         return (
             f"{self.object_id}: {verdict} over {len(self.points)} points "
-            f"(max rel dev {self.max_rel_deviation:.3e}, tol {self.tolerance:g}, "
-            f"seed {self.seed})"
+            f"({detail}, seed {self.seed})"
         )
 
     def failing_components(self) -> list[tuple[int, ...]]:
@@ -745,8 +734,9 @@ def verify_many(
 def _verify_classification(geom: Geometry, report: VerificationReport) -> VerificationReport:
     """Check the classification flags against numeric magnitudes: the
     Cartan tensor for Riemannian, fiber jets of the Berwald coefficients
-    for Berwaldian."""
-    cls = geom.classify()
+    for Berwaldian.  Components (1,) and (2,) hold the flag checks, with
+    those magnitudes in place of deviations."""
+    cls = report.classification = geom.classify()
     numgeom = NumericGeometry(geom.structure)
     n = geom.dim
     max_c = 0.0

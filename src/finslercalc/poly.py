@@ -456,26 +456,45 @@ def _max_abs_coeff(p: Poly) -> int:
     return out
 
 
+def _int_primitive(p: Poly) -> tuple[int, Poly]:
+    """Integer content and primitive part of an integer polynomial (the
+    sign is left as it is)."""
+    content = 0
+    for c in p.terms.values():
+        content = int_gcd(content, c.numerator)
+    if content == 1:
+        return 1, p
+    return content, Poly({e: c // content for e, c in p.terms.items()})
+
+
 def _heugcd(f: Poly, g: Poly, syms: list[int]) -> Poly | None:
-    """Heuristic gcd of primitive integer polynomials (evaluate at a big
-    integer, recurse, reconstruct, verify by trial division)."""
+    """Heuristic gcd of integer polynomials (strip the integer contents,
+    evaluate at a big integer, recurse, reconstruct, verify by trial
+    division, and put the gcd of the contents back)."""
     if not syms:
         value = int_gcd(int(f.const_value()), int(g.const_value()))
         return Poly.const(value)
+    # the evaluated polynomials of the recursion are not primitive, and
+    # the reconstructed candidate is, so the contents are handled here
+    cf, f = _int_primitive(f)
+    cg, g = _int_primitive(g)
+    content = int_gcd(cf, cg)
     sym = syms[0]
     xi = 2 * min(_max_abs_coeff(f), _max_abs_coeff(g)) + 29
     for _ in range(6):
         ff = _eval_sym(f, sym, xi)
         gg = _eval_sym(g, sym, xi)
         if not (ff.is_zero() or gg.is_zero()):
-            rest = [s for s in syms[1:] if s in (ff.symbols() | gg.symbols())]
+            # every symbol left must be evaluated, also one that only
+            # f or only g holds
+            rest = sorted(ff.symbols() | gg.symbols(), reverse=True)
             h = _heugcd(ff, gg, rest)
             if h is not None:
                 candidate = _interpolate(h, sym, xi)
                 if not candidate.is_zero():
                     candidate = make_primitive(candidate)[1]
                     if div_exact(f, candidate) is not None and div_exact(g, candidate) is not None:
-                        return candidate
+                        return candidate.scale(content)
         xi = xi * 73794 // 27011 + 17
     return None
 

@@ -1,35 +1,48 @@
-"""Requestable geometric objects, shared by the CLI, the verifier, and
-the tests.
+"""Requestable geometric objects: the one place that declares and parses
+object ids, shared by the CLI, the oracle, and the tests.
 
 Plain ids name cached tensors; ``R:<kind>``, ``P:<kind>`` and
 ``S:{cartan,hashiguchi}`` name curvatures; ``hcov:<id>:<kind>`` and
 ``vcov:<id>:<kind>`` apply a covariant derivative to any tensor id; and
 ``classify`` reports the Riemannian/Berwaldian flags.
+
+Each plain id has a symbolic builder and names its numeric counterpart,
+a method of the oracle's ``NumericGeometry``.  The oracle keeps its own
+formulas; it only reads the ids through ``parse``.
 """
 
 from __future__ import annotations
 
-from .geometry import Classification, ConnectionKind, Geometry
+from typing import Callable, NamedTuple
+
+from .geometry import ConnectionKind, Geometry
 from .tensor import Tensor
 
-_KINDS = {k.value: k for k in ConnectionKind}
+
+class Entry(NamedTuple):
+    sig: str  # variance per slot, 'u' or 'd'
+    build: Callable[[Geometry], Tensor]
+    numeric: str  # NumericGeometry method: coords -> nested component lists
+
 
 _BASE = {
-    "g": ("dd", lambda geom: geom.metric()),
-    "ginv": ("uu", lambda geom: geom.inverse_metric()),
-    "l": ("d", lambda geom: geom.supporting_and_angular()[0]),
-    "lup": ("u", lambda geom: geom.supporting_and_angular()[1]),
-    "h": ("dd", lambda geom: geom.supporting_and_angular()[2]),
-    "C": ("ddd", lambda geom: geom.cartan_tensor()[0]),
-    "Cmixed": ("udd", lambda geom: geom.cartan_tensor()[1]),
-    "gamma": ("udd", lambda geom: geom.christoffel_gamma()),
-    "Gspray": ("u", lambda geom: geom.spray()),
-    "N": ("ud", lambda geom: geom.nonlinear_connection()),
-    "Gberwald": ("udd", lambda geom: geom.berwald_coefficients()),
-    "Gamma": ("udd", lambda geom: geom.cartan_coefficients()),
-    "Rtorsion": ("udd", lambda geom: geom.torsions()[0]),
-    "Ptorsion": ("udd", lambda geom: geom.torsions()[1]),
+    "g": Entry("dd", lambda geom: geom.metric(), "g_mat"),
+    "ginv": Entry("uu", lambda geom: geom.inverse_metric(), "ginv_mat"),
+    "l": Entry("d", lambda geom: geom.supporting_and_angular()[0], "l_down"),
+    "lup": Entry("u", lambda geom: geom.supporting_and_angular()[1], "l_up"),
+    "h": Entry("dd", lambda geom: geom.supporting_and_angular()[2], "h_mat"),
+    "C": Entry("ddd", lambda geom: geom.cartan_tensor()[0], "cartan_down"),
+    "Cmixed": Entry("udd", lambda geom: geom.cartan_tensor()[1], "cartan_mixed"),
+    "gamma": Entry("udd", lambda geom: geom.christoffel_gamma(), "gamma"),
+    "Gspray": Entry("u", lambda geom: geom.spray(), "spray"),
+    "N": Entry("ud", lambda geom: geom.nonlinear_connection(), "n_mat"),
+    "Gberwald": Entry("udd", lambda geom: geom.berwald_coefficients(), "berwald"),
+    "Gamma": Entry("udd", lambda geom: geom.cartan_coefficients(), "big_gamma"),
+    "Rtorsion": Entry("udd", lambda geom: geom.torsions()[0], "r_torsion"),
+    "Ptorsion": Entry("udd", lambda geom: geom.torsions()[1], "p_torsion"),
 }
+
+_KINDS = {k.value: k for k in ConnectionKind}
 
 _CURVATURE_WHICH = {"R": "h", "P": "hv", "S": "v"}
 
@@ -56,44 +69,47 @@ def verifiable_object_ids() -> list[str]:
 
 def is_known(object_id: str) -> bool:
     try:
-        _parse(object_id)
+        parse(object_id)
         return True
     except UnknownObjectError:
         return False
 
 
-def _parse(object_id: str):
-    if object_id in _BASE or object_id == "classify":
-        return ("base", object_id)
+def parse(object_id: str) -> tuple:
+    """The one reading of an object id, as one of
+
+    - ``("classify",)``;
+    - ``("base", entry)``;
+    - ``("curvature", kind, which)`` with ``which`` one of h, hv, v;
+    - ``("hcov", entry, kind)`` or ``("vcov", entry, kind)``.
+    """
+    if object_id == "classify":
+        return ("classify",)
+    if object_id in _BASE:
+        return ("base", _BASE[object_id])
     parts = object_id.split(":")
     if len(parts) == 2 and parts[0] in _CURVATURE_WHICH and parts[1] in _KINDS:
-        if parts[0] == "S" and parts[1] in ("berwald", "chern"):
-            raise UnknownObjectError(object_id)
-        return ("curvature", parts[0], _KINDS[parts[1]])
+        # connections without a vertical part have no v-curvature
+        if not (parts[0] == "S" and parts[1] in ("berwald", "chern")):
+            return ("curvature", _KINDS[parts[1]], _CURVATURE_WHICH[parts[0]])
     if len(parts) == 3 and parts[0] in ("hcov", "vcov") and parts[2] in _KINDS:
         if parts[1] in _BASE:
-            return ("cov", parts[0], parts[1], _KINDS[parts[2]])
+            return (parts[0], _BASE[parts[1]], _KINDS[parts[2]])
     raise UnknownObjectError(object_id)
 
 
-def resolve(geom: Geometry, object_id: str, lower_simplify: bool = False):
+def resolve(geom: Geometry, object_id: str):
     """Compute the object; tensors come back as Tensor, ``classify`` as a
     Classification."""
-    parsed = _parse(object_id)
-    if parsed[0] == "base":
-        if object_id == "classify":
-            return geom.classify()
-        return _BASE[object_id][1](geom)
-    if parsed[0] == "curvature":
-        _, letter, kind = parsed
-        if lower_simplify and kind is ConnectionKind.CARTAN and letter in ("P", "S"):
-            from .lowering import simplify_via_lowering
-
-            target = "hv_curvature_cartan" if letter == "P" else "v_curvature_cartan"
-            return simplify_via_lowering(geom, target)
-        return geom.curvature(kind, _CURVATURE_WHICH[letter])
-    _, op, base_id, kind = parsed
-    tensor = _BASE[base_id][1](geom)
+    op, *rest = parse(object_id)
+    if op == "classify":
+        return geom.classify()
+    if op == "base":
+        return rest[0].build(geom)
+    if op == "curvature":
+        return geom.curvature(*rest)
+    entry, kind = rest
+    tensor = entry.build(geom)
     triple = geom.connection(kind)
     if op == "hcov":
         return geom.h_cov_derivative(tensor, triple)
@@ -102,11 +118,11 @@ def resolve(geom: Geometry, object_id: str, lower_simplify: bool = False):
 
 def object_signature(object_id: str) -> str:
     """Variance string ('u'/'d' per slot) of a tensor object id."""
-    parsed = _parse(object_id)
-    if parsed[0] == "base":
-        if object_id == "classify":
-            raise ValueError("classify is not a tensor")
-        return _BASE[object_id][0]
-    if parsed[0] == "curvature":
+    op, *rest = parse(object_id)
+    if op == "classify":
+        raise ValueError("classify is not a tensor")
+    if op == "curvature":
         return "uddd"
-    return _BASE[parsed[2]][0] + "d"
+    if op == "base":
+        return rest[0].sig
+    return rest[0].sig + "d"

@@ -1,6 +1,14 @@
 import pytest
 
-from finslercalc import FinslerStructure, build
+from finslercalc import (
+    DOWN,
+    ConnectionKind,
+    FinslerStructure,
+    build,
+    contract_product,
+    move_index,
+    zero_tensor,
+)
 
 
 def _structure_specs():
@@ -56,6 +64,39 @@ def geometry_for(name: str):
     if name not in _GEOMETRIES:
         _GEOMETRIES[name] = build(make_structure(name))
     return _GEOMETRIES[name]
+
+
+_LOWERED: dict = {}
+
+
+def lowered_cartan_curvatures(name: str):
+    """All-down v- and hv-curvatures (S, P) of the Cartan connection,
+    from formulas where the metric enters each term at a safe site:
+
+        S_ihjk = C^m_hk C_imj - C^m_hj C_imk
+        P_ihjk = g_im (dot-d_k Gamma^m_hj) - C_ihk|j + C_ihm P^m_jk
+
+    The metric may not slide through the derivative in the first term of
+    P, so it contracts the whole derivative: that term is the Chern
+    hv-curvature with slot 1 lowered.  The Cartan connection is metric,
+    so the other terms are products of already-lowered tensors."""
+    if name not in _LOWERED:
+        geom = geometry_for(name)
+        c_down, c_mixed = geom.cartan_tensor()
+        cc = contract_product(c_down, c_mixed, [(2, 1)])  # C_imj C^m_hk at (i, j, h, k)
+        s = zero_tensor("S", geom.ctx, geom.dim, (DOWN,) * 4).map(
+            lambda idx, _: cc[(idx[0], idx[2], idx[1], idx[3])]
+            - cc[(idx[0], idx[3], idx[1], idx[2])]
+        )
+        g, ginv = geom.metric(), geom.inverse_metric()
+        dgamma = move_index(geom.curvature(ConnectionKind.CHERN, "hv"), 1, g, ginv)
+        c_h = geom.h_cov_derivative(c_down, geom.connection(ConnectionKind.CARTAN))  # at (i, h, k, j)
+        cp = contract_product(c_down, geom.torsions()[1], [(3, 1)])  # C_ihm P^m_jk
+        p = dgamma.map(
+            lambda idx, e: e - c_h[(idx[0], idx[1], idx[3], idx[2])] + cp[idx], name="P"
+        )
+        _LOWERED[name] = (s, p)
+    return _LOWERED[name]
 
 
 @pytest.fixture(scope="session")

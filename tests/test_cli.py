@@ -60,10 +60,16 @@ class TestRuns:
         assert status == 0
         assert out.index("# g") < out.index("# Gspray")
 
-    def test_lower_simplify_routes(self):
-        status, out = run_cli(WORKED + ["--objects", "P:cartan", "--lower-simplify"])
+    def test_p_cartan_table(self):
+        status, out = run_cli(WORKED + ["--objects", "P:cartan"])
         assert status == 0
         assert "P^{x3}_{x1 x1 x1} = -3/(4*y2)" in out
+
+    def test_classify_check_reports_flags(self):
+        status, out = run_cli(WORKED + ["--objects", "classify", "--check", "points=2"])
+        assert status == 0
+        line = out.splitlines()[-1]
+        assert line == "check classify: pass over 2 points (not riemannian, not berwaldian, seed 0)"
 
     def test_full_table(self):
         _, reduced = run_cli(WORKED + ["--objects", "g"])

@@ -9,6 +9,7 @@ from finslercalc import (
     sample_points,
     verify,
 )
+from finslercalc import registry
 from finslercalc.oracle import Dual, NumericGeometry, droot, mat_inv, scalar_part
 
 
@@ -116,6 +117,41 @@ class TestNumericObject:
         assert max(abs(v) for v in flat) <= 1e-9
 
 
+def _shape(tree) -> tuple[int, ...]:
+    """Shape of a nested component list whose leaves are all floats."""
+    if not isinstance(tree, list):
+        assert isinstance(tree, float)
+        return ()
+    shapes = {_shape(t) for t in tree}
+    assert len(shapes) == 1
+    return (len(tree),) + shapes.pop()
+
+
+CONTRACT_IDS = [
+    oid for oid in registry.base_object_ids() if oid != "classify"
+] + ["hcov:g:cartan", "vcov:N:berwald"]
+
+
+class TestRegistryContract:
+    """The oracle reads every id through the registry: each tensor id has
+    a numeric table of the registered rank, and ids the registry rejects
+    are rejected by the oracle too."""
+
+    @pytest.mark.parametrize("object_id", CONTRACT_IDS)
+    def test_numeric_shape_matches_signature(self, worked3d, object_id):
+        p = sample_points(worked3d.structure, 1, seed=1)[0]
+        rank = len(registry.object_signature(object_id))
+        assert _shape(numeric_object(worked3d, object_id, p)) == (3,) * rank
+
+    @pytest.mark.parametrize("object_id", ["S:berwald", "R:nope"])
+    def test_unknown_ids_rejected(self, worked3d, object_id):
+        p = sample_points(worked3d.structure, 1, seed=1)[0]
+        with pytest.raises(registry.UnknownObjectError):
+            registry.resolve(worked3d, object_id)
+        with pytest.raises(registry.UnknownObjectError):
+            numeric_object(worked3d, object_id, p)
+
+
 class TestVerify:
     def test_metric_passes(self, worked3d):
         report = verify(worked3d, "g", n_points=8, tol=1e-9, seed=42)
@@ -130,20 +166,16 @@ class TestVerify:
         for idx in a.components:
             assert a.components[idx].max_abs_deviation == b.components[idx].max_abs_deviation
 
-    def test_corrupted_component_located(self, worked3d):
+    def test_corrupted_component_located(self, worked3d, monkeypatch):
         from finslercalc.tensor import Tensor
-        from finslercalc import registry
 
         g = worked3d.metric()
         comp = dict(g.components())
         comp[(1, 1)] = comp[(1, 1)] + worked3d.ctx.one  # deliberate fault
         bad = Tensor("g", worked3d.ctx, 3, g.sig, comp, g.symmetries)
-        original = registry._BASE["g"]
-        registry._BASE["g"] = (original[0], lambda geom: bad)
-        try:
-            report = verify(worked3d, "g", n_points=2, tol=1e-9, seed=3)
-        finally:
-            registry._BASE["g"] = original
+        entry = registry._BASE["g"]
+        monkeypatch.setitem(registry._BASE, "g", entry._replace(build=lambda geom: bad))
+        report = verify(worked3d, "g", n_points=2, tol=1e-9, seed=3)
         assert not report.passed
         assert report.failing_components() == [(1, 1)]
 

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslercalc.poly import (
@@ -105,6 +105,8 @@ class TestGcd:
 
     @given(small_polys(n_vars=2), small_polys(n_vars=2), small_polys(n_vars=2))
     @settings(max_examples=40, deadline=None)
+    @example(a=x + one, b=one - x, c=x * y + x)
+    @example(a=x * z + y, b=z + one, c=one)
     def test_gcd_divides_and_catches_common_factor(self, a, b, c):
         if a.is_zero() or b.is_zero() or c.is_zero():
             return
