@@ -27,7 +27,6 @@ from .tensor import (
     DOWN,
     UP,
     Symmetry,
-    SymmetryViolation,
     Tensor,
     VarianceMismatch,
     alternate,
@@ -72,7 +71,7 @@ __all__ = [
     "UnknownIdentifierError", "Var", "ZeroStatus", "canonicalize",
     "differentiate", "eval_at", "is_zero", "substitute",
     "ParseError", "parse", "to_latex", "to_text",
-    "DOWN", "UP", "Symmetry", "SymmetryViolation", "Tensor",
+    "DOWN", "UP", "Symmetry", "Tensor",
     "VarianceMismatch", "alternate", "antisymmetric", "contract_product",
     "define", "kronecker", "move_index", "nonzero_components", "symmetric",
     "tensor_add", "zero_tensor",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from . import registry
@@ -97,7 +98,7 @@ class RunConfig:
             raise ValueError("--format must be text, json, or latex")
 
 
-def _config_from_file(path: str) -> dict[str, str]:
+def _config_from_file(path: str, known: Container[str]) -> dict[str, str]:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -107,7 +108,10 @@ def _config_from_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            out[key] = value.strip()
     return out
 
 
@@ -133,9 +137,6 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--config", help="file with 'key = value' lines (same keys)")
     args = parser.parse_args(argv)
 
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(_config_from_file(args.config))
     cli_pairs = {
         "dim": args.dim,
         "coords": args.coords,
@@ -148,6 +149,7 @@ def build_config(argv: list[str]) -> RunConfig:
         "full-table": args.full_table,
         "check": args.check,
     }
+    values = _config_from_file(args.config, cli_pairs) if args.config else {}
     for key, value in cli_pairs.items():
         if value is not None:
             values[key] = value

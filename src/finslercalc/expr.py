@@ -18,7 +18,6 @@ equal expressions canonicalizes to the zero constant.
 from __future__ import annotations
 
 import enum
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,8 +86,9 @@ class Context:
     """Symbol table for one (dimension, coordinate names) universe.
 
     Expressions are tied to the context that created them.  The context
-    also memoizes derivatives; the caches are guarded by a lock so
-    expressions can be shared freely between threads.
+    also memoizes derivatives.  It is single-threaded: radical atoms are
+    numbered in the order they are first interned, so the canonical form
+    depends on a deterministic order of operations.
     """
 
     def __init__(self, dim: int, coord_names: Sequence[str], fiber_names: Sequence[str]):
@@ -106,7 +106,6 @@ class Context:
         self._name_to_var.update({n: Var("y", i + 1) for i, n in enumerate(fiber_names)})
         self._atoms: list[_Atom] = []
         self._atoms_by_key: dict[tuple, int] = {}
-        self._lock = threading.RLock()
         self._diff_cache: dict[tuple["Expr", int], "Expr"] = {}
         self._atom_diff_cache: dict[tuple[int, int], "Expr"] = {}
         self.zero = Expr(self, Poly.zero(), Poly.one())
@@ -244,19 +243,17 @@ class Context:
         return self.root(e, 2)
 
     def _intern_atom(self, rad_poly: Poly, q: int) -> int:
-        with self._lock:
-            key = (q, rad_poly)
-            got = self._atoms_by_key.get(key)
-            if got is not None:
-                return got
-            sym = 2 * self.dim + len(self._atoms)
-            self._atoms.append(_Atom(sym, q, Expr(self, rad_poly, Poly.one())))
-            self._atoms_by_key[key] = sym
-            return sym
+        key = (q, rad_poly)
+        got = self._atoms_by_key.get(key)
+        if got is not None:
+            return got
+        sym = 2 * self.dim + len(self._atoms)
+        self._atoms.append(_Atom(sym, q, Expr(self, rad_poly, Poly.one())))
+        self._atoms_by_key[key] = sym
+        return sym
 
     def _atom_derivative(self, sym: int, wrt: int) -> "Expr":
-        with self._lock:
-            got = self._atom_diff_cache.get((sym, wrt))
+        got = self._atom_diff_cache.get((sym, wrt))
         if got is not None:
             return got
         atom = self.atom_at(sym)
@@ -267,8 +264,7 @@ class Context:
             root_expr = Expr(self, Poly.variable(sym), Poly.one())
             result = drad * root_expr / atom.radicand
             result = result.scale(Fraction(1, atom.q))
-        with self._lock:
-            self._atom_diff_cache[(sym, wrt)] = result
+        self._atom_diff_cache[(sym, wrt)] = result
         return result
 
 
@@ -462,8 +458,7 @@ class Expr:
 
     def _diff_sym(self, sym: int) -> "Expr":
         ctx = self.ctx
-        with ctx._lock:
-            got = ctx._diff_cache.get((self, sym))
+        got = ctx._diff_cache.get((self, sym))
         if got is not None:
             return got
         dnum = _poly_total_diff(ctx, self.num, sym)
@@ -474,8 +469,7 @@ class Expr:
         else:
             num_e = Expr(ctx, self.num, Poly.one())
             result = (dnum * den_e - num_e * dden) / (den_e * den_e)
-        with ctx._lock:
-            ctx._diff_cache[(self, sym)] = result
+        ctx._diff_cache[(self, sym)] = result
         return result
 
     # -- substitution and evaluation ----------------------------------------

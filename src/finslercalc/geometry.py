@@ -11,10 +11,9 @@ a cache hit returns the identical tensor a fresh computation would.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import Context, DomainError, Expr, Var
 from .poly import iter_indices
@@ -160,20 +159,14 @@ class Geometry:
         self.ctx = structure.ctx
         self.dim = structure.dim
         self._cache: dict = {}
-        self._lock = threading.RLock()
         self._validate()
 
     # -- caching -----------------------------------------------------------
 
     def _get(self, key, builder):
         got = self._cache.get(key)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._cache.get(key)
-            if got is None:
-                got = builder()
-                self._cache[key] = got
+        if got is None:
+            got = self._cache[key] = builder()
         return got
 
     # -- validation ---------------------------------------------------------
@@ -292,34 +285,9 @@ class Geometry:
 
     def christoffel_gamma(self) -> Tensor:
         """Christoffel symbols of g with respect to the base derivatives."""
-
-        def build_gamma():
-            g = self.metric()
-            ginv = self.inverse_metric()
-            n = self.dim
-            half = Fraction(1, 2)
-            dgx = {
-                (j, k, r): g[(k, r)].diff(Var("x", j))
-                for j in range(1, n + 1)
-                for k in range(1, n + 1)
-                for r in range(k, n + 1)
-            }
-
-            def dg(j, k, r):
-                return dgx[(j, k, r)] if r >= k else dgx[(j, r, k)]
-
-            def gen(idx):
-                i, j, k = idx
-                acc = self.ctx.zero
-                for r in range(1, n + 1):
-                    inner = dg(j, k, r) + dg(k, j, r) - dg(r, j, k)
-                    if not inner.is_zero_expr():
-                        acc = acc + ginv[(i, r)] * inner
-                return acc.scale(half)
-
-            return define("gamma", self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
-
-        return self._get("gamma", build_gamma)
+        return self._get(
+            "gamma", lambda: self._christoffel("gamma", lambda e, j: e.diff(Var("x", j)))
+        )
 
     def spray(self) -> Tensor:
         def build_spray():
@@ -382,33 +350,38 @@ class Geometry:
         return out
 
     def cartan_coefficients(self) -> Tensor:
-        def build_big_gamma():
-            g = self.metric()
-            ginv = self.inverse_metric()
-            n = self.dim
-            half = Fraction(1, 2)
-            dgh = {
-                (j, k, r): self.horizontal_derivative(g[(k, r)], j)
-                for j in range(1, n + 1)
-                for k in range(1, n + 1)
-                for r in range(k, n + 1)
-            }
+        """Christoffel symbols of g with respect to the horizontal derivatives."""
+        return self._get(
+            "Gamma", lambda: self._christoffel("Gamma", self.horizontal_derivative)
+        )
 
-            def dg(j, k, r):
-                return dgh[(j, k, r)] if r >= k else dgh[(j, r, k)]
+    def _christoffel(self, name: str, derivative: Callable[[Expr, int], Expr]) -> Tensor:
+        """(1/2) g^ir (d_j g_kr + d_k g_jr - d_r g_jk) for the derivative
+        ``derivative(e, j)`` along the j-th base direction."""
+        g = self.metric()
+        ginv = self.inverse_metric()
+        n = self.dim
+        half = Fraction(1, 2)
+        dgs = {
+            (j, k, r): derivative(g[(k, r)], j)
+            for j in range(1, n + 1)
+            for k in range(1, n + 1)
+            for r in range(k, n + 1)
+        }
 
-            def gen(idx):
-                i, j, k = idx
-                acc = self.ctx.zero
-                for r in range(1, n + 1):
-                    inner = dg(j, k, r) + dg(k, j, r) - dg(r, j, k)
-                    if not inner.is_zero_expr():
-                        acc = acc + ginv[(i, r)] * inner
-                return acc.scale(half)
+        def dg(j, k, r):
+            return dgs[(j, k, r)] if r >= k else dgs[(j, r, k)]
 
-            return define("Gamma", self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
+        def gen(idx):
+            i, j, k = idx
+            acc = self.ctx.zero
+            for r in range(1, n + 1):
+                inner = dg(j, k, r) + dg(k, j, r) - dg(r, j, k)
+                if not inner.is_zero_expr():
+                    acc = acc + ginv[(i, r)] * inner
+            return acc.scale(half)
 
-        return self._get("Gamma", build_big_gamma)
+        return define(name, self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
 
     def torsions(self) -> tuple[Tensor, Tensor]:
         """(R^i_jk, P^i_jk): the (v)h- and (v)hv-torsions of the Cartan

@@ -11,6 +11,7 @@ and curvatures; no symbolic derivative or simplification is involved.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -734,8 +735,7 @@ def verify_many(
 def _verify_classification(geom: Geometry, report: VerificationReport) -> VerificationReport:
     """Check the classification flags against numeric magnitudes: the
     Cartan tensor for Riemannian, fiber jets of the Berwald coefficients
-    for Berwaldian.  Components (1,) and (2,) hold the flag checks, with
-    those magnitudes in place of deviations."""
+    for Berwaldian.  Components (1,) and (2,) hold the two flag checks."""
     cls = report.classification = geom.classify()
     numgeom = NumericGeometry(geom.structure)
     n = geom.dim
@@ -757,6 +757,19 @@ def _verify_classification(geom: Geometry, report: VerificationReport) -> Verifi
                     v = v[i]
                 max_dg = max(max_dg, abs(v))
     tol = report.tolerance
-    report.components[(1,)] = ComponentCheck((1,), max_c, max_c, (max_c <= tol) == cls.riemannian)
-    report.components[(2,)] = ComponentCheck((2,), max_dg, max_dg, (max_dg <= tol) == cls.berwaldian)
+    report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol)
+    report.components[(2,)] = _flag_check((2,), max_dg, cls.berwaldian, tol)
     return report
+
+
+def _flag_check(
+    idx: tuple[int, ...], magnitude: float, vanishes: bool, tol: float
+) -> ComponentCheck:
+    """A flag asserts that a magnitude vanishes, or that it does not.  It
+    deviates by the magnitude in the first case; in the second by nothing
+    when the magnitude exceeds ``tol``, and without bound when it does not."""
+    if vanishes:
+        dev = magnitude
+    else:
+        dev = 0.0 if magnitude > tol else math.inf
+    return ComponentCheck(idx, dev, dev, (magnitude <= tol) == vanishes)

@@ -1,9 +1,10 @@
 """Dense tensor components with variance signatures and symmetries.
 
 Components are canonical expressions indexed by 1-based multi-indices
-over [1..dim]^rank.  Declared symmetries are used both to cut generation
-work (one representative per orbit) and as a checked postcondition on a
-sample of orbits.  All tensors are immutable after construction.
+over [1..dim]^rank.  Declared symmetries are trusted: they cut generation
+work to one generator call per orbit.  The test suite checks them
+exactly, on every orbit, and the oracle compares full component tables
+that assume no symmetry.  All tensors are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from .poly import iter_indices
 
 
 class TensorError(Exception):
-    pass
-
-
-class SymmetryViolation(TensorError):
     pass
 
 
@@ -168,44 +165,29 @@ def define(
     sig: Sequence[Variance],
     generator: Callable[[tuple[int, ...]], Expr],
     symmetries: Sequence[Symmetry] = (),
-    check_orbits: int = 8,
 ) -> Tensor:
     """Populate a tensor from a component generator.
 
-    Symmetry orbits are generated once from a representative and
-    propagated; the first ``check_orbits`` nontrivial orbits are verified
-    against the generator and a mismatch raises SymmetryViolation.
+    The generator is called once per symmetry orbit, on its
+    lexicographically least index, and the value is propagated with the
+    declared signs; orbits that antisymmetry forces to zero are never
+    generated.  The symmetries are trusted here: the tests check them
+    exactly on every orbit, and the oracle compares full tables.
     """
     _validate_symmetries(sig, symmetries)
     gens = _transpositions(symmetries)
     comp: dict[tuple[int, ...], Expr] = {}
-    checked = 0
     for idx in iter_indices(dim, len(sig)):
         if idx in comp:
             continue
         orbit = _orbit(idx, gens) if gens else {idx: 1}
         if all(s == 0 for s in orbit.values()):
-            value = ctx.zero
-            if checked < check_orbits:
-                checked += 1
-                if not generator(idx).is_zero_expr():
-                    raise SymmetryViolation(
-                        f"{name}: generator is nonzero at {idx} but antisymmetry forces zero"
-                    )
             for member in orbit:
-                comp[member] = value
+                comp[member] = ctx.zero
             continue
         value = generator(idx)
         for member, sign in orbit.items():
             comp[member] = value if sign == 1 else -value
-        if len(orbit) > 1 and checked < check_orbits:
-            checked += 1
-            member, sign = next((m, s) for m, s in orbit.items() if m != idx)
-            expected = value if sign == 1 else -value
-            if not (generator(member) - expected).is_zero_expr():
-                raise SymmetryViolation(
-                    f"{name}: generator contradicts declared symmetry on orbit of {idx}"
-                )
     return Tensor(name, ctx, dim, sig, comp, symmetries)
 
 

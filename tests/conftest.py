@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from finslercalc import (
@@ -9,6 +11,7 @@ from finslercalc import (
     move_index,
     zero_tensor,
 )
+from finslercalc import tensor
 
 
 def _structure_specs():
@@ -122,3 +125,39 @@ def euclid3d():
 @pytest.fixture(scope="session")
 def polar2d():
     return geometry_for("polar-flat-2d")
+
+
+def _symmetry_checked(define):
+    """``define``, then an exact check of the declared symmetries: when
+    there are any, the generator is called on every index and must give
+    the propagated value with its sign, which is exact zero where
+    antisymmetry forces it."""
+
+    def checked(name, ctx, dim, sig, generator, symmetries=()):
+        t = define(name, ctx, dim, sig, generator, symmetries)
+        if symmetries:
+            for idx, value in t.components():
+                got = generator(idx)
+                assert got == value, (
+                    f"{name}{list(idx)}: generator gives {got}, "
+                    f"declared symmetries give {value}"
+                )
+        return t
+
+    return checked
+
+
+@pytest.fixture
+def strict_define(monkeypatch):
+    """Replace ``define`` in every finslercalc module that holds it with a
+    version that checks the declared symmetries on every orbit; returns
+    the checking ``define``."""
+    original = tensor.define
+    checked = _symmetry_checked(original)
+    for modname, module in list(sys.modules.items()):
+        if module is None or not (modname == "finslercalc" or modname.startswith("finslercalc.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, checked)
+    return checked

@@ -3,7 +3,7 @@ import json
 import subprocess
 import sys
 
-from finslercalc.cli import build_config, run
+from finslercalc.cli import build_config, main, run
 
 WORKED = [
     "--dim", "3",
@@ -172,6 +172,17 @@ class TestConfigFile:
         status, out = run_cli(["--config", str(cfg), "--objects", "Gspray"])
         assert status == 0
         assert "# Gspray" in out
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "dim = 3\ncoords = x1,x2,x3\nfibers = y1,y2,y3\n"
+            "metric-function = x3*y1^3/y2 + y3^2\nobjectz = R:cartan\n"
+        )
+        assert main(["--config", str(cfg), "--objects", "g"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:5: unknown key 'objectz'\n"
 
 
 class TestDeterminism:

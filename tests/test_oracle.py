@@ -1,6 +1,8 @@
 import pytest
 
+from conftest import geometry_for
 from finslercalc import (
+    Classification,
     FinslerStructure,
     NumericPoint,
     SamplingExhausted,
@@ -189,6 +191,25 @@ class TestVerify:
     def test_classification_check(self, berwald4d):
         report = verify(berwald4d, "classify", n_points=2, tol=1e-9, seed=5)
         assert report.passed
+
+    @pytest.mark.parametrize("name", ["worked-3d", "euclidean-3d"])
+    def test_classification_deviations_within_tol(self, name):
+        # worked-3d has both flags false, euclidean-3d both true
+        report = verify(geometry_for(name), "classify", n_points=2, tol=1e-9, seed=0)
+        assert report.passed
+        assert report.max_rel_deviation <= 1e-9
+
+    @pytest.mark.parametrize(
+        "name, flags", [("worked-3d", (True, False)), ("euclidean-3d", (False, True))]
+    )
+    def test_contradicted_flag_fails(self, name, flags, monkeypatch):
+        geom = geometry_for(name)
+        monkeypatch.setattr(geom, "classify", lambda: Classification(*flags))
+        report = verify(geom, "classify", n_points=2, tol=1e-9, seed=0)
+        assert not report.passed
+        assert report.failing_components() == [(1,)]
+        assert report.components[(1,)].max_rel_deviation > 1e-9
+        assert report.components[(2,)].max_rel_deviation <= 1e-9
 
     def test_compound_objects(self, worked3d):
         for oid in ("hcov:g:cartan", "vcov:g:cartan", "vcov:N:berwald"):
