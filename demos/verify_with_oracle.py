@@ -1,8 +1,8 @@
-"""Cross-checking symbolic output against nested dual-number jets.
+"""Cross-checking symbolic output against Taylor jets of F^2.
 
 Every geometric object can be recomputed at sample points purely from
-derivatives of F^2 taken with forward-mode dual numbers (exact to
-machine precision, no finite differencing).  The verifier samples the
+one truncated Taylor jet of F^2 per point (derivatives exact to machine
+precision, no finite differencing).  The verifier samples the
 domain box, rejects points that violate the declared constraints, and
 compares componentwise at relative tolerance 1e-9.
 """

@@ -4,7 +4,7 @@ Given a Finsler function F (supplied as F**2) in any dimension >= 2, the
 package computes the fundamental tensors, canonical spray, nonlinear
 connection, and the torsions and curvatures of the Cartan, Berwald,
 Chern, and Hashiguchi connections, all as exact canonical expressions,
-and cross-checks every object numerically via nested dual numbers.
+and cross-checks every object numerically via truncated Taylor jets of F**2.
 """
 
 from .expr import (

@@ -1,23 +1,33 @@
 """Numeric cross-check of the symbolic pipeline.
 
-Every geometric object is recomputed at sample points from jets of F**2
-alone, using nested forward-mode dual numbers (derivatives are exact to
-machine precision, no finite-difference truncation).  The same
-definitional chain is followed numerically: metric from fiber jets,
-inverse by Gaussian elimination, Christoffel symbols, spray, nonlinear
-connection, horizontal derivatives, connection coefficients, torsions,
-and curvatures; no symbolic derivative or simplification is involved.
+Every geometric object is recomputed at sample points from one truncated
+multivariate Taylor jet of F**2 per point, over the 2n coordinates
+(x, y) and of order ``JET_ORDER`` (Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  Derivatives are exact up to rounding; nothing is
+approximated by finite differences.  The same definitional chain is followed
+on jets: metric from fiber derivatives, inverse by Gaussian elimination,
+Christoffel symbols, spray, nonlinear connection, horizontal derivatives,
+connection coefficients and torsions.  Each derivative lowers a jet's
+order by one, and the order-0 parts give covariant derivatives and
+curvatures.  No symbolic derivative or simplification is involved.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from operator import add, mul, sub
 
 from .expr import DomainError, NumericPoint
 from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
 from . import registry
+
+# The deepest chain in the registry takes five derivatives of F**2: the
+# delta-derivative of G^i_jk (for R:berwald) and hcov of a torsion.
+JET_ORDER = 5
 
 
 class SamplingExhausted(Exception):
@@ -30,111 +40,179 @@ class SingularMetricAt(Exception):
         self.point = point
 
 
-# -- nested dual numbers -----------------------------------------------------
+# -- truncated Taylor jets ----------------------------------------------------
 
 
-class Dual:
-    """Forward-mode dual number; val/dot may themselves be Duals."""
+class _Basis:
+    """The monomials of total degree <= ``order`` in ``nvars`` variables,
+    sorted by degree (so the monomials of degree <= d are a prefix of
+    length ``size[d]``), and the index tables that products and
+    derivatives read."""
 
-    __slots__ = ("val", "dot")
+    def __init__(self, nvars: int, order: int):
+        mons = []
+        for d in range(order + 1):
+            for combo in itertools.combinations_with_replacement(range(nvars), d):
+                mons.append(tuple(combo.count(v) for v in range(nvars)))
+        index = {m: i for i, m in enumerate(mons)}
+        self.size = [math.comb(nvars + d, d) for d in range(order + 1)]
+        # pairs[k]: the indices (I, J) of every factor pair of monomial k
+        self.pairs = []
+        for k in mons:
+            factors = list(itertools.product(*(range(e + 1) for e in k)))
+            self.pairs.append((
+                [index[i] for i in factors],
+                [index[tuple(a - b for a, b in zip(k, i))] for i in factors],
+            ))
+        # deriv[v]: for each monomial m of degree < order, the index of
+        # m * x_v and the exponent of x_v in it
+        lower = mons[: self.size[order - 1]] if order else []
+        self.deriv = []
+        for v in range(nvars):
+            up = [m[:v] + (m[v] + 1,) + m[v + 1 :] for m in lower]
+            self.deriv.append(([index[m] for m in up], [float(m[v]) for m in up]))
 
-    def __init__(self, val, dot=0.0):
-        self.val = val
-        self.dot = dot
+
+@cache
+def _basis(nvars: int, order: int) -> _Basis:
+    return _Basis(nvars, order)
+
+
+class Jet:
+    """Truncated Taylor polynomial: ``coeffs[m]`` is the coefficient of the
+    m-th monomial of ``basis`` (the derivative divided by the factorials of
+    its exponents), for every monomial of total degree <= ``order``.
+
+    Floats, ints and Fractions act as constants on either side of ``+``,
+    ``-``, ``*`` and ``/``, so ``Poly.eval`` runs unchanged on jets.  The
+    product of two jets is truncated to the smaller order; ``diff`` lowers
+    the order by one."""
+
+    __slots__ = ("coeffs", "order", "basis")
+
+    def __init__(self, coeffs: list, order: int, basis: _Basis):
+        self.coeffs = coeffs
+        self.order = order
+        self.basis = basis
+
+    @staticmethod
+    def variables(values, order: int) -> list["Jet"]:
+        """One jet of order >= 1 per variable: its value plus the variable itself."""
+        basis = _basis(len(values), order)
+        out = []
+        for v, value in enumerate(values):
+            coeffs = [0.0] * basis.size[order]
+            coeffs[0] = float(value)
+            coeffs[1 + v] = 1.0  # the degree-1 monomials follow the constant
+            out.append(Jet(coeffs, order, basis))
+        return out
+
+    def _like(self, coeffs) -> "Jet":
+        return Jet(coeffs, self.order, self.basis)
 
     def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val + other.val, self.dot + other.dot)
-        return Dual(self.val + other, self.dot)
+        if isinstance(other, Jet):  # zip truncates to the smaller order
+            return Jet(list(map(add, self.coeffs, other.coeffs)),
+                       min(self.order, other.order), self.basis)
+        coeffs = self.coeffs.copy()
+        coeffs[0] += float(other)
+        return self._like(coeffs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, -self.dot)
+        return self._like([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val - other.val, self.dot - other.dot)
-        return Dual(self.val - other, self.dot)
+        if isinstance(other, Jet):
+            return Jet(list(map(sub, self.coeffs, other.coeffs)),
+                       min(self.order, other.order), self.basis)
+        return self + (-float(other))
 
     def __rsub__(self, other):
-        return Dual(other - self.val, -self.dot)
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.val * other.val, self.dot * other.val + self.val * other.dot)
-        return Dual(self.val * other, self.dot * other)
+        if not isinstance(other, Jet):
+            s = float(other)
+            return self._like([c * s for c in self.coeffs])
+        order = min(self.order, other.order)
+        ga, gb = self.coeffs.__getitem__, other.coeffs.__getitem__
+        pairs = self.basis.pairs[: self.basis.size[order]]
+        coeffs = [sum(map(mul, map(ga, i), map(gb, j))) for i, j in pairs]
+        return Jet(coeffs, order, self.basis)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
-            return self * _reciprocal(other)
-        return Dual(self.val / other, self.dot / other)
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        return self * (1.0 / float(other))
 
     def __rtruediv__(self, other):
-        return other * _reciprocal(self)
+        return self.reciprocal() * float(other)
 
-    def __pow__(self, n: int):
-        if n == 0:
-            return Dual(_one_like(self.val), 0.0 * scalar_part(self))
-        base = self
-        if n < 0:
-            base = _reciprocal(self)
-            n = -n
-        out = base
-        for _ in range(n - 1):
-            out = out * base
-        return out
+    def truncate(self, order: int) -> "Jet":
+        return Jet(self.coeffs[: self.basis.size[order]], order, self.basis)
 
-    def __repr__(self):
-        return f"Dual({self.val!r}, {self.dot!r})"
+    def diff(self, v: int) -> "Jet":
+        """The partial derivative along variable ``v``, one order lower."""
+        if self.order == 0:
+            raise ValueError("an order-0 jet has no derivative")
+        size = self.basis.size[self.order - 1]
+        src, exps = self.basis.deriv[v]
+        coeffs = list(map(mul, map(self.coeffs.__getitem__, src[:size]), exps[:size]))
+        return Jet(coeffs, self.order - 1, self.basis)
 
+    def series(self, taylor: list) -> "Jet":
+        """f(self) for f(c + u) = sum_m taylor[m] * u**m, where c is the
+        constant term; ``taylor`` holds at least ``order + 1`` terms."""
+        u = self.coeffs.copy()
+        u[0] = 0.0
+        u = self._like(u)
+        out = taylor[self.order]
+        for m in range(self.order - 1, -1, -1):
+            out = u * out + taylor[m]
+        return out if isinstance(out, Jet) else self._like([out])
 
-def _one_like(v):
-    return 1.0
-
-
-def _reciprocal(v):
-    if isinstance(v, Dual):
-        r = _reciprocal(v.val)
-        return Dual(r, -1.0 * v.dot * r * r)
-    return 1.0 / v
-
-
-def scalar_part(v) -> float:
-    while isinstance(v, Dual):
-        v = v.val
-    return v
+    def reciprocal(self) -> "Jet":
+        c = self.coeffs[0]
+        if c == 0:
+            raise ZeroDivisionError("jet with zero constant term")
+        r = 1.0 / c
+        return self.series([(-r) ** m * r for m in range(self.order + 1)])
 
 
-def dpow(v, alpha: float):
-    """v**alpha for real alpha > any nesting depth; assumes v > 0 apart
-    from odd roots handled by droot."""
-    if isinstance(v, Dual):
-        return Dual(dpow(v.val, alpha), alpha * dpow(v.val, alpha - 1.0) * v.dot)
-    return v**alpha
+def _const(v) -> float:
+    return v.coeffs[0] if isinstance(v, Jet) else v
 
 
 def droot(v, q: int):
-    """Real q-th root with dual propagation."""
-    if scalar_part(v) < 0:
+    """Real q-th root of a float or a jet; an odd root of a negative
+    number takes its sign."""
+    c = _const(v)
+    if c < 0:
         if q % 2 == 0:
             raise DomainError("negative radicand under an even root")
-        return -dpow(-v, 1.0 / q)
-    return dpow(v, 1.0 / q)
+        return -droot(-v, q)
+    if not isinstance(v, Jet):
+        return v ** (1.0 / q)
+    taylor = [c ** (1.0 / q)]  # binom(1/q, m) * c**(1/q - m)
+    for m in range(1, v.order + 1):
+        taylor.append(taylor[-1] * (1.0 / q - (m - 1)) / (m * c))
+    return v.series(taylor)
 
 
 def mat_inv(m):
-    """Gauss-Jordan inverse over floats or duals (pivot on float part)."""
+    """Gauss-Jordan inverse over floats or jets (pivot on the constant term)."""
     n = len(m)
     a = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(scalar_part(a[r][col])))
-        if abs(scalar_part(a[pivot][col])) < 1e-12:
+        pivot = max(range(col, n), key=lambda r: abs(_const(a[r][col])))
+        if abs(_const(a[pivot][col])) < 1e-12:
             raise ZeroDivisionError("singular matrix")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = _reciprocal(a[col][col]) if isinstance(a[col][col], Dual) else 1.0 / a[col][col]
+        inv = 1.0 / a[col][col]
         a[col] = [x * inv for x in a[col]]
         for r in range(n):
             if r != col:
@@ -148,54 +226,181 @@ def mat_inv(m):
 # -- numeric geometry ---------------------------------------------------------
 
 
-def _lift(coords, seed_sym: int):
-    return [Dual(v, 1.0 if i == seed_sym else 0.0) for i, v in enumerate(coords)]
+def _map(fn, *trees):
+    """``fn`` applied leafwise to nested lists of equal shape."""
+    if isinstance(trees[0], list):
+        return [_map(fn, *sub) for sub in zip(*trees)]
+    return fn(*trees)
 
 
-def _dot_tree(t):
-    if isinstance(t, list):
-        return [_dot_tree(x) for x in t]
-    return t.dot if isinstance(t, Dual) else 0.0
+def _values(tree):
+    """The order-0 parts of a nested list of jets, as floats."""
+    return _map(lambda v: float(_const(v)), tree)
 
 
-def _combine(a, b, coeff):
-    """a - coeff*b elementwise over nested lists."""
-    if isinstance(a, list):
-        return [_combine(x, y, coeff) for x, y in zip(a, b)]
-    return a - coeff * b
+def _christoffel(ginv, dg, n):
+    """(1/2) g^{ir} (d_j g_kr + d_k g_jr - d_r g_jk) from the derivative
+    tables ``dg[j] = d_j g``."""
+    return [
+        [
+            [
+                sum(ginv[i][r] * (dg[j][k][r] + dg[k][j][r] - dg[r][j][k]) for r in range(n))
+                * 0.5
+                for k in range(n)
+            ]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+class _PointJets:
+    """Jet tables of the objects at one point, each built on first use.
+    The attribute names are those of ``NumericGeometry``'s methods."""
+
+    def __init__(self, numgeom: "NumericGeometry", coords):
+        n = self.n = numgeom.n
+        self.y = Jet.variables(coords, JET_ORDER)[n:]
+        self.f2 = numgeom.f2(coords)
+        self._derived: dict = {}
+
+    def derivative(self, name: str, v: int):
+        """d/dx_v (v < n) or d/dy_{v-n} of an object's table."""
+        key = (name, v)
+        if key not in self._derived:
+            self._derived[key] = _map(lambda e: e.diff(v), getattr(self, name))
+        return self._derived[key]
+
+    def delta(self, name: str, k: int):
+        """delta_k = d/dx_k - N^r_k d/dy_r of an object's table."""
+        key = (name, "delta", k)
+        if key not in self._derived:
+            out = self.derivative(name, k)
+            for r in range(self.n):
+                nrk = self.n_mat[r][k]
+                out = _map(lambda a, b: a - nrk * b, out, self.derivative(name, self.n + r))
+            self._derived[key] = out
+        return self._derived[key]
+
+    @cached_property
+    def g_mat(self):
+        n = self.n
+        dy = [self.f2.diff(n + i) for i in range(n)]
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                out[i][j] = out[j][i] = dy[i].diff(n + j) * 0.5
+        return out
+
+    @cached_property
+    def ginv_mat(self):
+        return mat_inv(self.g_mat)
+
+    @cached_property
+    def finsler(self):
+        return droot(self.f2.truncate(JET_ORDER - 2), 2)  # l, lup and h need no more than g
+
+    @cached_property
+    def l_down(self):
+        g, y = self.g_mat, self.y
+        return [sum(g[i][j] * y[j] for j in range(self.n)) / self.finsler for i in range(self.n)]
+
+    @cached_property
+    def l_up(self):
+        return [yi / self.finsler for yi in self.y]
+
+    @cached_property
+    def h_mat(self):
+        g, l = self.g_mat, self.l_down
+        return [[g[i][j] - l[i] * l[j] for j in range(self.n)] for i in range(self.n)]
+
+    @cached_property
+    def cartan_down(self):
+        n = self.n
+        gk = [self.derivative("g_mat", n + k) for k in range(n)]
+        return [[[gk[k][i][j] * 0.5 for k in range(n)] for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def cartan_mixed(self):
+        n, ginv, cd = self.n, self.ginv_mat, self.cartan_down
+        return [
+            [[sum(ginv[i][r] * cd[r][j][k] for r in range(n)) for k in range(n)] for j in range(n)]
+            for i in range(n)
+        ]
+
+    @cached_property
+    def gamma(self):
+        return _christoffel(self.ginv_mat, [self.derivative("g_mat", j) for j in range(self.n)], self.n)
+
+    @cached_property
+    def spray(self):
+        """G^i = (1/4) g^{ir} (y^j d_j dot-d_r F2 - d_r F2)."""
+        n, y = self.n, self.y
+        rhs = []
+        for r in range(n):
+            dyr = self.f2.diff(n + r)
+            rhs.append(sum(dyr.diff(j) * y[j] for j in range(n)) - self.f2.diff(r))
+        ginv = self.ginv_mat
+        return [sum(ginv[i][r] * rhs[r] for r in range(n)) * 0.25 for i in range(n)]
+
+    @cached_property
+    def n_mat(self):
+        n = self.n
+        return [[self.spray[i].diff(n + j) for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def berwald(self):
+        n = self.n
+        return [[[self.n_mat[i][j].diff(n + k) for k in range(n)] for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def big_gamma(self):
+        return _christoffel(self.ginv_mat, [self.delta("g_mat", j) for j in range(self.n)], self.n)
+
+    @cached_property
+    def r_torsion(self):
+        n = self.n
+        dn = [self.delta("n_mat", k) for k in range(n)]
+        return [[[dn[k][i][j] - dn[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def p_torsion(self):
+        return _map(sub, self.berwald, self.big_gamma)
+
+
+# The objects with a jet table of their own; each is also a method of
+# NumericGeometry that returns the table's order-0 values.
+_TABLES = (
+    "g_mat", "ginv_mat", "l_down", "l_up", "h_mat", "cartan_down", "cartan_mixed",
+    "gamma", "spray", "n_mat", "berwald", "big_gamma", "r_torsion", "p_torsion",
+)
 
 
 class NumericGeometry:
-    """Evaluates the whole definitional chain from F**2 jets at a point.
+    """Evaluates the whole definitional chain from F**2 jets.
 
-    Coordinates are passed as one flat list (base then fiber values);
-    entries may be duals so that any object can itself be differentiated.
-    Intermediate tables are memoized per coordinate-list identity (the
-    cache holds a strong reference to its key list, so ids stay unique).
+    Coordinates are passed as one flat list of floats (base then fiber
+    values); the methods return nested lists of floats.  The jet tables of
+    each point are kept, keyed by its coordinate values, so objects at the
+    same point share them and F**2 is evaluated once per point.
     """
 
     def __init__(self, structure: FinslerStructure):
         self.structure = structure
         self.ctx = structure.ctx
         self.n = structure.dim
-        self._memo: dict = {}
-        self._atom_deps: dict = {}
+        self._points: dict[tuple, _PointJets] = {}
 
-    def _cached(self, name, coords, build):
-        key = (name, id(coords))
-        got = self._memo.get(key)
-        if got is not None and got[0] is coords:
-            return got[1]
-        val = build()
-        self._memo[key] = (coords, val)
-        return val
+    def _at(self, coords) -> _PointJets:
+        key = tuple(coords)
+        got = self._points.get(key)
+        if got is None:
+            got = self._points[key] = _PointJets(self, key)
+        return got
 
     # F**2 and expression evaluation -------------------------------------
 
-    def _atoms_needed(self, expr):
-        got = self._atom_deps.get(id(expr))
-        if got is not None:
-            return got
+    def _atoms_needed(self, expr) -> list[int]:
         ctx = self.ctx
         needed: set[int] = set()
         frontier = [expr.num, expr.den]
@@ -206,250 +411,54 @@ class NumericGeometry:
                     needed.add(s)
                     rad = ctx.atom_at(s).radicand
                     frontier.extend([rad.num, rad.den])
-        deps = sorted(needed)
-        self._atom_deps[id(expr)] = deps
-        return deps
+        return sorted(needed)
 
-    def eval_expr(self, expr, coords):
+    def eval_expr(self, expr, values):
+        """``expr`` at coordinate values (floats or jets), radicals included."""
         ctx = self.ctx
         width = 2 * self.n + len(ctx._atoms)
-        values = list(coords) + [None] * (width - 2 * self.n)
+        values = list(values) + [None] * (width - 2 * self.n)
         for s in self._atoms_needed(expr):
             atom = ctx.atom_at(s)
             rad_num = atom.radicand.num.eval(values)
             rad_den = atom.radicand.den.eval(values)
-            values[s] = droot(rad_num * _reciprocal_any(rad_den), atom.q)
-        num = expr.num.eval(values)
-        den = expr.den.eval(values)
-        return num * _reciprocal_any(den)
+            values[s] = droot(rad_num * (1.0 / rad_den), atom.q)
+        return expr.num.eval(values) * (1.0 / expr.den.eval(values))
 
-    def f2(self, coords):
-        return self.eval_expr(self.structure.f_squared, coords)
-
-    # fundamental objects --------------------------------------------------
-
-    def g_mat(self, coords):
-        return self._cached("g", coords, lambda: self._g_mat(coords))
-
-    def _g_mat(self, coords):
-        n = self.n
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            ci = _lift(coords, n + i)
-            for j in range(i, n):
-                cij = _lift(ci, n + j)
-                val = self.f2(cij).dot.dot * 0.5
-                out[i][j] = val
-                out[j][i] = val
-        return out
-
-    def ginv_mat(self, coords):
-        return self._cached("ginv", coords, lambda: mat_inv(self.g_mat(coords)))
-
-    def l_down(self, coords):
-        g = self.g_mat(coords)
-        f = droot(self.f2(coords), 2)
-        y = coords[self.n :]
-        return [sum(g[i][j] * y[j] for j in range(self.n)) / f for i in range(self.n)]
-
-    def l_up(self, coords):
-        f = droot(self.f2(coords), 2)
-        return [yi / f for yi in coords[self.n :]]
-
-    def h_mat(self, coords):
-        g = self.g_mat(coords)
-        l = self.l_down(coords)
-        return [[g[i][j] - l[i] * l[j] for j in range(self.n)] for i in range(self.n)]
-
-    def _fiber_table(self, name, fn, coords, r):
-        """dot-d_r of a tree-valued function, memoized."""
-        key = (name, "fiber", r)
-        return self._cached(key, coords, lambda: _dot_tree(fn(_lift(coords, self.n + r))))
-
-    def _base_table(self, name, fn, coords, k):
-        key = (name, "base", k)
-        return self._cached(key, coords, lambda: _dot_tree(fn(_lift(coords, k))))
-
-    def cartan_down(self, coords):
-        def build():
-            n = self.n
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                gk = self._fiber_table("g", self.g_mat, coords, k)
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j][k] = gk[i][j] * 0.5
-            return out
-
-        return self._cached("C", coords, build)
-
-    def cartan_mixed(self, coords):
-        def build():
-            n = self.n
-            ginv = self.ginv_mat(coords)
-            cd = self.cartan_down(coords)
-            return [
-                [
-                    [sum(ginv[i][r] * cd[r][j][k] for r in range(n)) for k in range(n)]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-
-        return self._cached("Cm", coords, build)
-
-    def gamma(self, coords):
-        def build():
-            n = self.n
-            ginv = self.ginv_mat(coords)
-            dg = [self._base_table("g", self.g_mat, coords, j) for j in range(n)]
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = 0.0
-                        for r in range(n):
-                            acc = acc + ginv[i][r] * (dg[j][k][r] + dg[k][j][r] - dg[r][j][k])
-                        out[i][j][k] = acc * 0.5
-            return out
-
-        return self._cached("gamma", coords, build)
-
-    def spray(self, coords):
-        """G^i = (1/4) g^{ir} (y^j d_j dot-d_r F2 - d_r F2)."""
-
-        def build():
-            n = self.n
-            ginv = self.ginv_mat(coords)
-            y = coords[n:]
-            rhs = []
-            for r in range(n):
-                cr = _lift(coords, n + r)
-                acc = None
-                for j in range(n):
-                    term = self.f2(_lift(cr, j)).dot.dot * y[j]
-                    acc = term if acc is None else acc + term
-                acc = acc - self.f2(_lift(coords, r)).dot
-                rhs.append(acc)
-            return [
-                sum(ginv[i][r] * rhs[r] for r in range(n)) * 0.25 for i in range(n)
-            ]
-
-        return self._cached("spray", coords, build)
-
-    def n_mat(self, coords):
-        def build():
-            n = self.n
-            out = [[None] * n for _ in range(n)]
-            for j in range(n):
-                sj = self._fiber_table("spray", self.spray, coords, j)
-                for i in range(n):
-                    out[i][j] = sj[i]
-            return out
-
-        return self._cached("N", coords, build)
-
-    def berwald(self, coords):
-        def build():
-            n = self.n
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                nk = self._fiber_table("N", self.n_mat, coords, k)
-                for i in range(n):
-                    for j in range(n):
-                        out[i][j][k] = nk[i][j]
-            return out
-
-        return self._cached("Gjk", coords, build)
-
-    def delta_of(self, fn, coords, k, name=None):
-        """delta_k applied elementwise to a tree-valued function."""
-        name = name or getattr(fn, "__name__", repr(fn))
-
-        def build():
-            n = self.n
-            base = self._base_table(name, fn, coords, k)
-            nmat = self.n_mat(coords)
-            for r in range(n):
-                fiber = self._fiber_table(name, fn, coords, r)
-                base = _combine(base, fiber, nmat[r][k])
-            return base
-
-        return self._cached((name, "delta", k), coords, build)
-
-    def big_gamma(self, coords):
-        def build():
-            n = self.n
-            ginv = self.ginv_mat(coords)
-            dg = [self.delta_of(self.g_mat, coords, j, name="g") for j in range(n)]
-            out = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        acc = 0.0
-                        for r in range(n):
-                            acc = acc + ginv[i][r] * (dg[j][k][r] + dg[k][j][r] - dg[r][j][k])
-                        out[i][j][k] = acc * 0.5
-            return out
-
-        return self._cached("Gamma", coords, build)
-
-    def r_torsion(self, coords):
-        def build():
-            n = self.n
-            dn = [self.delta_of(self.n_mat, coords, k, name="N") for k in range(n)]
-            return [
-                [[dn[k][i][j] - dn[j][i][k] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-
-        return self._cached("Rtor", coords, build)
-
-    def p_torsion(self, coords):
-        def build():
-            n = self.n
-            gjk = self.berwald(coords)
-            gam = self.big_gamma(coords)
-            return [
-                [[gjk[i][j][k] - gam[i][j][k] for k in range(n)] for j in range(n)]
-                for i in range(n)
-            ]
-
-        return self._cached("Ptor", coords, build)
+    def f2(self, coords) -> Jet:
+        """The order-``JET_ORDER`` jet of F**2 at a point."""
+        return self.eval_expr(self.structure.f_squared, Jet.variables(coords, JET_ORDER))
 
     # connections ---------------------------------------------------------------
 
-    def f_coeffs(self, kind: ConnectionKind, coords):
+    def _f_name(self, kind: ConnectionKind) -> str:
         if kind in (ConnectionKind.CARTAN, ConnectionKind.CHERN):
-            return self.big_gamma(coords)
-        return self.berwald(coords)
+            return "big_gamma"
+        return "berwald"
 
     def has_c(self, kind: ConnectionKind) -> bool:
         return kind in (ConnectionKind.CARTAN, ConnectionKind.HASHIGUCHI)
 
-    def cov_derivative(
-        self, fn, sig: str, kind: ConnectionKind, coords, horizontal: bool, name=None
-    ):
-        """Covariant derivative of a tree-valued function: the result has
-        one extra (last) index; sig gives the variances of fn's slots."""
+    def cov_derivative(self, fn, sig: str, kind: ConnectionKind, coords, horizontal: bool):
+        """Covariant derivative of one of this class's tables (``fn`` is the
+        bound method): the result has one extra (last) index; sig gives the
+        variances of fn's slots."""
         n = self.n
-        name = name or getattr(fn, "__name__", repr(fn))
+        pt = self._at(coords)
+        name = fn.__name__
         if horizontal:
-            coeffs = self.f_coeffs(kind, coords)
+            coeffs = _values(getattr(pt, self._f_name(kind)))
+            deriv = [_values(pt.delta(name, k)) for k in range(n)]
         else:
             coeffs = self.cartan_mixed(coords) if self.has_c(kind) else None
+            deriv = [_values(pt.derivative(name, n + k)) for k in range(n)]
 
         def entry(tree, idx):
             for i in idx:
                 tree = tree[i]
             return tree
 
-        out_rank = len(sig) + 1
-        result = _empty(n, out_rank)
-        if horizontal:
-            deriv = [self.delta_of(fn, coords, k, name=name) for k in range(n)]
-        else:
-            deriv = [self._fiber_table(name, fn, coords, k) for k in range(n)]
+        result = _empty(n, len(sig) + 1)
         base_tree = fn(coords) if coeffs is not None else None
         for idx in _indices(n, len(sig)):
             for k in range(n):
@@ -470,68 +479,42 @@ class NumericGeometry:
 
     def curvature(self, kind: ConnectionKind, which: str, coords):
         n = self.n
-        gamma_like = kind in (ConnectionKind.CARTAN, ConnectionKind.CHERN)
-        f_fn = self.big_gamma if gamma_like else self.berwald
-        f_name = "Gamma" if gamma_like else "Gjk"
-        if which == "h":
-            f = f_fn(coords)
-            df = [self.delta_of(f_fn, coords, k, name=f_name) for k in range(n)]
-            if self.has_c(kind):
-                cm = self.cartan_mixed(coords)
-                rt = self.r_torsion(coords)
-            out = _empty(n, 4)
-            for i in range(n):
-                for h in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            val = df[k][i][h][j] - df[j][i][h][k]
-                            for m in range(n):
-                                val = val + f[m][h][j] * f[i][m][k] - f[m][h][k] * f[i][m][j]
-                            if self.has_c(kind):
-                                for m in range(n):
-                                    val = val + cm[i][h][m] * rt[m][j][k]
-                            out[i][h][j][k] = val
-            return out
-        if which == "hv":
-            dfy = [self._fiber_table(f_name, f_fn, coords, k) for k in range(n)]
-            out = _empty(n, 4)
-            if not self.has_c(kind):
-                for i in range(n):
-                    for h in range(n):
-                        for j in range(n):
-                            for k in range(n):
-                                out[i][h][j][k] = dfy[k][i][h][j]
-                return out
-            hc = self.cov_derivative(
-                self.cartan_mixed, "udd", kind, coords, horizontal=True, name="Cm"
-            )
-            cm = self.cartan_mixed(coords)
-            pt = self.p_torsion(coords) if kind is ConnectionKind.CARTAN else None
-            for i in range(n):
-                for h in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            val = dfy[k][i][h][j] - hc[i][h][k][j]
-                            if pt is not None:
-                                for m in range(n):
-                                    val = val + cm[i][h][m] * pt[m][j][k]
-                            out[i][h][j][k] = val
-            return out
-        # v-curvature
+        pt = self._at(coords)
+        f_name = self._f_name(kind)
         out = _empty(n, 4)
-        if not self.has_c(kind):
-            for idx in _indices(n, 4):
-                _set(out, idx, 0.0)
-            return out
-        cm = self.cartan_mixed(coords)
-        for i in range(n):
-            for h in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        val = 0.0
+        cm = self.cartan_mixed(coords) if self.has_c(kind) else None
+        if which == "h":
+            f = _values(getattr(pt, f_name))
+            df = [_values(pt.delta(f_name, k)) for k in range(n)]
+            rt = self.r_torsion(coords) if cm is not None else None
+            for i, h, j, k in _indices(n, 4):
+                val = df[k][i][h][j] - df[j][i][h][k]
+                for m in range(n):
+                    val = val + f[m][h][j] * f[i][m][k] - f[m][h][k] * f[i][m][j]
+                if cm is not None:
+                    for m in range(n):
+                        val = val + cm[i][h][m] * rt[m][j][k]
+                out[i][h][j][k] = val
+        elif which == "hv":
+            dfy = [_values(pt.derivative(f_name, n + k)) for k in range(n)]
+            if cm is not None:
+                hc = self.cov_derivative(self.cartan_mixed, "udd", kind, coords, horizontal=True)
+                ptor = self.p_torsion(coords) if kind is ConnectionKind.CARTAN else None
+            for i, h, j, k in _indices(n, 4):
+                val = dfy[k][i][h][j]
+                if cm is not None:
+                    val = val - hc[i][h][k][j]
+                    if ptor is not None:
                         for m in range(n):
-                            val = val + cm[m][h][k] * cm[i][m][j] - cm[m][h][j] * cm[i][m][k]
-                        out[i][h][j][k] = val
+                            val = val + cm[i][h][m] * ptor[m][j][k]
+                out[i][h][j][k] = val
+        else:  # v-curvature
+            for i, h, j, k in _indices(n, 4):
+                val = 0.0
+                if cm is not None:
+                    for m in range(n):
+                        val = val + cm[m][h][k] * cm[i][m][j] - cm[m][h][j] * cm[i][m][k]
+                out[i][h][j][k] = val
         return out
 
     # registry objects ------------------------------------------------------------
@@ -548,22 +531,25 @@ class NumericGeometry:
             return self.curvature(kind, which, coords)
         entry, kind = rest
         return self.cov_derivative(
-            getattr(self, entry.numeric),
-            entry.sig,
-            kind,
-            coords,
-            horizontal=op == "hcov",
-            name=object_id,
+            getattr(self, entry.numeric), entry.sig, kind, coords, horizontal=op == "hcov"
         )
 
 
-def _reciprocal_any(v):
-    return _reciprocal(v) if isinstance(v, Dual) else 1.0 / float(v)
+def _order0(name: str):
+    def method(self, coords):
+        return _values(getattr(self._at(coords), name))
+
+    method.__name__ = name
+    method.__qualname__ = f"NumericGeometry.{name}"
+    method.__doc__ = f"Order-0 values of the ``{name}`` jet table at a point."
+    return method
+
+
+for _name in _TABLES:
+    setattr(NumericGeometry, _name, _order0(_name))
 
 
 def _empty(n, rank):
-    if rank == 0:
-        return None
     if rank == 1:
         return [None] * n
     return [_empty(n, rank - 1) for _ in range(n)]
@@ -590,9 +576,8 @@ def numeric_object(geom: Geometry, object_id: str, point: NumericPoint):
         raise DomainError(f"point violates the structure's domain constraints: {point}")
     num = NumericGeometry(geom.structure)
     coords = [float(v) for v in point.x] + [float(v) for v in point.y]
-    g = num.g_mat(coords)
     try:
-        mat_inv(g)
+        num.ginv_mat(coords)
     except ZeroDivisionError:
         raise SingularMetricAt(point) from None
     return num.object_table(object_id, coords)
@@ -635,6 +620,7 @@ class ComponentCheck:
     max_abs_deviation: float
     max_rel_deviation: float
     passed: bool
+    worst_point: NumericPoint | None = None  # where max_rel_deviation occurs
 
 
 @dataclass
@@ -655,6 +641,18 @@ class VerificationReport:
     @property
     def max_rel_deviation(self) -> float:
         return max((c.max_rel_deviation for c in self.components.values()), default=0.0)
+
+    @property
+    def worst_component(self) -> tuple[int, ...] | None:
+        """The index with the largest relative deviation (the first one on a tie)."""
+        worst = max(self.components.values(), key=lambda c: c.max_rel_deviation, default=None)
+        return None if worst is None else worst.index
+
+    @property
+    def worst_point(self) -> NumericPoint | None:
+        """The sample point where the worst component deviates most."""
+        idx = self.worst_component
+        return None if idx is None else self.components[idx].worst_point
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
@@ -708,13 +706,14 @@ def verify_many(
     for object_id in object_ids:
         report = VerificationReport(object_id, seed, tol, points)
         if object_id == "classify":
-            out[object_id] = _verify_classification(geom, report)
+            out[object_id] = _verify_classification(geom, report, numgeom, coord_lists)
             continue
         tensor = registry.resolve(geom, object_id)
         tables = [numgeom.object_table(object_id, coords) for coords in coord_lists]
         for idx, expr in tensor.components():
             max_abs = 0.0
             max_rel = 0.0
+            worst = None
             ok = True
             for p, table in zip(points, tables):
                 ref = table
@@ -724,52 +723,52 @@ def verify_many(
                 dev = abs(sym - ref)
                 rel = dev / max(1.0, abs(ref))
                 max_abs = max(max_abs, dev)
-                max_rel = max(max_rel, rel)
+                if worst is None or rel > max_rel:
+                    worst, max_rel = p, rel
                 if rel > tol:
                     ok = False
-            report.components[idx] = ComponentCheck(idx, max_abs, max_rel, ok)
+            report.components[idx] = ComponentCheck(idx, max_abs, max_rel, ok, worst)
         out[object_id] = report
     return out
 
 
-def _verify_classification(geom: Geometry, report: VerificationReport) -> VerificationReport:
-    """Check the classification flags against numeric magnitudes: the
-    Cartan tensor for Riemannian, fiber jets of the Berwald coefficients
-    for Berwaldian.  Components (1,) and (2,) hold the two flag checks."""
+def _verify_classification(
+    geom: Geometry, report: VerificationReport, numgeom: NumericGeometry, coord_lists
+) -> VerificationReport:
+    """Check the classification flags against numeric magnitudes at the
+    report's points: the Cartan tensor for Riemannian, fiber derivatives
+    of the Berwald coefficients for Berwaldian.  Components (1,) and (2,)
+    hold the two flag checks."""
     cls = report.classification = geom.classify()
-    numgeom = NumericGeometry(geom.structure)
     n = geom.dim
-    max_c = 0.0
-    max_dg = 0.0
-    for p in report.points:
-        coords = [float(v) for v in p.x] + [float(v) for v in p.y]
-        cd = numgeom.cartan_down(coords)
-        for idx in _indices(n, 3):
-            v = cd
-            for i in idx:
-                v = v[i]
-            max_c = max(max_c, abs(v))
-        for m in range(n):
-            dg = _dot_tree(numgeom.berwald(_lift(coords, n + m)))
-            for idx in _indices(n, 3):
-                v = dg
-                for i in idx:
-                    v = v[i]
-                max_dg = max(max_dg, abs(v))
+    max_c, max_dg = [], []
+    for coords in coord_lists:
+        pt = numgeom._at(coords)
+        max_c.append(max(map(abs, _flat(_values(pt.cartan_down)))))
+        dg = [_values(pt.derivative("berwald", n + m)) for m in range(n)]
+        max_dg.append(max(map(abs, _flat(dg))))
     tol = report.tolerance
-    report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol)
-    report.components[(2,)] = _flag_check((2,), max_dg, cls.berwaldian, tol)
+    report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol, report.points)
+    report.components[(2,)] = _flag_check((2,), max_dg, cls.berwaldian, tol, report.points)
     return report
 
 
+def _flat(tree) -> list[float]:
+    return [v for sub in tree for v in _flat(sub)] if isinstance(tree, list) else [tree]
+
+
 def _flag_check(
-    idx: tuple[int, ...], magnitude: float, vanishes: bool, tol: float
+    idx: tuple[int, ...], magnitudes: list[float], vanishes: bool, tol: float, points
 ) -> ComponentCheck:
     """A flag asserts that a magnitude vanishes, or that it does not.  It
-    deviates by the magnitude in the first case; in the second by nothing
-    when the magnitude exceeds ``tol``, and without bound when it does not."""
+    deviates by the largest magnitude over the points in the first case;
+    in the second by nothing when that magnitude exceeds ``tol``, and
+    without bound when it does not.  The worst point is the one whose
+    magnitude the check reads."""
+    worst = max(range(len(points)), key=magnitudes.__getitem__)
+    magnitude = magnitudes[worst]
     if vanishes:
         dev = magnitude
     else:
         dev = 0.0 if magnitude > tol else math.inf
-    return ComponentCheck(idx, dev, dev, (magnitude <= tol) == vanishes)
+    return ComponentCheck(idx, dev, dev, (magnitude <= tol) == vanishes, points[worst])

@@ -254,7 +254,7 @@ class Poly:
         """Evaluate with ``values[i]`` substituted for symbol i.
 
         Values may be Fractions, floats, or any ring supporting * and +
-        (e.g. dual numbers); powers are computed by repeated squaring and
+        (e.g. Taylor jets); powers are computed by repeated squaring and
         cached per symbol.
         """
         power_cache: dict[tuple[int, int], object] = {}

@@ -9,9 +9,10 @@ from finslercalc import (
     build,
     registry,
 )
+from finslercalc.poly import iter_indices
 from finslercalc.tensor import Symmetry, _orbit, _transpositions
 
-from conftest import make_structure
+from conftest import geometry_for, make_structure
 from golden_worked_example import MISPRINTS, TABLES
 
 
@@ -21,6 +22,17 @@ class TestBuild:
         for idx, e in g.components():
             expected = euclid3d.ctx.one if idx[0] == idx[1] else euclid3d.ctx.zero
             assert (e - expected).is_zero_expr()
+
+    @pytest.mark.parametrize(
+        "name", ["worked-3d", "cuberoot-3d", "berwald-4d", "perturbed-flat-2d"]
+    )
+    def test_inverse_metric_is_exact_inverse(self, name):
+        # g_ir g^rj is the identity in canonical form, exactly
+        geom = geometry_for(name)
+        g, ginv, ctx = geom.metric(), geom.inverse_metric(), geom.ctx
+        for i, j in iter_indices(geom.dim, 2):
+            acc = sum((g[(i, r)] * ginv[(r, j)] for r in range(1, geom.dim + 1)), ctx.zero)
+            assert acc == (ctx.one if i == j else ctx.zero), (name, i, j)
 
     def test_not_homogeneous(self):
         with pytest.raises(NotHomogeneous):

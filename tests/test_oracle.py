@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from conftest import geometry_for
@@ -10,42 +13,150 @@ from finslercalc import (
     numeric_object,
     sample_points,
     verify,
+    verify_many,
 )
 from finslercalc import registry
-from finslercalc.oracle import Dual, NumericGeometry, droot, mat_inv, scalar_part
+from finslercalc.expr import DomainError
+from finslercalc.oracle import Jet, NumericGeometry, droot, mat_inv
+
+
+def _jet_partials(jet):
+    """Every partial derivative held by a two-variable jet, keyed by
+    (a, b) for d^a/dx^a d^b/dy^b."""
+    out = {}
+    for d in range(jet.order + 1):
+        for a in range(d + 1):
+            e = jet
+            for _ in range(a):
+                e = e.diff(0)
+            for _ in range(d - a):
+                e = e.diff(1)
+            out[(a, d - a)] = e.coeffs[0]
+    return out
+
+
+def _assert_partials(jet, closed_form):
+    for (a, b), got in _jet_partials(jet).items():
+        want = closed_form(a, b)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (a, b, got, want)
+
+
+def _falling(alpha, m):
+    """alpha (alpha - 1) ... (alpha - m + 1)."""
+    return math.prod(alpha - i for i in range(m))
 
 
 class TestDuals:
+    """A one-variable jet of order 1 is a dual number; of order 2 it
+    carries what a dual of duals carried."""
+
     def test_first_derivative(self):
-        x = Dual(3.0, 1.0)
+        (x,) = Jet.variables([3.0], 1)
         y = x * x + 2 * x
-        assert y.val == 15.0
-        assert y.dot == 8.0
+        assert y.coeffs[0] == 15.0
+        assert y.diff(0).coeffs[0] == 8.0
 
     def test_nested_second_derivative(self):
-        x = Dual(Dual(2.0, 1.0), Dual(1.0, 0.0))
+        (x,) = Jet.variables([2.0], 2)
         y = x * x * x
-        assert y.dot.dot == 12.0  # d2/dx2 x^3 = 6x
+        assert y.diff(0).coeffs[0] == 12.0  # d/dx x^3 = 3x^2
+        assert y.diff(0).diff(0).coeffs[0] == 12.0  # d2/dx2 x^3 = 6x
 
-    def test_division(self):
-        x = Dual(2.0, 1.0)
-        y = 1 / x
-        assert y.val == 0.5
-        assert y.dot == -0.25
 
-    def test_root(self):
-        x = Dual(4.0, 1.0)
-        r = droot(x, 2)
-        assert r.val == 2.0
-        assert r.dot == pytest.approx(0.25)
-        c = droot(Dual(-8.0, 1.0), 3)
-        assert c.val == pytest.approx(-2.0)
+class TestJets:
+    X, Y = 0.7, -1.3
+
+    def variables(self, order=5):
+        return Jet.variables([self.X, self.Y], order)
+
+    def test_rational_mixed_partials(self):
+        # x^3 y^2 / (1 + x) = (x^2 - x + 1 - 1/(1 + x)) y^2
+        x, y = self.variables()
+        jet = x * x * x * y * y / (1 + x)
+
+        def closed_form(a, b):
+            u = self.X
+            fx = [u * u - u + 1 - 1 / (1 + u), 2 * u - 1 + 1 / (1 + u) ** 2, 2 - 2 / (1 + u) ** 3]
+            dx = fx[a] if a < 3 else (-1) ** (a + 1) * math.factorial(a) / (1 + u) ** (a + 1)
+            dy = [self.Y**2, 2 * self.Y, 2.0][b] if b < 3 else 0.0
+            return dx * dy
+
+        assert jet.order == 5
+        _assert_partials(jet, closed_form)
+
+    def test_reciprocal(self):
+        x, y = self.variables()
+        s = 3 + self.X + 2 * self.Y
+        _assert_partials(
+            (3 + x + 2 * y).reciprocal(),
+            lambda a, b: (-1) ** (a + b) * math.factorial(a + b) * 2**b / s ** (a + b + 1),
+        )
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_roots(self, q):
+        x, y = self.variables()
+        s = 3 + self.X + 2 * self.Y
+        _assert_partials(
+            droot(3 + x + 2 * y, q),
+            lambda a, b: 2**b * _falling(1 / q, a + b) * s ** (1 / q - a - b),
+        )
+
+    def test_negative_odd_root_takes_the_sign(self):
+        # s = x + 2y = -1.9 < 0; the real cube root is -(-s)^(1/3)
+        x, y = self.variables()
+        s = self.X + 2 * self.Y
+        _assert_partials(
+            droot(x + 2 * y, 3),
+            lambda a, b: -((-1) ** (a + b)) * 2**b * _falling(1 / 3, a + b) * (-s) ** (1 / 3 - a - b),
+        )
+        assert droot(-8.0, 3) == pytest.approx(-2.0)
+
+    def test_even_root_of_negative_raises(self):
+        x, y = self.variables()
+        with pytest.raises(DomainError):
+            droot(x + 2 * y, 2)
+        with pytest.raises(DomainError):
+            droot(-4.0, 2)
 
     def test_mat_inv(self):
-        m = [[Dual(2.0, 1.0), 0.0], [0.0, 4.0]]
+        # [[1 + x, y], [y, 2 + x]]^-1 = [[2 + x, -y], [-y, 1 + x]] / det
+        x, y = self.variables(order=4)
+        m = [[1 + x, y], [y, 2 + x]]
         inv = mat_inv(m)
-        assert scalar_part(inv[0][0]) == pytest.approx(0.5)
-        assert inv[0][0].dot == pytest.approx(-0.25)
+        u, v = self.X, self.Y
+        det, det_x, det_y = (1 + u) * (2 + u) - v * v, 3 + 2 * u, -2 * v
+        adj = [[2 + u, -v], [-v, 1 + u]]
+        adj_x = [[1.0, 0.0], [0.0, 1.0]]
+        adj_y = [[0.0, -1.0], [-1.0, 0.0]]
+        for i in range(2):
+            for j in range(2):
+                want = [
+                    adj[i][j] / det,
+                    adj_x[i][j] / det - adj[i][j] * det_x / det**2,
+                    adj_y[i][j] / det - adj[i][j] * det_y / det**2,
+                ]
+                got = [inv[i][j].coeffs[0], inv[i][j].diff(0).coeffs[0], inv[i][j].diff(1).coeffs[0]]
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                # m * m^-1 is the identity in every Taylor coefficient
+                prod = m[i][0] * inv[0][j] + m[i][1] * inv[1][j]
+                assert prod.order == 4
+                assert prod.coeffs == pytest.approx([float(i == j)] + [0.0] * 14, abs=1e-12)
+        assert mat_inv([[2.0, 0.0], [0.0, 4.0]]) == [[0.5, 0.0], [0.0, 0.25]]
+
+    def test_order_zero_jet_has_no_derivative(self):
+        x, _ = self.variables(order=1)
+        assert x.diff(0).order == 0
+        with pytest.raises(ValueError):
+            x.diff(0).diff(1)
+        with pytest.raises(ValueError):
+            (x * x).diff(0).diff(0)
+
+    def test_product_takes_the_smaller_order(self):
+        x, y = self.variables()
+        low = x.diff(0) + y.diff(1).diff(1)  # order 3
+        assert (low * x).order == (x * low).order == 3
+        assert (low + x).order == 3
+        assert (Fraction(1, 2) * x + Fraction(3)).coeffs[:3] == [3.35, 0.5, 0.0]
 
 
 class TestJetSelfTest:
@@ -68,9 +179,7 @@ class TestJetSelfTest:
                 sym = g_sym[(i + 1, j + 1)].eval_at(point)
                 assert abs(sym - g_num[i][j]) <= 1e-12 * max(1.0, abs(sym))
         d_sym = geom.structure.f_squared.diff(Var("x", 1)).eval_at(point)
-        from finslercalc.oracle import _lift
-
-        d_num = num.f2(_lift(coords, 0)).dot
+        d_num = num.f2(coords).diff(0).coeffs[0]
         assert abs(d_sym - d_num) <= 1e-12 * max(1.0, abs(d_sym))
 
 
@@ -180,6 +289,12 @@ class TestVerify:
         report = verify(worked3d, "g", n_points=2, tol=1e-9, seed=3)
         assert not report.passed
         assert report.failing_components() == [(1, 1)]
+        # the worst pair: (1, 1), where the numeric g_11 is smallest
+        assert report.worst_component == (1, 1)
+        assert report.worst_point == min(
+            report.points, key=lambda p: abs(numeric_object(worked3d, "g", p)[0][0])
+        )
+        assert report.components[(1, 1)].worst_point == report.worst_point
 
     def test_hashiguchi_v_matches_cartan_v_numerically(self, worked3d):
         ra = verify(worked3d, "S:hashiguchi", n_points=8, tol=1e-9, seed=7)
@@ -214,3 +329,10 @@ class TestVerify:
     def test_compound_objects(self, worked3d):
         for oid in ("hcov:g:cartan", "vcov:g:cartan", "vcov:N:berwald"):
             assert verify(worked3d, oid, n_points=2, tol=1e-9, seed=11).passed
+
+    def test_all_objects_on_berwald_4d(self, berwald4d):
+        ids = registry.verifiable_object_ids()
+        assert len(ids) == 24
+        reports = verify_many(berwald4d, ids, n_points=2, tol=1e-9, seed=0)
+        for object_id, report in reports.items():
+            assert report.passed, report.summary()
