@@ -13,6 +13,14 @@ Two expressions that are equal as functions (within the supported
 fragment of rational functions extended by radicals of rational
 functions) therefore compare equal structurally, and the difference of
 equal expressions canonicalizes to the zero constant.
+
+Numerator and denominator stay expanded.  The gcds that keep them coprime
+run against the context's factor base (``poly.FactorBase``): every
+non-monomial denominator is a monomial times powers of small squarefree,
+pairwise coprime polynomials, so the gcd of two denominators is exponent
+arithmetic and the gcd of a numerator with a denominator is a sequence of
+gcds against those factors.  Both return exactly what ``poly_gcd`` would;
+the factorizations are derived data, outside equality and hashing.
 """
 
 from __future__ import annotations
@@ -24,11 +32,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .poly import (
+    FactorBase,
     Poly,
     div_exact,
     int_power_extract,
     make_primitive,
-    poly_gcd,
     power_free_extract,
 )
 
@@ -86,9 +94,11 @@ class Context:
     """Symbol table for one (dimension, coordinate names) universe.
 
     Expressions are tied to the context that created them.  The context
-    also memoizes derivatives.  It is single-threaded: radical atoms are
-    numbered in the order they are first interned, so the canonical form
-    depends on a deterministic order of operations.
+    also memoizes derivatives and holds the denominator factor base.  It
+    is single-threaded: radical atoms are numbered, and factor-base
+    elements ordered, in the order they first arrive, so both depend on a
+    deterministic order of operations (the canonical form itself does not
+    depend on the element order).
     """
 
     def __init__(self, dim: int, coord_names: Sequence[str], fiber_names: Sequence[str]):
@@ -108,6 +118,7 @@ class Context:
         self._atoms_by_key: dict[tuple, int] = {}
         self._diff_cache: dict[tuple["Expr", int], "Expr"] = {}
         self._atom_diff_cache: dict[tuple[int, int], "Expr"] = {}
+        self.factors = FactorBase()
         self.zero = Expr(self, Poly.zero(), Poly.one())
         self.one = Expr(self, Poly.one(), Poly.one())
 
@@ -340,11 +351,11 @@ class Expr:
                 return ctx.zero
             if _is_one(self.den):
                 return Expr(ctx, num, self.den, _normalized=True)
-            g = poly_gcd(num, self.den)
+            g = ctx.factors.gcd_num_den(num, self.den)
             if _is_one(g):
                 return Expr(ctx, num, self.den, _normalized=True)
             return Expr(ctx, div_exact(num, g), div_exact(self.den, g), _normalized=True)
-        g = poly_gcd(self.den, o.den)
+        g = ctx.factors.gcd_dens(self.den, o.den)
         if _is_one(g):
             num = self.num * o.den + o.num * self.den
             if num.is_zero():
@@ -355,7 +366,7 @@ class Expr:
         t = self.num * dq + o.num * bq
         if t.is_zero():
             return ctx.zero
-        g2 = poly_gcd(t, g)
+        g2 = ctx.factors.gcd_num_den(t, g)
         if _is_one(g2):
             return Expr(ctx, t, bq * o.den, _normalized=True)
         return Expr(
@@ -389,12 +400,12 @@ class Expr:
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
         if not _is_one(b_den):
-            g = poly_gcd(a_num, b_den)
+            g = ctx.factors.gcd_num_den(a_num, b_den)
             if not _is_one(g):
                 a_num = div_exact(a_num, g)
                 b_den = div_exact(b_den, g)
         if not _is_one(a_den):
-            g = poly_gcd(b_num, a_den)
+            g = ctx.factors.gcd_num_den(b_num, a_den)
             if not _is_one(g):
                 b_num = div_exact(b_num, g)
                 a_den = div_exact(a_den, g)
@@ -623,15 +634,15 @@ def _normalize(ctx: Context, num: Poly, den: Poly) -> tuple[Poly, Poly]:
         den = den * extra
     if num.is_zero():
         return Poly.zero(), Poly.one()
-    g = poly_gcd(num, den)
-    if not (g.is_const() and g.const_value() == 1):
+    c, den = make_primitive(den)
+    if c != 1:
+        num = num.scale(1 / c)
+    g = ctx.factors.gcd_num_den(num, den)
+    if not _is_one(g):
         num = div_exact(num, g)
         den = div_exact(den, g)
         assert num is not None and den is not None
-    c, den_prim = make_primitive(den)
-    if c != 1:
-        num = num.scale(1 / c)
-    return num, den_prim
+    return num, den
 
 
 def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:

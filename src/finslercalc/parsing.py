@@ -13,9 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .expr import Context, Expr, ExprError
 from .poly import Poly, grlex_key
+
+# Input limits, checked before anything is expanded: a power of a four-term
+# sum at exponent 100 already has 176,851 terms.  Printed components stay
+# far inside them (their powers are of single symbols).
+MAX_EXPONENT = 1000
+MAX_TERMS = 2000
+MAX_RADICAND_TERMS = 500
 
 
 class ParseError(ExprError):
@@ -121,6 +129,7 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.next()
             exponent = self.parse_exponent()
+            _check_power(base, exponent, tok.pos)
             if exponent.denominator != 1 and base.is_zero_expr():
                 return self.ctx.zero
             return base**exponent
@@ -169,6 +178,7 @@ class _Parser:
                 self.expect("(")
                 inner = self.parse_expr()
                 self.expect(")")
+                _check_radicand(inner, 2, tok.pos)
                 return self.ctx.sqrt(inner)
             return self.ctx.var(self.ctx.var_named(tok.text))
         if tok.kind == "op" and tok.text == "(":
@@ -179,6 +189,44 @@ class _Parser:
             return -self.parse_factor()
         raise ParseError(
             f"found {tok.text or 'end of input'!r}", tok.pos, "number, name, '(' or 'sqrt'"
+        )
+
+
+def _power_terms(p: Poly, n: int) -> int:
+    """Upper bound on the number of terms of p**n: the multisets of n terms
+    of p, and the monomials of degree at most n * deg p in its symbols."""
+    t = len(p.terms)
+    if n == 0:
+        return 1
+    if t <= 1 or n == 1:
+        return t
+    bound = comb(t + n - 1, n)
+    if bound > MAX_TERMS:
+        v = len(p.symbols())
+        bound = min(bound, comb(v + n * p.total_degree(), v))
+    return bound
+
+
+def _check_radicand(e: Expr, q: int, pos: int) -> None:
+    # a root clears its denominator into the radicand: num * den**(q-1)
+    terms = len(e.num.terms) * _power_terms(e.den, q - 1)
+    if terms > MAX_RADICAND_TERMS:
+        raise ParseError(
+            f"root radicand would have about {terms} terms "
+            f"(limit {MAX_RADICAND_TERMS})", pos
+        )
+
+
+def _check_power(base: Expr, exponent: Fraction, pos: int) -> None:
+    p, q = abs(exponent.numerator), exponent.denominator
+    if max(p, q) > MAX_EXPONENT:
+        raise ParseError(f"exponent {exponent} is beyond the limit {MAX_EXPONENT}", pos)
+    if q > 1:
+        _check_radicand(base, q, pos)
+    terms = max(_power_terms(base.num, p), _power_terms(base.den, p))
+    if terms > MAX_TERMS:
+        raise ParseError(
+            f"power ^{exponent} would expand to about {terms} terms (limit {MAX_TERMS})", pos
         )
 
 

@@ -299,7 +299,7 @@ class Poly:
 
 
 _ZERO = Poly({})
-_ONE = Poly({(): Fraction(1)})
+_ONE = Poly({(): 1})
 
 
 # -- normalization ------------------------------------------------------
@@ -338,6 +338,19 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
         return a
     if b.is_const():
         return a.scale(Fraction(1) / b.const_value())
+    if len(b.terms) == 1:
+        # a monomial divides term by term
+        ((lb_exps, lb_c),) = b.terms.items()
+        n = len(lb_exps)
+        q = {}
+        for exps, c in a.terms.items():
+            if len(exps) < n:
+                return None
+            diff = tuple(x - y for x, y in zip(exps, lb_exps))
+            if min(diff) < 0:
+                return None
+            q[_strip(diff + exps[n:])] = _cdiv(c, lb_c)
+        return Poly(q)
     lb_exps, lb_c = b.leading()
     q: dict[tuple[int, ...], object] = {}
     r = a
@@ -457,14 +470,18 @@ def _max_abs_coeff(p: Poly) -> int:
 
 
 def _int_primitive(p: Poly) -> tuple[int, Poly]:
-    """Integer content and primitive part of an integer polynomial (the
-    sign is left as it is)."""
+    """Integer content and primitive part, with int coefficients, of an
+    integer polynomial (the sign is left as it is)."""
     content = 0
+    ints = True
     for c in p.terms.values():
+        if type(c) is not int:
+            ints = False
         content = int_gcd(content, c.numerator)
-    if content == 1:
+    if content == 1 and ints:
         return 1, p
-    return content, Poly({e: c // content for e, c in p.terms.items()})
+    # integral Fractions become ints, so the evaluations stay int arithmetic
+    return content, Poly({e: c.numerator // content for e, c in p.terms.items()})
 
 
 def _heugcd(f: Poly, g: Poly, syms: list[int]) -> Poly | None:
@@ -668,6 +685,128 @@ def power_free_extract(p: Poly, q: int) -> tuple[Fraction, Poly, Poly]:
         assert divided is not None
         a = divided
     return content, a, b
+
+
+# -- factored denominators -------------------------------------------------
+
+
+class FactorBase:
+    """A gcd-free basis of denominator factors (factor refinement, Bach,
+    Driscoll & Shallit, J. Algorithms 15, 1993).
+
+    The elements are non-monomial, primitive with positive leading
+    coefficient, squarefree and pairwise coprime; none is divisible by a
+    symbol.  A denominator (primitive with positive leading coefficient)
+    factors as a monomial times a product of element powers, so the gcd of
+    two denominators is exponent arithmetic, and the gcd of a numerator
+    with a denominator needs gcds against the elements only.  Both gcds
+    equal what ``poly_gcd`` returns.
+
+    Factorizations are cached per denominator; refining an element clears
+    the cache, since the indices in it no longer name the same factors.
+    The element order is the order factors arrive in.
+    """
+
+    __slots__ = ("elements", "_factored", "_refinements")
+
+    def __init__(self):
+        self.elements: list[Poly] = []
+        self._factored: dict[Poly, tuple[tuple[int, ...], dict[int, int]]] = {}
+        self._refinements = 0
+
+    def factor(self, p: Poly) -> tuple[tuple[int, ...], dict[int, int]]:
+        """(monomial exponents, {element index: exponent}) of a polynomial
+        that is primitive with positive leading coefficient."""
+        got = self._factored.get(p)
+        if got is not None:
+            return got
+        mono = _monomial_gcd((p,))
+        rest = p if mono.is_const() else div_exact(p, mono)
+        exps: dict[int, int] = {}
+        i = 0
+        while i < len(self.elements) and not rest.is_const():
+            f = self.elements[i]
+            g = poly_gcd(rest, f)
+            if g.is_const():
+                i += 1
+                continue
+            if g != f:
+                # f = g * (f/g) with coprime parts, as f is squarefree
+                self._refine(i, g)
+                if i in exps:
+                    exps[len(self.elements) - 1] = exps[i]
+                f = g
+            while True:
+                q = div_exact(rest, f)
+                if q is None:
+                    break
+                rest = q
+                exps[i] = exps.get(i, 0) + 1
+            # stay at i: a proper factor of f may still divide the rest
+        if not rest.is_const():
+            # the rest is coprime to every element
+            for part, mult in squarefree_decomposition(rest):
+                exps[len(self.elements)] = mult
+                self.elements.append(part)
+        got = (next(iter(mono.terms)), exps)
+        self._factored[p] = got
+        return got
+
+    def _refine(self, i: int, g: Poly) -> None:
+        cofactor = div_exact(self.elements[i], g)
+        assert cofactor is not None
+        self.elements[i] = g
+        self.elements.append(cofactor)
+        self._factored.clear()
+        self._refinements += 1
+
+    def _factor_pair(self, a: Poly, b: Poly):
+        while True:
+            seen = self._refinements
+            fa = self.factor(a)
+            fb = self.factor(b)
+            if self._refinements == seen:
+                return fa, fb
+
+    def gcd_dens(self, a: Poly, b: Poly) -> Poly:
+        """``poly_gcd(a, b)`` of two denominators (primitive, positive
+        leading coefficient): the least exponent of every factor."""
+        if len(a.terms) == 1 or len(b.terms) == 1:
+            return poly_gcd(a, b)
+        if a == b:
+            return a
+        (mono_a, fa), (mono_b, fb) = self._factor_pair(a, b)
+        mono = _strip(tuple(min(x, y) for x, y in zip(mono_a, mono_b)))
+        result = Poly.monomial(mono)
+        for i, e in fa.items():
+            if i in fb:
+                result = result * self.elements[i] ** min(e, fb[i])
+        return result
+
+    def gcd_num_den(self, num: Poly, den: Poly) -> Poly:
+        """``poly_gcd(num, den)`` for a denominator ``den`` (primitive,
+        positive leading coefficient): the monomial gcd times, for each
+        factor f of den, the gcds of num with f, dividing out while they
+        divide num."""
+        if len(num.terms) <= 1 or len(den.terms) == 1:
+            return poly_gcd(num, den)
+        mono_den, factors = self.factor(den)
+        result = _monomial_gcd((num, Poly.monomial(mono_den))) if mono_den else _ONE
+        rest = num
+        for i, e in factors.items():
+            # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
+            # g_1 = gcd(num, f), g_k+1 = gcd(num / (g_1 * ... * g_k), g_k)
+            g = poly_gcd(rest, self.elements[i])
+            k = 0
+            while k < e and not g.is_const():
+                q = div_exact(rest, g)
+                if q is None:
+                    g = poly_gcd(rest, g)
+                    continue
+                rest = q
+                result = result * g
+                k += 1
+        return result
 
 
 def iter_indices(dim: int, rank: int) -> Iterator[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -139,6 +140,20 @@ class TestValidation:
         )
         assert status == 1
 
+    def test_oversized_power_is_exit_1(self, capsys):
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", "(x1+x2+y1+y2)^100",
+                "--objects", "g",
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: power ^100 would expand to about 176851 terms")
+
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(
             WORKED + ["--objects", "g", "--check", "points=2,tol=1e-30,seed=1"]
@@ -192,6 +207,30 @@ class TestDeterminism:
         first = run_cli(argv)
         second = run_cli(argv)
         assert first == second
+
+    def test_hash_seed_independent(self):
+        """The denominator factor base of a Context is ordered by arrival;
+        the documents must not depend on the hash seed."""
+        argv = [
+            "--dim", "2",
+            "--coords", "x1,x2",
+            "--fibers", "y1,y2",
+            "--metric-function", "y1^2 + y2^2 + x1*y1^3/y2",
+            "--constraints", "y2!=0",
+            "--objects", "R:berwald,P:cartan",
+            "--format", "json",
+        ]
+        outs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "finslercalc.cli"] + argv,
+                capture_output=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert b'"name": "R:berwald"' in outs[0]
 
     def test_seed_env_override(self, monkeypatch):
         argv = WORKED + ["--objects", "g", "--check", "points=2,tol=1e-9,seed=1"]

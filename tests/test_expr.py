@@ -1,3 +1,4 @@
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from finslercalc import (
     Var,
     ZeroStatus,
 )
+
+from conftest import STRUCTURE_NAMES, make_structure
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +68,38 @@ class TestParse:
 
     def test_unary_minus(self, ctx):
         assert zero_diff(ctx.parse("-y1^2"), -(ctx.fiber(1) ** 2))
+
+
+class TestParseLimits:
+    """Oversized powers and radicands are refused before expansion; no
+    case here expands anything beyond the limits."""
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("(x1+x2+y1+y2)^100", "176851 terms"),
+            ("(x1+x2+y1+y2)^-100", "176851 terms"),
+            ("(x1+x2+y1+y2)^(100/3)", "176851 terms"),
+            ("y1^1001", "exponent 1001"),
+            ("y1^(1/1001)", "exponent 1/1001"),
+            ("((x1+x2+y1+y2)/(x1+y1+y2+1))^(1/600)", "radicand"),
+            ("sqrt((x1+x2+y1+y2)^10*(x2+y3))", "radicand"),
+        ],
+    )
+    def test_refused_fast(self, ctx, text, words):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            ctx.parse(text)
+        assert time.perf_counter() - t0 < 1.0
+        assert words in str(err.value)
+
+    def test_monomial_powers_pass(self, ctx):
+        assert ctx.parse("y1^1000") == ctx.fiber(1) ** 1000
+        assert len(ctx.parse("(x1+x2+y1+y2)^10").num.terms) == 286
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_standard_structures_parse(self, name):
+        assert make_structure(name).f_squared is not None
 
 
 class TestDifferentiate:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from finslercalc.poly import (
     Poly,
+    _int_primitive,
     div_exact,
     int_power_extract,
     iter_indices,
@@ -63,6 +64,23 @@ class TestArithmetic:
         assert exps == (2,)
 
 
+class TestIntegralCoefficients:
+    """Integral coefficients are ints, so the gcd evaluations run in int
+    arithmetic rather than Fraction arithmetic."""
+
+    def test_one_and_powers(self):
+        assert all(type(c) is int for c in Poly.one().terms.values())
+        assert all(type(c) is int for c in ((x + y) ** 3).terms.values())
+
+    def test_primitive_part(self):
+        p = Poly({(1,): Fraction(6), (0, 1): Fraction(-4), (): Fraction(2)})
+        content, prim = _int_primitive(p)
+        assert content == 2 and prim == x.scale(3) - y.scale(2) + one
+        assert all(type(c) is int for c in prim.terms.values())
+        content, prim = _int_primitive(Poly({(1,): Fraction(3), (): Fraction(1)}))
+        assert content == 1 and all(type(c) is int for c in prim.terms.values())
+
+
 class TestDivision:
     def test_exact(self):
         a = (x + y) * (x * x + y)
@@ -73,6 +91,13 @@ class TestDivision:
 
     def test_by_constant(self):
         assert div_exact(x.scale(6), Poly.const(3)) == x.scale(2)
+
+    def test_by_monomial(self):
+        assert div_exact(x * x * y.scale(4) + x * y * z, x * y.scale(2)) == (
+            x.scale(2) + z.scale(Fraction(1, 2))
+        )
+        assert div_exact(x * x + y, x) is None
+        assert div_exact(x * z, z * z) is None
 
     @given(small_polys(), small_polys())
     @settings(max_examples=60, deadline=None)
