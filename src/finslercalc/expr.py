@@ -351,10 +351,10 @@ class Expr:
                 return ctx.zero
             if _is_one(self.den):
                 return Expr(ctx, num, self.den, _normalized=True)
-            g = ctx.factors.gcd_num_den(num, self.den)
+            g, num_g = ctx.factors.gcd_num_den(num, self.den)
             if _is_one(g):
                 return Expr(ctx, num, self.den, _normalized=True)
-            return Expr(ctx, div_exact(num, g), div_exact(self.den, g), _normalized=True)
+            return Expr(ctx, num_g, div_exact(self.den, g), _normalized=True)
         g = ctx.factors.gcd_dens(self.den, o.den)
         if _is_one(g):
             num = self.num * o.den + o.num * self.den
@@ -366,12 +366,10 @@ class Expr:
         t = self.num * dq + o.num * bq
         if t.is_zero():
             return ctx.zero
-        g2 = ctx.factors.gcd_num_den(t, g)
+        g2, t_g2 = ctx.factors.gcd_num_den(t, g)
         if _is_one(g2):
             return Expr(ctx, t, bq * o.den, _normalized=True)
-        return Expr(
-            ctx, div_exact(t, g2), div_exact(self.den, g2) * dq, _normalized=True
-        )
+        return Expr(ctx, t_g2, div_exact(self.den, g2) * dq, _normalized=True)
 
     __radd__ = __add__
 
@@ -400,14 +398,14 @@ class Expr:
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
         if not _is_one(b_den):
-            g = ctx.factors.gcd_num_den(a_num, b_den)
+            g, num_g = ctx.factors.gcd_num_den(a_num, b_den)
             if not _is_one(g):
-                a_num = div_exact(a_num, g)
+                a_num = num_g
                 b_den = div_exact(b_den, g)
         if not _is_one(a_den):
-            g = ctx.factors.gcd_num_den(b_num, a_den)
+            g, num_g = ctx.factors.gcd_num_den(b_num, a_den)
             if not _is_one(g):
-                b_num = div_exact(b_num, g)
+                b_num = num_g
                 a_den = div_exact(a_den, g)
         num = a_num * b_num
         den = a_den * b_den
@@ -586,11 +584,6 @@ class Expr:
             total += 1 + _poly_nodes(self.den)
         return total
 
-    def atoms_present(self) -> list[int]:
-        return sorted(
-            s for s in (self.num.symbols() | self.den.symbols()) if self.ctx.is_atom_sym(s)
-        )
-
 
 # -- public operation-style API ------------------------------------------------
 
@@ -637,11 +630,11 @@ def _normalize(ctx: Context, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     c, den = make_primitive(den)
     if c != 1:
         num = num.scale(1 / c)
-    g = ctx.factors.gcd_num_den(num, den)
+    g, num_g = ctx.factors.gcd_num_den(num, den)
     if not _is_one(g):
-        num = div_exact(num, g)
+        num = num_g
         den = div_exact(den, g)
-        assert num is not None and den is not None
+        assert den is not None
     return num, den
 
 

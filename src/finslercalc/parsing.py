@@ -115,10 +115,12 @@ class _Parser:
                 self.next()
                 rhs = self.parse_factor()
                 if tok.text == "*":
+                    _check_product(value.num, rhs.num, value.den, rhs.den, tok.pos)
                     value = value * rhs
                 else:
                     if rhs.is_zero_expr():
                         raise ParseError("division by zero", tok.pos)
+                    _check_product(value.num, rhs.den, value.den, rhs.num, tok.pos)
                     value = value / rhs
             else:
                 return value
@@ -205,6 +207,24 @@ def _power_terms(p: Poly, n: int) -> int:
         v = len(p.symbols())
         bound = min(bound, comb(v + n * p.total_degree(), v))
     return bound
+
+
+def _product_terms(a: Poly, b: Poly) -> int:
+    """Upper bound on the number of terms of a * b: the products of their
+    terms, and the monomials of degree at most deg a + deg b."""
+    bound = len(a.terms) * len(b.terms)
+    if bound > MAX_TERMS:
+        v = len(a.symbols() | b.symbols())
+        bound = min(bound, comb(v + a.total_degree() + b.total_degree(), v))
+    return bound
+
+
+def _check_product(num_a: Poly, num_b: Poly, den_a: Poly, den_b: Poly, pos: int) -> None:
+    terms = max(_product_terms(num_a, num_b), _product_terms(den_a, den_b))
+    if terms > MAX_TERMS:
+        raise ParseError(
+            f"product would expand to about {terms} terms (limit {MAX_TERMS})", pos
+        )
 
 
 def _check_radicand(e: Expr, q: int, pos: int) -> None:

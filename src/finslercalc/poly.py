@@ -13,7 +13,9 @@ primitive integer polynomials.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from typing import Iterable, Iterator
 
@@ -28,7 +30,7 @@ def _cdiv(a, b):
     if isinstance(a, int) and isinstance(b, int):
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
-    return _cnorm(Fraction(a) / Fraction(b))
+    return _cnorm(a / b)
 
 
 def _strip(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -331,7 +333,12 @@ def make_primitive(p: Poly) -> tuple[Fraction, Poly]:
 
 
 def div_exact(a: Poly, b: Poly) -> Poly | None:
-    """Return a/b if b divides a exactly, else None."""
+    """Return a/b if b divides a exactly, else None.
+
+    A constant or a monomial divides term by term.  Otherwise this is a
+    heap division: the remainder's leading term is taken from a heap of
+    its monomials, and the first one that the divisor's leading term does
+    not divide ends the division with None."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -351,22 +358,51 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
                 return None
             q[_strip(diff + exps[n:])] = _cdiv(c, lb_c)
         return Poly(q)
+    if len(a.terms) == 1:
+        # the greatest and least terms of a multiple of b cannot cancel
+        return None
+    # Johnson, SIGSAM Bull. 8 (1974); Monagan & Pearce, JSC 46 (2011).
+    # A cancelled monomial stays in the heap and is skipped when popped.
     lb_exps, lb_c = b.leading()
+    n = len(lb_exps)
+    b_rest = [(e, c) for e, c in b.terms.items() if e != lb_exps]
+    r = dict(a.terms)
+    heap = [_heap_key(e) for e in r]
+    heapify(heap)
     q: dict[tuple[int, ...], object] = {}
-    r = a
-    while not r.is_zero():
-        lr_exps, lr_c = r.leading()
-        width = max(len(lr_exps), len(lb_exps))
-        la = lr_exps + (0,) * (width - len(lr_exps))
-        lb = lb_exps + (0,) * (width - len(lb_exps))
-        diff = tuple(x - y for x, y in zip(la, lb))
-        if any(d < 0 for d in diff):
+    while heap:
+        exps = heappop(heap)[2]
+        c = r.pop(exps, None)
+        if c is None:
+            continue  # cancelled after it was pushed, or a duplicate entry
+        if len(exps) < n:
             return None
-        coeff = _cdiv(lr_c, lb_c)
-        diff = _strip(diff)
+        diff = tuple(x - y for x, y in zip(exps, lb_exps))
+        if min(diff) < 0:
+            return None
+        diff = _strip(diff + exps[n:])
+        coeff = _cdiv(c, lb_c)
         q[diff] = coeff
-        r = r - b.mul_monomial(diff, coeff)
+        for eb, cb in b_rest:
+            key = _mono_mul(diff, eb)
+            acc = r.get(key)
+            if acc is None:
+                r[key] = -coeff * cb
+                heappush(heap, _heap_key(key))
+            else:
+                acc = acc - coeff * cb
+                if acc:
+                    r[key] = acc
+                else:
+                    del r[key]
     return Poly(q)
+
+
+def _heap_key(exps: tuple[int, ...]) -> tuple:
+    """Min-heap entry whose order is descending grlex.  Negating the
+    exponents is enough: two monomials of equal degree whose stripped
+    tuples differ are never prefixes of one another."""
+    return (-sum(exps), tuple([-x for x in exps]), exps)
 
 
 # -- gcd ------------------------------------------------------------------
@@ -586,15 +622,6 @@ def _nonmonomial_gcd(a: Poly, b: Poly, common: set) -> Poly:
     return make_primitive(cont * result)[1]
 
 
-def poly_gcd_many(polys: Iterable[Poly]) -> Poly:
-    acc = Poly.zero()
-    for p in polys:
-        acc = poly_gcd(acc, p)
-        if acc == Poly.one():
-            return acc
-    return acc
-
-
 # -- squarefree machinery -------------------------------------------------
 
 
@@ -690,6 +717,13 @@ def power_free_extract(p: Poly, q: int) -> tuple[Fraction, Poly, Poly]:
 # -- factored denominators -------------------------------------------------
 
 
+# The prime and the seed of the evaluation point of the modular images in
+# ``FactorBase``.  Any prime is sound; the seed only fixes which point is
+# tried, so that the work done is the same on every run.
+_P = 2147483647
+_POINT_SEED = 1971
+
+
 class FactorBase:
     """A gcd-free basis of denominator factors (factor refinement, Bach,
     Driscoll & Shallit, J. Algorithms 15, 1993).
@@ -699,20 +733,28 @@ class FactorBase:
     symbol.  A denominator (primitive with positive leading coefficient)
     factors as a monomial times a product of element powers, so the gcd of
     two denominators is exponent arithmetic, and the gcd of a numerator
-    with a denominator needs gcds against the elements only.  Both gcds
-    equal what ``poly_gcd`` returns.
+    with a denominator needs gcds against the elements only: a trial
+    division, then a modular certificate of coprimality, and ``poly_gcd``
+    only when both fail.  Both gcds equal what ``poly_gcd`` returns.
 
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
     The element order is the order factors arrive in.
     """
 
-    __slots__ = ("elements", "_factored", "_refinements")
+    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_powers", "_rng")
 
     def __init__(self):
         self.elements: list[Poly] = []
         self._factored: dict[Poly, tuple[tuple[int, ...], dict[int, int]]] = {}
         self._refinements = 0
+        # for _divide_or_certify: per element, its main symbol and image
+        # (or None); the evaluation point, drawn symbol by symbol in index
+        # order; and its powers modulo _P
+        self._images: dict[Poly, tuple[int, list[int]] | None] = {}
+        self._point: list[int] = []
+        self._powers: dict[tuple[int, int], int] = {}
+        self._rng = random.Random(_POINT_SEED)
 
     def factor(self, p: Poly) -> tuple[tuple[int, ...], dict[int, int]]:
         """(monomial exponents, {element index: exponent}) of a polynomial
@@ -783,30 +825,143 @@ class FactorBase:
                 result = result * self.elements[i] ** min(e, fb[i])
         return result
 
-    def gcd_num_den(self, num: Poly, den: Poly) -> Poly:
-        """``poly_gcd(num, den)`` for a denominator ``den`` (primitive,
-        positive leading coefficient): the monomial gcd times, for each
-        factor f of den, the gcds of num with f, dividing out while they
-        divide num."""
+    def gcd_num_den(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        """``(g, num / g)`` with ``g = poly_gcd(num, den)``, for a
+        denominator ``den`` (primitive, positive leading coefficient).
+
+        g is the monomial gcd times, for each factor f of den, the gcds of
+        num with f, divided out while they divide num.  Each gcd with an
+        element f is found by trial division first (if f divides, the gcd
+        is f, as f is squarefree), then by a modular certificate that it
+        is 1 (both in ``_divide_or_certify``), and only when both fail by
+        ``poly_gcd``."""
         if len(num.terms) <= 1 or len(den.terms) == 1:
-            return poly_gcd(num, den)
+            g = poly_gcd(num, den)
+            return g, (num if g.is_const() else div_exact(num, g))
         mono_den, factors = self.factor(den)
         result = _monomial_gcd((num, Poly.monomial(mono_den))) if mono_den else _ONE
-        rest = num
+        rest = num if result.is_const() else div_exact(num, result)
         for i, e in factors.items():
             # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
             # g_1 = gcd(num, f), g_k+1 = gcd(num / (g_1 * ... * g_k), g_k)
-            g = poly_gcd(rest, self.elements[i])
+            f = g = self.elements[i]
             k = 0
-            while k < e and not g.is_const():
-                q = div_exact(rest, g)
-                if q is None:
-                    g = poly_gcd(rest, g)
+            while k < e:
+                if g is f:
+                    q, coprime = self._divide_or_certify(rest, f)
+                    if coprime:
+                        break
+                else:
+                    q = div_exact(rest, g)
+                if q is not None:
+                    rest = q
+                    result = result * g
+                    k += 1
                     continue
-                rest = q
-                result = result * g
-                k += 1
-        return result
+                g = poly_gcd(rest, g)
+                if g.is_const():
+                    break
+        return result, rest
+
+    def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
+        """(a / f or None, True only if gcd(a, f) = 1) for an element f.
+
+        Both come from one univariate image modulo the prime ``_P``: every
+        symbol but a main symbol x of f is set to a fixed point.  If ``_P``
+        divides no coefficient denominator of a, f can divide a only if its
+        image divides the image of a, so the exact division is tried only
+        then.  The coprimality certificate is Brown's (JACM 18, 1971): let
+        also f be primitive in x and its image keep its degree in x.  A
+        common factor h of a and f then has positive degree in x (f is
+        primitive in x), an image of the same degree (its leading
+        coefficient divides that of f), and that image divides the images
+        of both a and f.  So an image gcd of degree 0 proves h = 1; any
+        other image gcd proves nothing."""
+        if f not in self._images:
+            self._images[f] = self._element_image(f)
+        image_f = self._images[f]
+        image_a = None if image_f is None else self._image(a, image_f[0])
+        if image_a is None:
+            return div_exact(a, f), False
+        rem = _rem_mod(image_a, image_f[1])
+        if not rem:
+            return div_exact(a, f), False
+        return None, _gcd_degree_mod(image_f[1], rem) == 0
+
+    def _element_image(self, f: Poly) -> tuple[int, list[int]] | None:
+        """(x, image of f in x) for the first symbol x in which f is
+        primitive and whose leading coefficient keeps its degree, or None."""
+        for x in sorted(f.symbols()):
+            lc = f.coeff_of(x, f.degree_in(x))
+            if not lc.is_const() and not _content_wrt(f, x).is_const():
+                continue
+            image = self._image(f, x)
+            if image is not None and len(image) == f.degree_in(x) + 1:
+                return x, image
+        return None
+
+    def _image(self, p: Poly, x: int) -> list[int] | None:
+        """Coefficients (low to high in x) of p modulo ``_P`` with every
+        other symbol set to its point, or None if ``_P`` divides a
+        coefficient denominator.  Leading zeros are trimmed."""
+        powers = self._powers
+        out: dict[int, int] = {}
+        for exps, c in p.terms.items():
+            if type(c) is int:
+                v = c % _P
+            else:
+                if not c.denominator % _P:
+                    return None
+                v = c.numerator * pow(c.denominator, -1, _P) % _P
+            d = 0
+            for i, e in enumerate(exps):
+                if not e:
+                    continue
+                if i == x:
+                    d = e
+                    continue
+                pw = powers.get((i, e))
+                if pw is None:
+                    pw = powers[(i, e)] = pow(self._point_at(i), e, _P)
+                v = v * pw % _P
+            out[d] = (out.get(d, 0) + v) % _P
+        dense = [0] * (max(out, default=0) + 1)
+        for d, v in out.items():
+            dense[d] = v
+        while dense and not dense[-1]:
+            dense.pop()
+        return dense
+
+    def _point_at(self, sym: int) -> int:
+        point = self._point
+        while len(point) <= sym:
+            point.append(self._rng.randrange(2, _P))
+        return point[sym]
+
+
+def _rem_mod(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of a by b in GF(_P)[x], for dense coefficient lists (low
+    to high, no leading zeros, b not empty)."""
+    inv = pow(b[-1], -1, _P)
+    db = len(b) - 1
+    a = list(a)
+    while len(a) > db:
+        c = a[-1] * inv % _P
+        if c:
+            shift = len(a) - 1 - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % _P
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(_P)[x]; the gcd of a and 0 is a."""
+    while b:
+        a, b = b, _rem_mod(a, b)
+    return len(a) - 1
 
 
 def iter_indices(dim: int, rank: int) -> Iterator[tuple[int, ...]]:

@@ -191,21 +191,6 @@ def define(
     return Tensor(name, ctx, dim, sig, comp, symmetries)
 
 
-def from_components(
-    name: str,
-    ctx: Context,
-    dim: int,
-    sig: Sequence[Variance],
-    table: dict[tuple[int, ...], Expr],
-    symmetries: Sequence[Symmetry] = (),
-) -> Tensor:
-    """Tensor from a full component table (zeros may be omitted)."""
-    comp = {}
-    for idx in iter_indices(dim, len(sig)):
-        comp[idx] = table.get(idx, ctx.zero)
-    return Tensor(name, ctx, dim, sig, comp, symmetries)
-
-
 def kronecker(ctx: Context, dim: int, name: str = "delta") -> Tensor:
     comp = {}
     for idx in iter_indices(dim, 2):

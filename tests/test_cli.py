@@ -154,6 +154,20 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: power ^100 would expand to about 176851 terms")
 
+    def test_oversized_product_is_exit_1(self, capsys):
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", "(x1+x2+y1+y2)^20*(x1+2*x2+y1+y2)^20",
+                "--objects", "g",
+            ]
+        )
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: product would expand to about 135751 terms (limit 2000)")
+
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(
             WORKED + ["--objects", "g", "--check", "points=2,tol=1e-30,seed=1"]

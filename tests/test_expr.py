@@ -71,8 +71,8 @@ class TestParse:
 
 
 class TestParseLimits:
-    """Oversized powers and radicands are refused before expansion; no
-    case here expands anything beyond the limits."""
+    """Oversized powers, radicands and products are refused before
+    expansion; no case here expands anything beyond the limits."""
 
     @pytest.mark.parametrize(
         "text, words",
@@ -84,6 +84,8 @@ class TestParseLimits:
             ("y1^(1/1001)", "exponent 1/1001"),
             ("((x1+x2+y1+y2)/(x1+y1+y2+1))^(1/600)", "radicand"),
             ("sqrt((x1+x2+y1+y2)^10*(x2+y3))", "radicand"),
+            ("(x1+x2+y1+y2)^20*(x1+2*x2+y1+y2)^20", "product would expand to about 135751"),
+            ("(x1+x2+y1+y2)^20/(x1+2*x2+y1+y2)^-20", "product would expand to about 135751"),
         ],
     )
     def test_refused_fast(self, ctx, text, words):

@@ -1,14 +1,19 @@
 """The per-Context denominator factor base: its gcds equal ``poly_gcd``, and
 its invariants hold after every registry object is built."""
 
+import contextlib
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finslercalc import registry
+from finslercalc import poly, registry
 from finslercalc.poly import (
     FactorBase,
     Poly,
+    div_exact,
     make_primitive,
     poly_gcd,
     squarefree_decomposition,
@@ -71,7 +76,9 @@ class TestFactorBase:
         fb = FactorBase()
         den = x * ((x + y) * (x + one)) ** 3
         num = x * y * (x + y) ** 2 * (y + one)
-        assert fb.gcd_num_den(num, den) == poly_gcd(num, den) == x * (x + y) ** 2
+        g, cofactor = fb.gcd_num_den(num, den)
+        assert g == poly_gcd(num, den) == x * (x + y) ** 2
+        assert cofactor == y * (y + one)
 
     @given(
         factors(), factors(), factors(), factors(),
@@ -97,8 +104,99 @@ class TestFactorBase:
         assert fb.gcd_dens(b, reducible) == poly_gcd(b, reducible)
         for num in nums:
             for den in (a, b, reducible):
-                assert fb.gcd_num_den(num, den) == poly_gcd(num, den)
+                assert_num_den_gcd(fb, num, den)
         check_factor_base(fb)
+
+    @pytest.mark.parametrize("images", ["used", "certificate fails", "none"])
+    @given(factors(), factors(), factors(), monomials(), st.integers(0, 2), st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    @example(f1=x + y, f2=x * y + z, num_factor=x + one, m=x, n=1, e=2)
+    def test_num_den_gcd_and_cofactor(self, images, f1, f2, num_factor, m, n, e):
+        """The gcd and its cofactor equal ``poly_gcd`` and ``div_exact``.
+        With the certificate made to fail, every gcd that trial division
+        leaves falls back to ``poly_gcd``; with no images at all, every
+        trial division is an exact division."""
+        den = make_primitive(m * f1**e * f2)[1]
+        nums = [num_factor * f1**n, num_factor.scale(Fraction(1, 3)) + f2, f1 * f2 + m]
+        fb = FactorBase()
+        with contextlib.ExitStack() as stack:
+            if images == "certificate fails":
+                stack.enter_context(mock.patch.object(poly, "_gcd_degree_mod", lambda a, b: 1))
+            elif images == "none":
+                stack.enter_context(
+                    mock.patch.object(FactorBase, "_element_image", lambda self, f: None)
+                )
+            for num in nums:
+                assert_num_den_gcd(fb, num, den)
+
+
+def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:
+    g, cofactor = fb.gcd_num_den(num, den)
+    assert g == poly_gcd(num, den)
+    assert cofactor == (num if g.is_const() else div_exact(num, g))
+
+
+def certified(fb: FactorBase, a: Poly, f: Poly) -> bool:
+    return fb._divide_or_certify(a, f)[1]
+
+
+class TestCoprimalityCertificate:
+    """The certificate is one-sided: it may fail on coprime inputs, but
+    never passes on inputs with a common factor."""
+
+    def test_unlucky_point_falls_back(self):
+        # a and f are coprime, but at the point's value c of y both images
+        # in x are x + c
+        fb = FactorBase()
+        c = Poly.const(fb._point_at(1))
+        f = x + y
+        a = x + y + (y - c) * z
+        assert poly_gcd(a, f) == one
+        assert not certified(fb, a, f)
+        fb.factor(f)
+        calls = []
+
+        def counted_gcd(*args):
+            calls.append(args)
+            return poly_gcd(*args)
+
+        with mock.patch.object(poly, "poly_gcd", counted_gcd):
+            assert fb.gcd_num_den(a, f) == (one, a)
+        assert calls, "the gcd did not fall back to poly_gcd"
+        # at any other value of y the certificate holds
+        assert certified(fb, x + y + (y - c - one) * z, f)
+
+    def test_not_primitive_in_first_symbol(self):
+        # h = (y + z) * (x + y) has content y + z in x, so x is skipped.
+        # Had it been taken, the images in x of h and of a = (y + z) * (x + 2)
+        # would be coprime although y + z divides both.
+        fb = FactorBase()
+        h = (y + z) * (x + y)
+        a = (y + z) * (x + Poly.const(2))
+        assert poly._gcd_degree_mod(fb._image(a, 0), fb._image(h, 0)) == 0
+        assert fb._element_image(h)[0] == 1
+        assert not certified(fb, a, h)
+        assert fb.gcd_num_den(a, h) == (y + z, x + Poly.const(2))
+
+    def test_degree_drop_is_refused(self):
+        # f = ((y - c) * x + 1) * (x + z), c the point's value of y: the
+        # factor (y - c) * x + 1 has image 1 in x, so the images in x of f
+        # and of a = ((y - c) * x + 1) * (x + 2) would be coprime
+        fb = FactorBase()
+        c = Poly.const(fb._point_at(1))
+        h = (y - c) * x + one
+        f = h * (x + z)
+        a = h * (x + Poly.const(2))
+        assert poly._gcd_degree_mod(fb._image(a, 0), fb._image(f, 0)) == 0
+        # f is primitive in x alone, and x is refused
+        assert fb._element_image(f) is None
+        assert not certified(fb, a, f)
+
+    def test_prime_in_a_denominator_is_refused(self):
+        fb = FactorBase()
+        a = Poly({(1,): Fraction(1, poly._P), (): 1})
+        assert fb._image(a, 0) is None
+        assert not certified(fb, a, x + y + one)
 
 
 @pytest.mark.parametrize("name", ["perturbed-flat-2d", "worked-3d", "cuberoot-3d"])

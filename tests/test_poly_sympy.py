@@ -63,19 +63,29 @@ class TestAgainstSympy:
             g = poly_gcd(a, b)
         assert same_up_to_sign(g, sympy.gcd(to_sympy(a), to_sympy(b)))
 
-    @given(small_polys(), small_polys())
+    @given(
+        small_polys(), small_polys(), small_polys(),
+        small_polys().filter(lambda p: len(p.terms) > 1),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_div_exact(self, a, b):
-        if b.is_zero():
-            return
-        for dividend in (a, a * b):
-            # one divisor leaves no remainder exactly when it divides
-            q, r = sympy.div(to_sympy(dividend).as_expr(), to_sympy(b).as_expr(), *SYMS)
-            got = div_exact(dividend, b)
-            if r == 0:
-                assert got is not None and to_sympy(got).as_expr() == q
-            else:
-                assert got is None
+    def test_div_exact(self, a, b, c, m):
+        """Any divisor, and a multi-term one (the heap division) also with
+        its terms in ascending order, so that its leading term is the last
+        key; the dividends include multiples plus a remainder."""
+        ascending = Poly(dict(reversed(m.sorted_terms())))
+        for divisor in (b, m, ascending):
+            if divisor.is_zero():
+                continue
+            for dividend in (a, a * divisor, a * divisor + c):
+                # one divisor leaves no remainder exactly when it divides
+                q, r = sympy.div(
+                    to_sympy(dividend).as_expr(), to_sympy(divisor).as_expr(), *SYMS
+                )
+                got = div_exact(dividend, divisor)
+                if r == 0:
+                    assert got is not None and to_sympy(got).as_expr() == q
+                else:
+                    assert got is None
 
     @given(small_polys(n_vars=2), small_polys(n_vars=2), small_polys(n_vars=2))
     @settings(max_examples=20, deadline=None)
