@@ -16,7 +16,6 @@ from .expr import (
     UnknownIdentifierError,
     Var,
     ZeroStatus,
-    canonicalize,
     differentiate,
     eval_at,
     is_zero,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Context", "DomainError", "Expr", "ExprError", "NumericPoint",
-    "UnknownIdentifierError", "Var", "ZeroStatus", "canonicalize",
+    "UnknownIdentifierError", "Var", "ZeroStatus",
     "differentiate", "eval_at", "is_zero", "substitute",
     "ParseError", "parse", "to_latex", "to_text",
     "DOWN", "UP", "Symmetry", "Tensor",

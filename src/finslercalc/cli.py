@@ -27,6 +27,7 @@ from .geometry import (
 )
 from .oracle import SamplingExhausted, verify_many
 from .parsing import to_latex
+from .poly import ExponentLimitError
 from .tensor import Tensor, nonzero_components
 from .expr import ZeroStatus
 
@@ -279,7 +280,7 @@ def run(config: RunConfig, out=None) -> int:
                      full_table=config.full_table, seed=config.seed)
             )
     except (ValueError, ExprError, GeometryError, NotHomogeneous, DegenerateMetric,
-            registry.UnknownObjectError, OSError) as exc:
+            registry.UnknownObjectError, ExponentLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print("\n\n".join(documents), file=out)

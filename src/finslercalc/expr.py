@@ -37,7 +37,10 @@ from .poly import (
     div_exact,
     int_power_extract,
     make_primitive,
+    monomial_gcd,
+    pack,
     power_free_extract,
+    unpack,
 )
 
 
@@ -145,6 +148,9 @@ class Context:
     def is_atom_sym(self, sym: int) -> bool:
         return sym >= 2 * self.dim
 
+    def has_atoms(self, p: Poly) -> bool:
+        return p.max_symbol() >= 2 * self.dim
+
     def atom_at(self, sym: int) -> _Atom:
         return self._atoms[sym - 2 * self.dim]
 
@@ -194,37 +200,12 @@ class Context:
         radicand = e.num * e.den ** (q - 1)
         prefactor = Expr(self, Poly.one(), e.den)
         # pull q-th powers out of the monomial part (valid for atoms too)
-        mono_out: list[tuple[int, int]] = []
-        mins: dict[int, int] = {}
-        first = True
-        for exps in radicand.terms:
-            if first:
-                mins = {i: x for i, x in enumerate(exps) if x}
-                first = False
-            else:
-                for i in list(mins):
-                    got = exps[i] if i < len(exps) else 0
-                    if got < mins[i]:
-                        if got:
-                            mins[i] = got
-                        else:
-                            del mins[i]
-        shift: dict[int, int] = {}
-        for i, m in mins.items():
-            if m >= q:
-                mono_out.append((i, m // q))
-                shift[i] = (m // q) * q
-        if shift:
-            stripped = {}
-            for exps, c in radicand.terms.items():
-                lst = list(exps)
-                for i, s in shift.items():
-                    lst[i] -= s
-                while lst and lst[-1] == 0:
-                    lst.pop()
-                stripped[tuple(lst)] = c
-            radicand = Poly(stripped)
-        if any(self.is_atom_sym(s) for s in radicand.symbols()):
+        (low,) = monomial_gcd((radicand,)).terms
+        mono_out = [(i, m // q) for i, m in enumerate(unpack(low)) if m >= q]
+        if mono_out:
+            shift = pack([m // q * q for m in unpack(low)])
+            radicand = Poly({key - shift: c for key, c in radicand.terms.items()})
+        if self.has_atoms(radicand):
             # tower case: polynomial factor extraction would need atom-aware
             # derivatives, so normalize the constant only
             content, a_poly = make_primitive(radicand)
@@ -447,14 +428,14 @@ class Expr:
         if n < 0:
             return self._inverse() ** (-n)
         num = self.num**n
-        if any(self.ctx.is_atom_sym(s) for s in num.symbols()):
+        if self.ctx.has_atoms(num):
             return Expr(self.ctx, num, self.den**n)
         return Expr(self.ctx, num, self.den**n, _normalized=True)
 
     def _inverse(self) -> "Expr":
         if self.num.is_zero():
             raise ZeroDivisionError("division by zero expression")
-        if not any(self.ctx.is_atom_sym(s) for s in self.num.symbols()):
+        if not self.ctx.has_atoms(self.num):
             c, prim = make_primitive(self.num)
             return Expr(self.ctx, self.den.scale(Fraction(1) / c), prim, _normalized=True)
         inv_num = _invert_atom_poly(self.ctx, self.num)
@@ -578,7 +559,8 @@ class Expr:
     # -- reporting -------------------------------------------------------------
 
     def node_count(self) -> int:
-        """Size of the canonical form (used to compare display routes)."""
+        """Size of the canonical form: one node per coefficient, symbol and
+        power, as the text form would spell it."""
         total = _poly_nodes(self.num)
         if not (self.den.is_const() and self.den.const_value() == 1):
             total += 1 + _poly_nodes(self.den)
@@ -590,12 +572,6 @@ class Expr:
 
 def differentiate(e: Expr, v: Var) -> Expr:
     return e.diff(v)
-
-
-def canonicalize(e: Expr) -> Expr:
-    """Expressions are canonical by construction; exposed for contract
-    parity and as the hook used when re-checking invariants."""
-    return e
 
 
 def substitute(e: Expr, bindings: Mapping[Var, Expr]) -> Expr:
@@ -614,13 +590,13 @@ def is_zero(e: Expr, **kwargs) -> ZeroStatus:
 
 
 def _is_one(p: Poly) -> bool:
-    return len(p.terms) == 1 and p.terms.get(()) == 1
+    return len(p.terms) == 1 and p.terms.get(0) == 1
 
 
 def _normalize(ctx: Context, num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in expression")
-    if any(ctx.is_atom_sym(s) for s in den.symbols()):
+    if ctx.has_atoms(den):
         raise ExprError("internal: denominator carries radical atoms")
     num, extra = _reduce_atoms(ctx, num)
     if not (extra.is_const() and extra.const_value() == 1):
@@ -642,13 +618,17 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
     """Rewrite atom powers >= q via atom**q -> radicand; returns the reduced
     polynomial together with an atom-free extra denominator."""
     den = Poly.one()
-    while True:
+    while ctx.has_atoms(p):
         target = -1
-        for s in p.symbols():
-            if ctx.is_atom_sym(s) and p.degree_in(s) >= ctx.atom_at(s).q and s > target:
+        # the highest atom whose power reaches its root index
+        for s in sorted(p.symbols(), reverse=True):
+            if not ctx.is_atom_sym(s):
+                break
+            if p.degree_in(s) >= ctx.atom_at(s).q:
                 target = s
+                break
         if target < 0:
-            return p, den
+            break
         atom = ctx.atom_at(target)
         q = atom.q
         rad_num, rad_den = atom.radicand.num, atom.radicand.den
@@ -659,11 +639,12 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
             t, rem = divmod(e, q)
             piece = coeff * rad_num**t * rad_den ** (m - t)
             if rem:
-                piece = piece.mul_monomial((0,) * target + (rem,))
+                piece = piece.mul_monomial(pack((0,) * target + (rem,)))
             acc = acc + piece
         p = acc
         if m:
             den = den * rad_den**m
+    return p, den
 
 
 def _poly_total_diff(ctx: Context, p: Poly, sym: int) -> Expr:
@@ -749,9 +730,9 @@ def _ext_inverse(ctx: Context, u: list[Expr], q: int, radicand: Expr) -> list[Ex
 
 def _poly_apply(ctx: Context, p: Poly, sym_value) -> Expr:
     total = ctx.zero
-    for exps, coeff in p.terms.items():
+    for key, coeff in p.terms.items():
         term = ctx.number(coeff)
-        for i, e in enumerate(exps):
+        for i, e in enumerate(unpack(key)):
             if e:
                 term = term * sym_value(i) ** e
         total = total + term
@@ -801,11 +782,11 @@ def _eval_poly_with_atoms(ctx: Context, p: Poly, coords: list):
     approx = 0.0
     has_float = False
     max_term = 0.0
-    for exps, coeff in p.terms.items():
+    for key, coeff in p.terms.items():
         frac_part = Fraction(coeff)
         float_part = 1.0
         term_has_float = False
-        for i, e in enumerate(exps):
+        for i, e in enumerate(unpack(key)):
             if not e:
                 continue
             if ctx.is_atom_sym(i):
@@ -846,8 +827,8 @@ def _poly_nodes(p: Poly) -> int:
     if p.is_zero():
         return 1
     total = len(p.terms) - 1
-    for exps, coeff in p.terms.items():
-        factors = sum(1 + (e > 1) for e in exps if e)
+    for key, coeff in p.terms.items():
+        factors = sum(1 + (e > 1) for e in unpack(key) if e)
         if factors == 0 or abs(coeff) != 1:
             factors += 1
         total += factors

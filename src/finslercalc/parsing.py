@@ -13,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 from .expr import Context, Expr, ExprError
-from .poly import Poly, grlex_key
+from .poly import EXPONENT_LIMIT, Poly, unpack
 
 # Input limits, checked before anything is expanded: a power of a four-term
 # sum at exponent 100 already has 176,851 terms.  Printed components stay
-# far inside them (their powers are of single symbols).
+# far inside them (their powers are of single symbols).  Besides these,
+# the degree in any one symbol stays within ``poly.EXPONENT_LIMIT``.
 MAX_EXPONENT = 1000
 MAX_TERMS = 2000
 MAX_RADICAND_TERMS = 500
@@ -194,6 +196,25 @@ class _Parser:
         )
 
 
+def _degrees(p: Poly) -> list[int]:
+    """The degree of p in each symbol, indexed by symbol."""
+    return [max(col) for col in zip_longest(*map(unpack, p.terms), fillvalue=0)]
+
+
+def _product_degree(*factors: tuple[Poly, int]) -> int:
+    """The greatest degree in one symbol of the product of p**n over the
+    ``(p, n)`` factors: degrees in each symbol add."""
+    columns = zip_longest(*(_degrees(p) for p, _ in factors), fillvalue=0)
+    return max((sum(d * n for d, (_, n) in zip(col, factors)) for col in columns), default=0)
+
+
+def _check_degree(degree: int, what: str, pos: int) -> None:
+    if degree > EXPONENT_LIMIT:
+        raise ParseError(
+            f"{what} would reach degree {degree} in one symbol (limit {EXPONENT_LIMIT})", pos
+        )
+
+
 def _power_terms(p: Poly, n: int) -> int:
     """Upper bound on the number of terms of p**n: the multisets of n terms
     of p, and the monomials of degree at most n * deg p in its symbols."""
@@ -220,6 +241,8 @@ def _product_terms(a: Poly, b: Poly) -> int:
 
 
 def _check_product(num_a: Poly, num_b: Poly, den_a: Poly, den_b: Poly, pos: int) -> None:
+    degree = max(_product_degree((num_a, 1), (num_b, 1)), _product_degree((den_a, 1), (den_b, 1)))
+    _check_degree(degree, "product", pos)
     terms = max(_product_terms(num_a, num_b), _product_terms(den_a, den_b))
     if terms > MAX_TERMS:
         raise ParseError(
@@ -229,6 +252,7 @@ def _check_product(num_a: Poly, num_b: Poly, den_a: Poly, den_b: Poly, pos: int)
 
 def _check_radicand(e: Expr, q: int, pos: int) -> None:
     # a root clears its denominator into the radicand: num * den**(q-1)
+    _check_degree(_product_degree((e.num, 1), (e.den, q - 1)), "root radicand", pos)
     terms = len(e.num.terms) * _power_terms(e.den, q - 1)
     if terms > MAX_RADICAND_TERMS:
         raise ParseError(
@@ -243,6 +267,9 @@ def _check_power(base: Expr, exponent: Fraction, pos: int) -> None:
         raise ParseError(f"exponent {exponent} is beyond the limit {MAX_EXPONENT}", pos)
     if q > 1:
         _check_radicand(base, q, pos)
+    # a root has no greater degree than its base: root(n/d) = root(n*d**(q-1))/d
+    degree = p * max(_degrees(base.num) + _degrees(base.den), default=0)
+    _check_degree(degree, f"power ^{exponent}", pos)
     terms = max(_power_terms(base.num, p), _power_terms(base.den, p))
     if terms > MAX_TERMS:
         raise ParseError(
@@ -297,7 +324,7 @@ def _poly_text(ctx: Context, p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, coeff in sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True):
+    for exps, coeff in p.sorted_terms():
         text = _monomial_text(ctx, exps, coeff)
         if not parts:
             parts.append(("-" if coeff < 0 else "") + text)
@@ -309,7 +336,8 @@ def _poly_text(ctx: Context, p: Poly) -> str:
 def _den_needs_parens(p: Poly) -> bool:
     if len(p.terms) != 1:
         return True
-    exps, coeff = next(iter(p.terms.items()))
+    key, coeff = next(iter(p.terms.items()))
+    exps = unpack(key)
     factor_count = sum(1 for e in exps if e) + (coeff != 1)
     return factor_count > 1 or any(e > 1 for e in exps)
 
@@ -378,7 +406,7 @@ def _poly_latex(ctx: Context, p: Poly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, coeff in sorted(p.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True):
+    for exps, coeff in p.sorted_terms():
         text = _monomial_latex(ctx, exps, abs(coeff))
         if not parts:
             parts.append(("-" if coeff < 0 else "") + text)
@@ -401,7 +429,7 @@ def to_latex(e: Expr) -> str:
     # single-term numerators carry their sign outside the fraction
     sign = ""
     if len(num.terms) == 1:
-        ((exps, coeff),) = num.terms.items()
+        (coeff,) = num.terms.values()
         if coeff < 0:
             sign = "-"
             num = num.scale(-1)

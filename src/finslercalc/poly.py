@@ -1,10 +1,27 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Symbols are identified by nonnegative integers; a monomial is an exponent
-tuple with trailing zeros stripped, so the same monomial always has the
-same key regardless of how many symbols exist.  The monomial order used
-throughout is graded lexicographic (total degree first, then lexicographic
-with lower symbol index more significant).
+Symbols are identified by the integers 0 .. ``MAX_SYMBOLS`` - 1.  A
+monomial is stored as one packed int key: the exponent of symbol i sits in
+bits [16*i, 16*i + 16), so the same monomial has the same key however many
+symbols exist, and the constant monomial is 0.  The top bit of each field
+is a guard bit, and exponents stay at most ``EXPONENT_LIMIT`` (32767), so:
+
+- the key of a product of monomials is the sum of their keys (no field
+  carries into the next);
+- a monomial e is divisible by a monomial m exactly when ``d = e - m`` is
+  nonnegative with no guard bit set (a field that borrows sets its guard);
+- a key with a guard bit set is an exponent past the limit, which
+  ``__mul__`` and ``mul_monomial`` refuse with ``ExponentLimitError``.
+
+``pack`` and ``unpack`` convert between keys and exponent tuples.
+
+Two monomial orders are used.  Exact division orders its heap by the
+plain int key: lexicographic with the highest symbol most significant,
+which is a monomial order, so the quotient (or the refusal) is the same as
+under any other.  The canonical order is graded lexicographic (total
+degree first, then lexicographic with the lower symbol index more
+significant): it fixes the sign in ``make_primitive`` and the term order of
+``sorted_terms``, the tuple view the printers read.
 
 Coefficients are ints wherever the value is integral and Fractions
 otherwise; keeping ints as ints matters, since gcd work runs over
@@ -14,50 +31,102 @@ primitive integer polynomials.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
+from operator import or_
 from typing import Iterable, Iterator
 
 
+# -- packed monomials ------------------------------------------------------
+
+_BITS = 16  # field width per symbol; ``unpack`` reads fields as format "H"
+_FIELD = (1 << _BITS) - 1
+EXPONENT_LIMIT = (1 << (_BITS - 1)) - 1
+MAX_SYMBOLS = 1024
+# the guard bit of every field of every symbol
+_GUARD = ((1 << (_BITS * MAX_SYMBOLS)) - 1) // _FIELD << (_BITS - 1)
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def pack(exps: Iterable[int]) -> int:
+    """The key of the monomial with exponent ``exps[i]`` on symbol i."""
+    key = 0
+    for i, e in enumerate(exps):
+        if e:
+            if e < 0:
+                raise ValueError("negative exponent in a monomial")
+            if e > EXPONENT_LIMIT:
+                raise _limit_error()
+            if i >= MAX_SYMBOLS:
+                raise ValueError(f"more than {MAX_SYMBOLS} symbols")
+            key |= e << (_BITS * i)
+    return key
+
+
+def unpack(key: int) -> tuple[int, ...]:
+    """The exponent tuple of a key, without trailing zeros."""
+    size = -(-key.bit_length() // _BITS) * (_BITS // 8)
+    fields = memoryview(key.to_bytes(size, sys.byteorder)).cast("H")
+    # big-endian bytes put the highest field first
+    return tuple(fields[::-1] if _BIG_ENDIAN else fields)
+
+
+class ExponentLimitError(ArithmeticError):
+    """An exponent of a monomial would pass ``EXPONENT_LIMIT``."""
+
+
+def _limit_error() -> ExponentLimitError:
+    return ExponentLimitError(f"exponent beyond the limit {EXPONENT_LIMIT}")
+
+
+def _span(terms) -> int:
+    """OR of the keys: field i is nonzero exactly when symbol i occurs,
+    and is at least every exponent of symbol i."""
+    return reduce(or_, terms, 0)
+
+
+def _check_limit(terms) -> None:
+    if _span(terms) & _GUARD:
+        raise _limit_error()
+
+
+def _mono_min(a: int, b: int) -> int:
+    """Key of the per-symbol least exponents of two keys."""
+    # a field of (a | guards) - b keeps its guard bit exactly when a >= b
+    # there; ``ge`` then covers the value bits of those fields
+    guards = _GUARD & ((1 << (max(a, b).bit_length() + _BITS)) - 1)
+    ge = ((a | guards) - b) & guards
+    ge -= ge >> (_BITS - 1)
+    return (b & ge) | (a & ~ge)
+
+
+def _has_fraction(terms: dict) -> bool:
+    return Fraction in set(map(type, terms.values()))
+
+
 def _cnorm(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and c.denominator == 1:
         return c.numerator
     return c
 
 
 def _cdiv(a, b):
-    if isinstance(a, int) and isinstance(b, int):
+    if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return q if r == 0 else Fraction(a, b)
     return _cnorm(a / b)
 
 
-def _strip(exps: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(exps)
-    while n and exps[n - 1] == 0:
-        n -= 1
-    return exps[:n]
-
-
-def _mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return a
-    return tuple(x + y for x, y in zip(a, b + (0,) * (len(a) - len(b))))
-
-
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
-
-
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial: ``terms`` maps packed monomial keys to
+    nonzero int or Fraction coefficients."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, terms: dict[int, int | Fraction]):
         self.terms = terms
         self._hash: int | None = None
 
@@ -74,16 +143,18 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         c = _cnorm(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        return Poly({(): c}) if c else _ZERO
+        return Poly({0: c}) if c else _ZERO
 
     @staticmethod
     def variable(sym: int) -> "Poly":
-        return Poly({(0,) * sym + (1,): 1})
+        if not 0 <= sym < MAX_SYMBOLS:
+            raise ValueError(f"symbol {sym} is outside 0..{MAX_SYMBOLS - 1}")
+        return Poly({1 << (_BITS * sym): 1})
 
     @staticmethod
     def monomial(exps: tuple[int, ...], coeff=1) -> "Poly":
         coeff = _cnorm(coeff)
-        return Poly({_strip(exps): coeff}) if coeff else _ZERO
+        return Poly({pack(exps): coeff}) if coeff else _ZERO
 
     # -- basic queries -------------------------------------------------
 
@@ -91,37 +162,46 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
-        return Fraction(self.terms[()])
+        return Fraction(self.terms[0])
 
     def symbols(self) -> set[int]:
-        out: set[int] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    out.add(i)
-        return out
+        return {sym for sym, e in enumerate(unpack(_span(self.terms))) if e}
+
+    def max_symbol(self) -> int:
+        """The highest symbol that occurs, or -1 for a constant."""
+        return (_span(self.terms).bit_length() - 1) // _BITS
 
     def degree_in(self, sym: int) -> int:
-        d = 0
-        for exps in self.terms:
-            if sym < len(exps) and exps[sym] > d:
-                d = exps[sym]
-        return d
+        shift = _BITS * sym
+        return max((key >> shift & _FIELD for key in self.terms), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(unpack(key)) for key in self.terms), default=0)
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        """(exponents, coefficient) of the leading term under grlex."""
+        terms = self.terms
+        if sum(unpack(_span(terms))) < _FIELD:
+            # no degree reaches 2**16 - 1, so a key modulo 2**16 - 1 is its
+            # degree (2**16 is 1 modulo 2**16 - 1)
+            degrees = [key % _FIELD for key in terms]
+        else:
+            degrees = [sum(unpack(key)) for key in terms]
+        top = max(degrees)
+        tied = [key for key, d in zip(terms, degrees) if d == top]
+        key = tied[0] if len(tied) == 1 else max(tied, key=unpack)
+        return unpack(key), terms[key]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        """(exponents, coefficient) pairs in descending grlex order."""
+        items = [(unpack(key), c) for key, c in self.terms.items()]
+        items.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return items
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -153,16 +233,18 @@ class Poly:
         if not other.terms:
             return self
         terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps)
+        for key, c in other.terms.items():
+            acc = terms.get(key)
             if acc is None:
-                terms[exps] = c
+                terms[key] = c
             else:
                 acc = acc + c
-                if acc:
-                    terms[exps] = acc
+                if not acc:
+                    del terms[key]
+                elif type(acc) is int:
+                    terms[key] = acc
                 else:
-                    del terms[exps]
+                    terms[key] = _cnorm(acc)
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
@@ -177,28 +259,31 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            la = len(ea)
-            for eb, cb in b.items():
-                if la < len(eb):
-                    key = tuple(
-                        x + y for x, y in zip(ea + (0,) * (len(eb) - la), eb)
-                    )
-                else:
-                    key = tuple(
-                        x + y for x, y in zip(ea, eb + (0,) * (la - len(eb)))
-                    )
-                c = ca * cb
-                acc = terms.get(key)
-                if acc is None:
-                    terms[key] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        terms[key] = acc
+        # fields of a product never carry, but may reach a guard bit
+        past_limit = (_span(a) + _span(b)) & _GUARD
+        if len(a) == 1:
+            # a monomial times b: no two products share a key
+            ((ea, ca),) = a.items()
+            terms = {ea + eb: ca * cb for eb, cb in b.items()}
+        else:
+            terms = {}
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    key = ea + eb
+                    c = ca * cb
+                    acc = terms.get(key)
+                    if acc is None:
+                        terms[key] = c
                     else:
-                        del terms[key]
+                        acc = acc + c
+                        if acc:
+                            terms[key] = acc
+                        else:
+                            del terms[key]
+        if past_limit:
+            _check_limit(terms)
+        if _has_fraction(terms):
+            terms = {key: _cnorm(c) for key, c in terms.items()}
         return Poly(terms)
 
     def scale(self, c) -> "Poly":
@@ -208,22 +293,16 @@ class Poly:
             return _ZERO
         if c == 1:
             return self
-        if isinstance(c, int):
-            return Poly({e: k * c for e, k in self.terms.items()})
-        return Poly({e: _cnorm(k * c) for e, k in self.terms.items()})
+        return Poly({e: k * c if type(k) is int else _cnorm(k * c) for e, k in self.terms.items()})
 
-    def mul_monomial(self, exps: tuple[int, ...], coeff=1) -> "Poly":
-        exps = _strip(exps)
-        if not coeff:
-            return _ZERO
-        if not exps:
-            return self.scale(coeff)
-        if coeff == 1:
-            return Poly({_mono_mul(e, exps): c for e, c in self.terms.items()})
-        out = {}
-        for e, c in self.terms.items():
-            out[_mono_mul(e, exps)] = c * coeff
-        return Poly(out)
+    def mul_monomial(self, key: int, coeff=1) -> "Poly":
+        """The product with the monomial of packed ``key`` times ``coeff``."""
+        p = self.scale(coeff)
+        if not key or not p.terms:
+            return p
+        terms = {e + key: c for e, c in p.terms.items()}
+        _check_limit(terms)
+        return Poly(terms)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -241,16 +320,15 @@ class Poly:
     # -- calculus and evaluation ----------------------------------------
 
     def diff(self, sym: int) -> "Poly":
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            if sym >= len(exps) or exps[sym] == 0:
-                continue
-            e = exps[sym]
-            new = _strip(exps[:sym] + (e - 1,) + exps[sym + 1 :])
-            acc = terms.get(new)
-            nc = c * e
-            terms[new] = acc + nc if acc is not None else nc
-        return Poly({e: c for e, c in terms.items() if c})
+        shift = _BITS * sym
+        unit = 1 << shift
+        # distinct keys stay distinct, so nothing is collected
+        return Poly({
+            key - unit: c * (key >> shift & _FIELD) if type(c) is int
+            else _cnorm(c * (key >> shift & _FIELD))
+            for key, c in self.terms.items()
+            if key >> shift & _FIELD
+        })
 
     def eval(self, values) -> object:
         """Evaluate with ``values[i]`` substituted for symbol i.
@@ -272,11 +350,15 @@ class Poly:
             return got
 
         total = None
-        for exps, c in self.terms.items():
+        for key, c in self.terms.items():
             term: object = c
-            for i, e in enumerate(exps):
+            sym = 0
+            while key:
+                e = key & _FIELD
                 if e:
-                    term = term * power(i, e)
+                    term = term * power(sym, e)
+                key >>= _BITS
+                sym += 1
             total = term if total is None else total + term
         return Fraction(0) if total is None else total
 
@@ -284,24 +366,23 @@ class Poly:
 
     def split_by_symbol(self, sym: int) -> dict[int, "Poly"]:
         """View as a univariate polynomial in ``sym``: degree -> coefficient."""
+        shift = _BITS * sym
         parts: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            e = exps[sym] if sym < len(exps) else 0
-            rest = _strip(exps[:sym] + (0,) + exps[sym + 1 :]) if e else exps
-            parts.setdefault(e, {})[rest] = c
+        for key, c in self.terms.items():
+            e = key >> shift & _FIELD
+            parts.setdefault(e, {})[key - (e << shift)] = c
         return {e: Poly(d) for e, d in parts.items()}
 
     def coeff_of(self, sym: int, deg: int) -> "Poly":
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[sym] if sym < len(exps) else 0
-            if e == deg:
-                out[_strip(exps[:sym] + (0,) + exps[sym + 1 :]) if e else exps] = c
-        return Poly(out)
+        shift = _BITS * sym
+        removed = deg << shift
+        return Poly({
+            key - removed: c for key, c in self.terms.items() if key >> shift & _FIELD == deg
+        })
 
 
 _ZERO = Poly({})
-_ONE = Poly({(): 1})
+_ONE = Poly({0: 1})
 
 
 # -- normalization ------------------------------------------------------
@@ -336,9 +417,9 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
     """Return a/b if b divides a exactly, else None.
 
     A constant or a monomial divides term by term.  Otherwise this is a
-    heap division: the remainder's leading term is taken from a heap of
-    its monomials, and the first one that the divisor's leading term does
-    not divide ends the division with None."""
+    heap division in the order of the int keys: the remainder's greatest
+    key is taken from a heap of its keys, and the first one that the
+    divisor's greatest key does not divide ends the division with None."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
@@ -347,50 +428,46 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
         return a.scale(Fraction(1) / b.const_value())
     if len(b.terms) == 1:
         # a monomial divides term by term
-        ((lb_exps, lb_c),) = b.terms.items()
-        n = len(lb_exps)
+        ((lb, lb_c),) = b.terms.items()
         q = {}
-        for exps, c in a.terms.items():
-            if len(exps) < n:
+        for key, c in a.terms.items():
+            d = key - lb
+            if d < 0 or d & _GUARD:
                 return None
-            diff = tuple(x - y for x, y in zip(exps, lb_exps))
-            if min(diff) < 0:
-                return None
-            q[_strip(diff + exps[n:])] = _cdiv(c, lb_c)
+            q[d] = _cdiv(c, lb_c)
         return Poly(q)
     if len(a.terms) == 1:
         # the greatest and least terms of a multiple of b cannot cancel
         return None
     # Johnson, SIGSAM Bull. 8 (1974); Monagan & Pearce, JSC 46 (2011).
-    # A cancelled monomial stays in the heap and is skipped when popped.
-    lb_exps, lb_c = b.leading()
-    n = len(lb_exps)
-    b_rest = [(e, c) for e, c in b.terms.items() if e != lb_exps]
+    # The heap holds negated keys; a cancelled key stays in the heap and
+    # is skipped when popped.
+    lb = max(b.terms)
+    lb_c = b.terms[lb]
+    b_rest = [(e, -c) for e, c in b.terms.items() if e != lb]
     r = dict(a.terms)
-    heap = [_heap_key(e) for e in r]
+    heap = [-key for key in r]
     heapify(heap)
-    q: dict[tuple[int, ...], object] = {}
+    q: dict[int, object] = {}
     while heap:
-        exps = heappop(heap)[2]
-        c = r.pop(exps, None)
+        key = -heappop(heap)
+        c = r.pop(key, None)
         if c is None:
             continue  # cancelled after it was pushed, or a duplicate entry
-        if len(exps) < n:
+        d = key - lb
+        if d < 0 or d & _GUARD:
             return None
-        diff = tuple(x - y for x, y in zip(exps, lb_exps))
-        if min(diff) < 0:
-            return None
-        diff = _strip(diff + exps[n:])
-        coeff = _cdiv(c, lb_c)
-        q[diff] = coeff
+        # _cdiv also turns an integral Fraction left in r into an int
+        coeff = c if lb_c == 1 and type(c) is int else _cdiv(c, lb_c)
+        q[d] = coeff
         for eb, cb in b_rest:
-            key = _mono_mul(diff, eb)
+            key = d + eb
             acc = r.get(key)
             if acc is None:
-                r[key] = -coeff * cb
-                heappush(heap, _heap_key(key))
+                r[key] = coeff * cb
+                heappush(heap, -key)
             else:
-                acc = acc - coeff * cb
+                acc = acc + coeff * cb
                 if acc:
                     r[key] = acc
                 else:
@@ -398,29 +475,19 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
     return Poly(q)
 
 
-def _heap_key(exps: tuple[int, ...]) -> tuple:
-    """Min-heap entry whose order is descending grlex.  Negating the
-    exponents is enough: two monomials of equal degree whose stripped
-    tuples differ are never prefixes of one another."""
-    return (-sum(exps), tuple([-x for x in exps]), exps)
-
-
 # -- gcd ------------------------------------------------------------------
 
 
-def _monomial_gcd(polys: Iterable[Poly]) -> Poly:
-    mins: list[int] | None = None
+def monomial_gcd(polys: Iterable[Poly]) -> Poly:
+    low: int | None = None
     for p in polys:
-        for exps in p.terms:
-            if mins is None:
-                mins = list(exps)
-            else:
-                if len(exps) < len(mins):
-                    del mins[len(exps) :]
-                for i in range(len(mins)):
-                    if exps[i] < mins[i]:
-                        mins[i] = exps[i]
-    return Poly.monomial(tuple(mins or ()))
+        if 0 in p.terms:
+            return _ONE
+        for key in p.terms:
+            low = key if low is None else _mono_min(low, key)
+            if not low:
+                return _ONE
+    return Poly({low or 0: 1})
 
 
 def _prem(f: Poly, g: Poly, sym: int) -> Poly:
@@ -436,7 +503,7 @@ def _prem(f: Poly, g: Poly, sym: int) -> Poly:
         if dr < dg:
             break
         lr = r.coeff_of(sym, dr)
-        r = lg * r - (lr * g).mul_monomial((0,) * sym + (dr - dg,))
+        r = lg * r - (lr * g).mul_monomial((dr - dg) << (_BITS * sym))
         n -= 1
     if n > 0 and not r.is_zero():
         r = lg**n * r
@@ -454,18 +521,19 @@ def _content_wrt(p: Poly, sym: int) -> Poly:
 
 def _eval_sym(p: Poly, sym: int, value: int) -> Poly:
     """Substitute an integer for one symbol (coefficients stay exact)."""
-    out: dict[tuple[int, ...], object] = {}
-    for exps, c in p.terms.items():
-        e = exps[sym] if sym < len(exps) else 0
+    shift = _BITS * sym
+    out: dict[int, object] = {}
+    for key, c in p.terms.items():
+        e = key >> shift & _FIELD
         if e:
             c = c * value**e
-            exps = _strip(exps[:sym] + (0,) + exps[sym + 1 :])
-        acc = out.get(exps)
+            key -= e << shift
+        acc = out.get(key)
         acc = c if acc is None else acc + c
         if acc:
-            out[exps] = acc
-        elif exps in out:
-            del out[exps]
+            out[key] = acc
+        elif key in out:
+            del out[key]
     return Poly(out)
 
 
@@ -478,17 +546,17 @@ def _interpolate(h: Poly, sym: int, xi: int) -> Poly:
     while not h.is_zero():
         digits = {}
         rest = {}
-        for exps, c in h.terms.items():
+        for key, c in h.terms.items():
             r = c % xi
             if r > half:
                 r -= xi
             if r:
-                digits[exps] = r
+                digits[key] = r
             q = (c - r) // xi
             if q:
-                rest[exps] = q
+                rest[key] = q
         if digits:
-            result = result + Poly(digits).mul_monomial((0,) * sym + (power,))
+            result = result + Poly(digits).mul_monomial(power << (_BITS * sym))
         h = Poly(rest)
         power += 1
         if power > 4000:  # pragma: no cover - guards runaway reconstruction
@@ -561,20 +629,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_const() or b.is_const():
         return Poly.one()
     if len(a.terms) == 1 or len(b.terms) == 1:
-        return _monomial_gcd((a, b))
+        return monomial_gcd((a, b))
     _, a = make_primitive(a)
     _, b = make_primitive(b)
     if a == b:
         return a
     # split off monomial parts: no variable divides the cofactors, so
     # gcd(a, b) = gcd of monomial parts times gcd of cofactors
-    mono_a = _monomial_gcd((a,))
-    mono_b = _monomial_gcd((b,))
+    mono_a = monomial_gcd((a,))
+    mono_b = monomial_gcd((b,))
     if not mono_a.is_const():
         a = div_exact(a, mono_a)
     if not mono_b.is_const():
         b = div_exact(b, mono_b)
-    mono_common = _monomial_gcd((mono_a, mono_b))
+    mono_common = monomial_gcd((mono_a, mono_b))
     common = a.symbols() & b.symbols()
     if not common:
         return mono_common
@@ -742,27 +810,27 @@ class FactorBase:
     The element order is the order factors arrive in.
     """
 
-    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_powers", "_rng")
+    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_values", "_rng")
 
     def __init__(self):
         self.elements: list[Poly] = []
-        self._factored: dict[Poly, tuple[tuple[int, ...], dict[int, int]]] = {}
+        self._factored: dict[Poly, tuple[int, dict[int, int]]] = {}
         self._refinements = 0
         # for _divide_or_certify: per element, its main symbol and image
         # (or None); the evaluation point, drawn symbol by symbol in index
-        # order; and its powers modulo _P
+        # order; and the values of monomials at it modulo _P, by key
         self._images: dict[Poly, tuple[int, list[int]] | None] = {}
         self._point: list[int] = []
-        self._powers: dict[tuple[int, int], int] = {}
+        self._values: dict[int, int] = {}
         self._rng = random.Random(_POINT_SEED)
 
-    def factor(self, p: Poly) -> tuple[tuple[int, ...], dict[int, int]]:
-        """(monomial exponents, {element index: exponent}) of a polynomial
+    def factor(self, p: Poly) -> tuple[int, dict[int, int]]:
+        """(monomial key, {element index: exponent}) of a polynomial
         that is primitive with positive leading coefficient."""
         got = self._factored.get(p)
         if got is not None:
             return got
-        mono = _monomial_gcd((p,))
+        mono = monomial_gcd((p,))
         rest = p if mono.is_const() else div_exact(p, mono)
         exps: dict[int, int] = {}
         i = 0
@@ -818,8 +886,7 @@ class FactorBase:
         if a == b:
             return a
         (mono_a, fa), (mono_b, fb) = self._factor_pair(a, b)
-        mono = _strip(tuple(min(x, y) for x, y in zip(mono_a, mono_b)))
-        result = Poly.monomial(mono)
+        result = Poly({_mono_min(mono_a, mono_b): 1})
         for i, e in fa.items():
             if i in fb:
                 result = result * self.elements[i] ** min(e, fb[i])
@@ -839,7 +906,7 @@ class FactorBase:
             g = poly_gcd(num, den)
             return g, (num if g.is_const() else div_exact(num, g))
         mono_den, factors = self.factor(den)
-        result = _monomial_gcd((num, Poly.monomial(mono_den))) if mono_den else _ONE
+        result = monomial_gcd((num, Poly({mono_den: 1}))) if mono_den else _ONE
         rest = num if result.is_const() else div_exact(num, result)
         for i, e in factors.items():
             # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
@@ -904,25 +971,22 @@ class FactorBase:
         """Coefficients (low to high in x) of p modulo ``_P`` with every
         other symbol set to its point, or None if ``_P`` divides a
         coefficient denominator.  Leading zeros are trimmed."""
-        powers = self._powers
+        values = self._values
         out: dict[int, int] = {}
-        for exps, c in p.terms.items():
+        shift = _BITS * x
+        for key, c in p.terms.items():
             if type(c) is int:
                 v = c % _P
             else:
                 if not c.denominator % _P:
                     return None
                 v = c.numerator * pow(c.denominator, -1, _P) % _P
-            d = 0
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                if i == x:
-                    d = e
-                    continue
-                pw = powers.get((i, e))
+            d = key >> shift & _FIELD
+            key -= d << shift
+            if key:
+                pw = values.get(key)
                 if pw is None:
-                    pw = powers[(i, e)] = pow(self._point_at(i), e, _P)
+                    pw = values[key] = self._monomial_value(key)
                 v = v * pw % _P
             out[d] = (out.get(d, 0) + v) % _P
         dense = [0] * (max(out, default=0) + 1)
@@ -931,6 +995,14 @@ class FactorBase:
         while dense and not dense[-1]:
             dense.pop()
         return dense
+
+    def _monomial_value(self, key: int) -> int:
+        """The monomial of ``key`` at the point, modulo ``_P``."""
+        v = 1
+        for sym, e in enumerate(unpack(key)):
+            if e:
+                v = v * pow(self._point_at(sym), e, _P) % _P
+        return v
 
     def _point_at(self, sym: int) -> int:
         point = self._point

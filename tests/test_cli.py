@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from finslercalc.cli import build_config, main, run
 
@@ -167,6 +168,39 @@ class TestValidation:
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("error: product would expand to about 135751 terms (limit 2000)")
+
+    def test_nested_power_past_degree_limit_is_exit_1(self, capsys):
+        t0 = time.perf_counter()
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", "((x1^1000)^1000)^1000*y1^2",
+                "--objects", "g",
+            ]
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: power ^1000 would reach degree 1000000 in one symbol (limit 32767)"
+        )
+
+    def test_sum_past_degree_limit_is_exit_1(self, capsys):
+        # the parser bounds powers and products; the polynomial layer
+        # refuses the common denominator of this sum, of degree 33000
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", "y1^2 + 1/(x1^1000)^20 + 1/(x1^1000+1)^13",
+                "--objects", "g",
+            ]
+        )
+        assert status == 1
+        assert capsys.readouterr().err.startswith("error: exponent beyond the limit 32767")
 
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(

@@ -86,6 +86,10 @@ class TestParseLimits:
             ("sqrt((x1+x2+y1+y2)^10*(x2+y3))", "radicand"),
             ("(x1+x2+y1+y2)^20*(x1+2*x2+y1+y2)^20", "product would expand to about 135751"),
             ("(x1+x2+y1+y2)^20/(x1+2*x2+y1+y2)^-20", "product would expand to about 135751"),
+            ("((x1^1000)^1000)^1000", "power ^1000 would reach degree 1000000"),
+            ("(y1^1000)^20*(y1^1000)^13", "product would reach degree 33000"),
+            ("(y1^1000)^20/(y1^1000)^-13", "product would reach degree 33000"),
+            ("(1/y1^1000)^(1/40)", "root radicand would reach degree 39000"),
         ],
     )
     def test_refused_fast(self, ctx, text, words):
@@ -97,6 +101,8 @@ class TestParseLimits:
 
     def test_monomial_powers_pass(self, ctx):
         assert ctx.parse("y1^1000") == ctx.fiber(1) ** 1000
+        # degree 32767 in one symbol is the most a polynomial can hold
+        assert ctx.parse("(y1^1000)^32*y1^767").num.degree_in(ctx.sym_of(Var("y", 1))) == 32767
         assert len(ctx.parse("(x1+x2+y1+y2)^10").num.terms) == 286
 
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)

@@ -15,8 +15,10 @@ from finslercalc.poly import (
     Poly,
     div_exact,
     make_primitive,
+    pack,
     poly_gcd,
     squarefree_decomposition,
+    unpack,
 )
 
 from conftest import geometry_for
@@ -40,7 +42,7 @@ def check_factor_base(fb: FactorBase) -> None:
         for h in fb.elements[:i]:
             assert poly_gcd(f, h) == one, "elements are not pairwise coprime"
     for den, (mono, exps) in fb._factored.items():
-        product = Poly.monomial(mono)
+        product = Poly({mono: 1})
         for i, e in exps.items():
             product = product * fb.elements[i] ** e
         assert product == den
@@ -68,7 +70,7 @@ class TestFactorBase:
         mono, exps = fb.factor(z * (x + y) ** 2 * (y + one))
         assert fb.elements == [x + y, x + one, y + one]
         assert fb._refinements == 1
-        assert (mono, exps) == ((0, 0, 1), {0: 2, 2: 1})
+        assert (unpack(mono), exps) == ((0, 0, 1), {0: 2, 2: 1})
         assert fb.gcd_dens((x + y) * (x + one), (x + y) ** 2) == x + y
         check_factor_base(fb)
 
@@ -194,7 +196,7 @@ class TestCoprimalityCertificate:
 
     def test_prime_in_a_denominator_is_refused(self):
         fb = FactorBase()
-        a = Poly({(1,): Fraction(1, poly._P), (): 1})
+        a = Poly({pack((1,)): Fraction(1, poly._P), 0: 1})
         assert fb._image(a, 0) is None
         assert not certified(fb, a, x + y + one)
 

@@ -3,16 +3,22 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from finslercalc.poly import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     Poly,
     _int_primitive,
     div_exact,
     int_power_extract,
     iter_indices,
     make_primitive,
+    pack,
     poly_gcd,
     power_free_extract,
     squarefree_decomposition,
+    unpack,
 )
 
 
@@ -62,6 +68,12 @@ class TestArithmetic:
         p = x * x + x * y
         exps, _ = p.leading()
         assert exps == (2,)
+        # degrees past 2**16 - 1 are summed field by field
+        big = Poly.monomial((30000, 30000, 30000))
+        p = big * (z + y.scale(-1)) + x
+        assert p.leading() == ((30000, 30001, 30000), -1)
+        p = Poly.monomial((30000, 30000, 5536), -1) + Poly.monomial((0, 30000))
+        assert p.leading() == ((30000, 30000, 5536), -1)
 
 
 class TestIntegralCoefficients:
@@ -73,12 +85,59 @@ class TestIntegralCoefficients:
         assert all(type(c) is int for c in ((x + y) ** 3).terms.values())
 
     def test_primitive_part(self):
-        p = Poly({(1,): Fraction(6), (0, 1): Fraction(-4), (): Fraction(2)})
+        p = Poly({pack((1,)): Fraction(6), pack((0, 1)): Fraction(-4), 0: Fraction(2)})
         content, prim = _int_primitive(p)
         assert content == 2 and prim == x.scale(3) - y.scale(2) + one
         assert all(type(c) is int for c in prim.terms.values())
-        content, prim = _int_primitive(Poly({(1,): Fraction(3), (): Fraction(1)}))
+        content, prim = _int_primitive(Poly({pack((1,)): Fraction(3), 0: Fraction(1)}))
         assert content == 1 and all(type(c) is int for c in prim.terms.values())
+
+    def test_products_and_sums(self):
+        half = Poly({pack((1,)): Fraction(1, 2), 0: 1})
+        for p in (
+            half * Poly({pack((1,)): 2}),
+            half * (x + one).scale(2),
+            half.mul_monomial(pack((0, 1)), 2),
+            half.scale(4),
+            half + x.scale(Fraction(1, 2)),
+            (x * x).scale(Fraction(1, 2)).diff(0),
+        ):
+            assert all(type(c) is int for c in p.terms.values()), p
+        assert half * Poly({pack((1,)): 2}) == x * x + x.scale(2)
+        assert half + x.scale(Fraction(1, 2)) == x + one
+
+
+class TestPackedKeys:
+    def test_pack_roundtrip(self):
+        for exps in [(), (1,), (0, 3), (2, 0, 0, 7), (EXPONENT_LIMIT,) * 5]:
+            assert unpack(pack(exps)) == exps
+        assert pack((1, 0, 0)) == pack((1,)) == 1
+        assert Poly.monomial((0, 2)) == y * y
+
+    def test_product_key_is_the_sum(self):
+        assert (x * y * y).terms == {pack((1, 2)): 1}
+        assert Poly.monomial((3, 1)).mul_monomial(pack((1, 0, 2))) == Poly.monomial((4, 1, 2))
+
+    def test_divisibility_near_the_limit(self):
+        top = Poly.monomial((EXPONENT_LIMIT, 1))
+        assert div_exact(top, Poly.monomial((EXPONENT_LIMIT,))) == y
+        assert div_exact(top, Poly.monomial((0, 2))) is None
+        # a borrow out of x's field must not look like a multiple
+        assert div_exact(Poly.monomial((0, 1)), x) is None
+        assert div_exact(Poly.monomial((0, 1)) + one, x + one) is None
+
+    def test_exponent_limit(self):
+        near = x**EXPONENT_LIMIT
+        assert near.degree_in(0) == EXPONENT_LIMIT
+        for make in (
+            lambda: near * x,
+            lambda: Poly.monomial((20000,)) ** 2,
+            lambda: near.mul_monomial(pack((1,))),
+            lambda: Poly.monomial((EXPONENT_LIMIT + 1,)),
+            lambda: Poly.monomial((0, 1 << 16)),
+        ):
+            with pytest.raises(ExponentLimitError, match=str(EXPONENT_LIMIT)):
+                make()
 
 
 class TestDivision:

@@ -26,7 +26,7 @@ SYMS = sympy.symbols("s0:3")
 def to_sympy(p: Poly):
     """The same polynomial, over the integers when its coefficients are."""
     total = sympy.Integer(0)
-    for exps, c in p.terms.items():
+    for exps, c in p.sorted_terms():
         term = sympy.Rational(c.numerator, c.denominator)
         for sym, e in zip(SYMS, exps):
             term *= sym**e
@@ -70,9 +70,9 @@ class TestAgainstSympy:
     @settings(max_examples=30, deadline=None)
     def test_div_exact(self, a, b, c, m):
         """Any divisor, and a multi-term one (the heap division) also with
-        its terms in ascending order, so that its leading term is the last
-        key; the dividends include multiples plus a remainder."""
-        ascending = Poly(dict(reversed(m.sorted_terms())))
+        its terms in ascending key order, so that its leading term is the
+        last key; the dividends include multiples plus a remainder."""
+        ascending = Poly(dict(sorted(m.terms.items())))
         for divisor in (b, m, ascending):
             if divisor.is_zero():
                 continue
