@@ -26,10 +26,12 @@ the factorizations are derived data, outside equality and hashing.
 from __future__ import annotations
 
 import enum
+import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
     FactorBase,
@@ -56,6 +58,10 @@ class UnknownIdentifierError(ExprError):
 
 class DomainError(ExprError):
     """Numeric evaluation hit a zero denominator or an invalid radicand."""
+
+
+class SamplingExhausted(Exception):
+    """Domain constraints rejected too many candidate points."""
 
 
 class ZeroStatus(enum.Enum):
@@ -508,53 +514,51 @@ class Expr:
         tol: float = 1e-9,
         retry_cap: int = 100,
     ) -> ZeroStatus:
-        """Decide zero-ness: canonical zero is authoritative, numeric
-        sampling is advisory only and always reported with a warning."""
+        """Decide zero-ness.
+
+        A numerator with no radical atom (denominators never hold one) is
+        decided by the canonical form: equal rational functions have the
+        same coprime form.  Only atoms can hide a relation such as
+        ``sqrt(y1)*sqrt(y2) = sqrt(y1*y2)``, so a radical expression is
+        evaluated in floats at up to ``points`` points of ``draw_points``,
+        skipping points where it is undefined: ``NON_ZERO`` at the first
+        point where ``|value| > tol * max(1, max |term| / |den|)``, else
+        ``NUMERICALLY_ZERO`` with a warning.  If no point could be drawn
+        or evaluated, it is ``NON_ZERO`` with a warning.
+        """
         if self.num.is_zero():
             return ZeroStatus.ZERO
-        import random
-
-        rng = random.Random(seed)
-        checked = 0
-        attempts = 0
-        all_small = True
-        while checked < points:
-            attempts += 1
-            if attempts > retry_cap * points:
-                warnings.warn(
-                    "is_zero: sampling retry cap exhausted; reporting NonZero",
-                    stacklevel=2,
-                )
-                return ZeroStatus.NON_ZERO
-            p = NumericPoint(
-                x=tuple(rng.uniform(*box) for _ in range(self.ctx.dim)),
-                y=tuple(rng.uniform(*box) for _ in range(self.ctx.dim)),
-            )
-            if not _point_ok(p, constraints):
-                continue
-            checked += 1
-            try:
-                coords = _point_coord_values(self.ctx, p)
+        ctx = self.ctx
+        if not ctx.has_atoms(self.num):
+            return ZeroStatus.NON_ZERO
+        evaluated = 0
+        try:
+            for p in islice(draw_points(ctx.dim, constraints, seed, box, retry_cap), points):
+                coords = [*p.x, *p.y]
                 den_val = self.den.eval(coords)
                 if den_val == 0:
-                    raise DomainError("zero denominator")
-                num_val, max_term = _eval_poly_with_atoms(self.ctx, self.num, coords)
-                value = float(num_val) / float(den_val)
-                scale = max(1.0, max_term / abs(float(den_val)))
-            except DomainError:
-                checked -= 1
-                continue
-            if abs(value) > tol * scale:
-                all_small = False
-                break
-        if all_small:
+                    continue
+                try:
+                    num_val, max_term = _eval_poly_with_atoms(ctx, self.num, coords)
+                except DomainError:
+                    continue
+                if abs(num_val / den_val) > tol * max(1.0, max_term / abs(den_val)):
+                    return ZeroStatus.NON_ZERO
+                evaluated += 1
+        except SamplingExhausted:
+            evaluated = 0
+        if not evaluated:
             warnings.warn(
-                "is_zero: expression is numerically zero at all sampled points "
-                "but not canonically zero",
+                "is_zero: sampling retry cap exhausted; reporting NonZero",
                 stacklevel=2,
             )
-            return ZeroStatus.NUMERICALLY_ZERO
-        return ZeroStatus.NON_ZERO
+            return ZeroStatus.NON_ZERO
+        warnings.warn(
+            "is_zero: expression is numerically zero at all sampled points "
+            "but not canonically zero",
+            stacklevel=2,
+        )
+        return ZeroStatus.NUMERICALLY_ZERO
 
     # -- reporting -------------------------------------------------------------
 
@@ -584,6 +588,34 @@ def eval_at(e: Expr, point) -> float:
 
 def is_zero(e: Expr, **kwargs) -> ZeroStatus:
     return e.is_zero(**kwargs)
+
+
+def draw_points(
+    dim: int,
+    constraints: Iterable,
+    seed: int,
+    box: tuple[float, float] = (1.0, 2.0),
+    retry_cap: int = 100,
+) -> Iterator[NumericPoint]:
+    """Uniform draws from the box, rejection-sampled against the domain
+    constraints, lazily and deterministically for a given seed; raises
+    ``SamplingExhausted`` after ``retry_cap`` rejections in a row."""
+    constraints = tuple(constraints)
+    rng = random.Random(seed)
+    while True:
+        for _attempt in range(retry_cap):
+            p = NumericPoint(
+                x=tuple(rng.uniform(*box) for _ in range(dim)),
+                y=tuple(rng.uniform(*box) for _ in range(dim)),
+            )
+            if all(c.holds_at(p) for c in constraints):
+                yield p
+                break
+        else:
+            raise SamplingExhausted(
+                f"could not draw a valid point in {retry_cap} attempts "
+                f"(box {box}, {len(constraints)} constraints)"
+            )
 
 
 # -- internals -------------------------------------------------------------------
@@ -814,13 +846,6 @@ def _eval_poly_with_atoms(ctx: Context, p: Poly, coords: list):
     if has_float:
         return float(exact) + approx, max_term
     return exact, max_term
-
-
-def _point_ok(p: NumericPoint, constraints: Iterable) -> bool:
-    for c in constraints:
-        if not c.holds_at(p):
-            return False
-    return True
 
 
 def _poly_nodes(p: Poly) -> int:

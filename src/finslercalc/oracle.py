@@ -16,22 +16,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import add, mul, sub
 
-from .expr import DomainError, NumericPoint
+from .expr import DomainError, NumericPoint, SamplingExhausted, draw_points
 from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
 from . import registry
 
 # The deepest chain in the registry takes five derivatives of F**2: the
 # delta-derivative of G^i_jk (for R:berwald) and hcov of a torsion.
 JET_ORDER = 5
-
-
-class SamplingExhausted(Exception):
-    """Domain constraints rejected too many candidate points."""
 
 
 class SingularMetricAt(Exception):
@@ -593,25 +588,10 @@ def sample_points(
     box: tuple[float, float] = (1.0, 2.0),
     retry_cap: int = 100,
 ) -> list[NumericPoint]:
-    """Uniform draws from the box, rejection-sampled against the domain
-    constraints; deterministic for a given seed."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n_points):
-        for _attempt in range(retry_cap):
-            p = NumericPoint(
-                x=tuple(rng.uniform(*box) for _ in range(structure.dim)),
-                y=tuple(rng.uniform(*box) for _ in range(structure.dim)),
-            )
-            if structure.point_ok(p):
-                out.append(p)
-                break
-        else:
-            raise SamplingExhausted(
-                f"could not draw a valid point in {retry_cap} attempts "
-                f"(box {box}, {len(structure.constraints)} constraints)"
-            )
-    return out
+    """The first ``n_points`` points of ``expr.draw_points`` for the
+    structure's constraints; deterministic for a given seed."""
+    draws = draw_points(structure.dim, structure.constraints, seed, box, retry_cap)
+    return list(itertools.islice(draws, n_points))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb
+from math import comb, lcm
 
 from .expr import Context, Expr, ExprError
 from .poly import EXPONENT_LIMIT, Poly, unpack
@@ -299,7 +299,7 @@ def _sym_text(ctx: Context, sym: int) -> str:
     return f"({inner})^(1/{atom.q})"
 
 
-def _monomial_text(ctx: Context, exps: tuple[int, ...], coeff: Fraction) -> str:
+def _monomial_text(ctx: Context, exps: tuple[int, ...], mag: Fraction) -> str:
     factors = []
     for i, e in enumerate(exps):
         if not e:
@@ -312,7 +312,6 @@ def _monomial_text(ctx: Context, exps: tuple[int, ...], coeff: Fraction) -> str:
             factors.append(f"({base})^{e}")
         else:
             factors.append(f"{base}^{e}")
-    mag = abs(coeff)
     if not factors:
         return str(mag)
     if mag != 1:
@@ -320,17 +319,28 @@ def _monomial_text(ctx: Context, exps: tuple[int, ...], coeff: Fraction) -> str:
     return "*".join(factors)
 
 
-def _poly_text(ctx: Context, p: Poly) -> str:
+def _poly_form(ctx: Context, p: Poly, monomial) -> str:
+    """Terms in printing order, joined with signs; ``monomial`` prints
+    one term from its exponents and the magnitude of its coefficient."""
     if p.is_zero():
         return "0"
     parts = []
     for exps, coeff in p.sorted_terms():
-        text = _monomial_text(ctx, exps, coeff)
+        text = monomial(ctx, exps, abs(coeff))
         if not parts:
             parts.append(("-" if coeff < 0 else "") + text)
         else:
             parts.append(("- " if coeff < 0 else "+ ") + text)
     return " ".join(parts)
+
+
+def _cleared(e: Expr) -> tuple[Poly, Poly]:
+    """Numerator and denominator, both scaled by the lcm of the
+    numerator's coefficient denominators."""
+    scale = lcm(*(c.denominator for c in e.num.terms.values()))
+    if scale == 1:
+        return e.num, e.den
+    return e.num.scale(scale), e.den.scale(scale)
 
 
 def _den_needs_parens(p: Poly) -> bool:
@@ -345,28 +355,16 @@ def _den_needs_parens(p: Poly) -> bool:
 def to_text(e: Expr) -> str:
     """Canonical text form; parses back to the same expression."""
     ctx = e.ctx
-    num, den = e.num, e.den
-    scale = 1
-    for c in num.terms.values():
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    if scale != 1:
-        num = num.scale(scale)
-        den = den.scale(scale)
-    num_text = _poly_text(ctx, num)
+    num, den = _cleared(e)
+    num_text = _poly_form(ctx, num, _monomial_text)
     if den.is_const() and den.const_value() == 1:
         return num_text
     if len(num.terms) > 1:
         num_text = f"({num_text})"
-    den_text = _poly_text(ctx, den)
+    den_text = _poly_form(ctx, den, _monomial_text)
     if _den_needs_parens(den):
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- LaTeX -------------------------------------------------------------------
@@ -402,30 +400,11 @@ def _monomial_latex(ctx: Context, exps: tuple[int, ...], mag: Fraction) -> str:
     return body
 
 
-def _poly_latex(ctx: Context, p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for exps, coeff in p.sorted_terms():
-        text = _monomial_latex(ctx, exps, abs(coeff))
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + text)
-        else:
-            parts.append(("- " if coeff < 0 else "+ ") + text)
-    return " ".join(parts)
-
-
 def to_latex(e: Expr) -> str:
     ctx = e.ctx
-    num, den = e.num, e.den
-    scale = 1
-    for c in num.terms.values():
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    if scale != 1:
-        num = num.scale(scale)
-        den = den.scale(scale)
+    num, den = _cleared(e)
     if den.is_const() and den.const_value() == 1:
-        return _poly_latex(ctx, num)
+        return _poly_form(ctx, num, _monomial_latex)
     # single-term numerators carry their sign outside the fraction
     sign = ""
     if len(num.terms) == 1:
@@ -433,4 +412,6 @@ def to_latex(e: Expr) -> str:
         if coeff < 0:
             sign = "-"
             num = num.scale(-1)
-    return rf"{sign}\frac{{{_poly_latex(ctx, num)}}}{{{_poly_latex(ctx, den)}}}"
+    num_latex = _poly_form(ctx, num, _monomial_latex)
+    den_latex = _poly_form(ctx, den, _monomial_latex)
+    return rf"{sign}\frac{{{num_latex}}}{{{den_latex}}}"

@@ -319,7 +319,11 @@ def nonzero_components(
 
     By default one representative per symmetry orbit is reported (the
     lexicographically least index); ``full_table`` lists every index.
-    Entries that are only numerically zero are kept and flagged.
+    Canonically zero entries are dropped.  Each other entry carries the
+    status of ``Expr.is_zero``: ``NON_ZERO`` for a rational expression,
+    decided by the canonical form, and for a radical expression sampled
+    at points that satisfy ``constraints``; a radical entry that is only
+    numerically zero is kept and flagged ``NUMERICALLY_ZERO``.
     """
     gens = _transpositions(t.symmetries)
     out = []
@@ -329,10 +333,6 @@ def nonzero_components(
             if min(orbit) != idx:
                 continue
         e = t[idx]
-        if e.is_zero_expr():
-            continue
-        status = e.is_zero(constraints=constraints, seed=seed)
-        if status is ZeroStatus.ZERO:  # pragma: no cover - canonical zero caught above
-            continue
-        out.append(ComponentEntry(idx, e, status))
+        if not e.is_zero_expr():
+            out.append(ComponentEntry(idx, e, e.is_zero(constraints=constraints, seed=seed)))
     return out

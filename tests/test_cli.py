@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from finslercalc.cli import build_config, main, run
 
 WORKED = [
@@ -77,6 +79,33 @@ class TestRuns:
         _, reduced = run_cli(WORKED + ["--objects", "g"])
         _, full = run_cli(WORKED + ["--objects", "g", "--full-table"])
         assert full.count("=") == reduced.count("=") + 1
+
+    def test_small_coefficients_not_flagged(self):
+        # rational components are nonzero by their canonical form, however
+        # small their values on the sampling box
+        status, out = run_cli([
+            "--dim", "2", "--coords", "x1,x2", "--fibers", "y1,y2",
+            "--metric-function", "y1^2 + y2^2 + x1*y1^3/(10000000000*y2)",
+            "--constraints", "y2!=0",
+            "--objects", "C,Gspray",
+        ])
+        assert status == 0
+        assert "C_{x1 x1 x1} = 3*x1/(20000000000*y2)" in out
+        assert "(numerically zero)" not in out
+
+    def test_radical_without_drawable_point(self):
+        # zero tests on radical components cannot draw a point; the table
+        # is still printed and, without --check, the run succeeds
+        with pytest.warns(UserWarning, match="retry cap exhausted"):
+            status, out = run_cli([
+                "--dim", "2", "--coords", "x1,x2", "--fibers", "y1,y2",
+                "--given-f", "(y1^4+y2^4)^(1/4)",
+                "--constraints", "x1>3",
+                "--objects", "g",
+            ])
+        assert status == 0
+        assert out.count("g_{") == 3
+        assert "(numerically zero)" not in out
 
 
 class TestFormats:

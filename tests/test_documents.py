@@ -1,8 +1,10 @@
 """Pinned documents: the sha256 of the ``--format json`` document of every
-base object id on four standard structures.  The digests were taken before
-``Poly`` switched to packed exponent keys; a change to the polynomial
-layer that is meant to leave the canonical form alone must leave them
-unchanged."""
+base object id on four standard structures, and of the ``--format text``
+and ``--format latex`` documents on worked-3d and berwald-4d.  The JSON
+digests were taken before ``Poly`` switched to packed exponent keys, the
+text and LaTeX digests before the two printers shared their term joining;
+a change meant to leave the canonical form and its printing alone must
+leave them unchanged."""
 
 import hashlib
 
@@ -123,13 +125,144 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", list(DIGESTS))
-def test_json_documents_unchanged(name):
+TEXT_DIGESTS = {
+    "worked-3d": {
+        "g": "90d05f38d9b9188528e8e9c19e649e277c827414429b5a3deb5d50ad99de2c4e",
+        "ginv": "6aad58733c0859d19ec841e1ce573e92d2c399716450e5293714beca1c0133b2",
+        "l": "f25f0203b4c151bba31703f2ba103e955c51c7d02636475d829d3622aa48d567",
+        "lup": "da1791a3ba207e0e8a7b376b4ed4e925a6a801e63289e22954697ffff0b846da",
+        "h": "46ce474a238032328c1042c1793e1373340961dd938cdf174c1fb516b2ff3763",
+        "C": "f87677129fbd0eb02535d4c04b65eb8dcab97fbf0b47f139c3e284cc74218aa1",
+        "Cmixed": "40ddaf0507a2b83a1f14fdbbabb8e665be81aed184f4456a532be7b310bab2ce",
+        "gamma": "1976dbb63f8b22870696ee41c5d88af1e10b15a6e4c861c08f372826e73c5567",
+        "Gspray": "2fa754f27a050145bcf6facff0ea126982d9ccefefdd8ec66051380f8df10174",
+        "N": "46c78fa2b5515e54a562d3191cc5bf2196d93f3c38688734eb943e3a2c86f664",
+        "Gberwald": "19ec4e444a84ed64d3d4f07519848911915e55872818b10b21ad2927bc49e748",
+        "Gamma": "53b27647deb6cdd9267b84b7ad36b9b216d8612f77fddedf8ec6171e57c7f694",
+        "Rtorsion": "d26233e67bffd93876deee54f16a215363b2e0049f5981ee75dc723ec5ddbe36",
+        "Ptorsion": "3cbb08060f0ce7238604e4984290ebe4f1dae81c68c4a3fc2cd0db71ca651481",
+        "R:cartan": "6716cbee40635a574134fcfa3a2b1f1534026ab386890a25ee33fab1f4d878ce",
+        "R:berwald": "65fff64482b75144bfffcc30acc596c5cdabba687680ccbae17a06a9a6aa5287",
+        "R:chern": "8fae79e53b11d4226c81827b7bc46d8a5d8dae5ca3e5e1922fecd722ab476108",
+        "R:hashiguchi": "3d6a0bf5a70f9b7020eaee9ee14319b8d4a50dc1583ec892c4b259c129428c54",
+        "P:cartan": "5a11f8517160184e32f0c7c62293f25d7af518ecb985827096f091f23e2131bf",
+        "P:berwald": "a181dea6239947f2be29ed19fd2e556ee900ead0b6e5224d0fb2b037b8584c07",
+        "P:chern": "ab0dd467c460bf91f13780f7c664c0beb5e1ea651729daffac30fa0a735c632c",
+        "P:hashiguchi": "35fa92f885734fe30657276f8981d2650bf65e113949b6dd14e21fe86cd60057",
+        "S:cartan": "e5ff2aa20e17a93911f547766f7691e711b2682a7dbf4d99743d2d35e2d15f69",
+        "S:hashiguchi": "b22201685c3c220191ef5ae064a251bdd5d67f6d9064d0d19dcb1002612561d0",
+        "classify": "75bf9ed998eba7871416a79fc792bf85aaf6bcfc0023ad25e41e04ad981ff630",
+    },
+    "berwald-4d": {
+        "g": "09a05dd4a0959ae88e22041ddb8e8eff3b635d68f0ad71dc00f15a0d9f1ce393",
+        "ginv": "300b7fe1d7bb1199d17d68a3182e6db6458377f784b27d1770ccb6e335fd4edd",
+        "l": "97bc9f691eb159dc63657a84fd6dee0bb378a92559593f153f133d4b15277956",
+        "lup": "9adb489d5fc169786a9cdb561fd779e52d2c957e2eabd2007a9d8bd5d78d799d",
+        "h": "b3e043b12498511631774f3c76bfef8c08c3a2757ba974acb1669d5106ef9439",
+        "C": "f2773f3b56a7776b1f50992a04664a3f15ea876ab8a8a136d7d291422e2ce1f1",
+        "Cmixed": "40188cd1534d0d0d90152031bb89273a8c8995b583c465c83853b8926abe8b57",
+        "gamma": "2e70f5b6cab14ba51bb22921ec05338f20be3b6656776d64f0cbeb6f0cfeb356",
+        "Gspray": "d37a532fce84b99961258a54bebd4f085aa8cc03a9e77cd015112eab7d7073aa",
+        "N": "24a7095faf689d8d8a38eaf4a6feb789be69c56eeab573811d71d27819f068ad",
+        "Gberwald": "a94f0adbd2e7a04b0b0328fff0c99c03cd6e90810bbc16aad75c6c209243b23c",
+        "Gamma": "742aa05e3faf784b2b0a96c8dbe7d8eb16f731a23d757001bdfaca4b5da2e9c8",
+        "Rtorsion": "a01743ef0da0268195f94b66196a6ae69a3929f48c62303e40ca099d0bdc9b92",
+        "Ptorsion": "56fd4930bb75c1cdf33bdcfee3502fc4cc993aa93a9e25b68b8f64db77c5ca48",
+        "R:cartan": "8443b17db1b151f07f5759ee6c0c745c0b140f241d5c5bc279847353bb5b815c",
+        "R:berwald": "a7cb80096362e10629ddb7c074b77ab8d624c8ddb8f4ffbe3fa957dc79f10716",
+        "R:chern": "f447db222787fe8fe8a7caceb545ba8cc137c2e80a8de8ecb62b67b2666b9fed",
+        "R:hashiguchi": "0f48fd22bd2a5be7204da6cfb815934c35dc1f0467a64412197cf6d953dbb7a7",
+        "P:cartan": "198572278aab3b95dfea5b5045a0033a48d91702e2713f5f30573b699fed5d1f",
+        "P:berwald": "81114068405854e5bd62a6688b3d05ead42910c06b628beff7f9b63cef010cfd",
+        "P:chern": "2e57d504dd758fde162f20eb410f9b886fd7153318701e4d5b418e0a20bbc0f3",
+        "P:hashiguchi": "23896a0a7d73d3c113dba78e65342d25a5d899ab2a6360a0cb2186a85e84bfff",
+        "S:cartan": "b25e57690f81bf13f392fdb0c7e73823d21a720f092600831d471d64840b86bd",
+        "S:hashiguchi": "42a4aefeaa34725e58a18a88e3993fc2d4c991205efe62ae3baf367ba2a4b0fd",
+        "classify": "cf8e21a62dfc3da5a30caad7ceeabadce2009b56b5177cb8efe32b0f93896fa4",
+    },
+}
+
+
+LATEX_DIGESTS = {
+    "worked-3d": {
+        "g": "2dabe3ba24978eb64a83441edbd90ab18f9fb36f9017f1a0289edfdf8a08f5ad",
+        "ginv": "774dd492d3c8fa65d8580b2d381a8a2356ee32d0faa49d237838f327c4258cd7",
+        "l": "c152ae86400fd1ac7587aa0be7806efb74095472a000ac896cd0dc57281c0b83",
+        "lup": "96b89fc6799edbd8a2ea1b4814b95dc2f8225323f4a254fff0dbf1ad41ccc7fd",
+        "h": "b08ce93ea4d7253580aa2960c87fe60bec0960d735b4327e6d20bf12b56cfd38",
+        "C": "78f06e1de2b06970283471c3ea491f3e8b1a9bc57183afd9009c49c03969d44b",
+        "Cmixed": "eb045d9f3e647d366c3ab2da8e2b3cc6288c67eb6061813209a59be933efca73",
+        "gamma": "ff4943410fb9448d9f2606b141f7a798ee4868128c3c597d5ee5d928e5eb3657",
+        "Gspray": "24b236ca557eba18a9b567393b46f09b6914e2317aac7f383b7b07e58bb0c131",
+        "N": "9ee8a713b697b625bb175a4d1119a2d4764f1a44c64e669525a2eeb4c4c0728d",
+        "Gberwald": "73f5ea2d1f53d20557f2c0ff1cb7f03af77026bd58026ee24c0e2edc4e6e97fa",
+        "Gamma": "528246e2dfc1b7b6a7cce15d690c800ce6990d4ec4e0acabda5994295ef49d2f",
+        "Rtorsion": "54273874767767dd583b8e8bf3cd25ea2d884242f8a512afcf91a1aca96a7acd",
+        "Ptorsion": "8896c959b3f624baf79716eb24f9f2af50819f764e7bc5e7e30d0bf090da3262",
+        "R:cartan": "048dfcb12e9926ec58a5db95d3f3030fe288e9f0677769dfc3fbd6c0ca4fcba7",
+        "R:berwald": "921b5204f48ee8361ef4421263fd50311828dc5f19b02aa2e75ae66246cc1ce8",
+        "R:chern": "9db1c36c16e6290210203a429e5075794a4ea2878a4fa98cf25ceebb2d7a74c3",
+        "R:hashiguchi": "23d40c83806c76f3b600fbc16cbaba3bcb9e1fa1b7f62b1682f2443083df6525",
+        "P:cartan": "c8c257fdd7d8d53827743e35a48e37c345b45dd3b6e8dabcaa5c2fc5ed37dca9",
+        "P:berwald": "fc9942374909dbf4f9e9f8900050a773976ba226b1b5efc96ec7f9d5b8fee2e8",
+        "P:chern": "94c2c6defc275425c0dd2eced42c1e96a10d7a1acb53063d5178b854ac78f797",
+        "P:hashiguchi": "4d0515e978ec7d6f428633b56c88e75d5f1e1bc1e888894464c69c07d2d73647",
+        "S:cartan": "e5ff2aa20e17a93911f547766f7691e711b2682a7dbf4d99743d2d35e2d15f69",
+        "S:hashiguchi": "b22201685c3c220191ef5ae064a251bdd5d67f6d9064d0d19dcb1002612561d0",
+        "classify": "72dc77b777bf59cda5ea781e5ba99693584d45c0a12a6113c13e7285a87a3da1",
+    },
+    "berwald-4d": {
+        "g": "5a01c0a70ebcdfd52c741de58eaf702e298b3013cf296e06bc2169853d861469",
+        "ginv": "cc418fd58ba3c8145b40911af63744eac0c86e9d8385fca25d599137f2b3303c",
+        "l": "6bea3afdffa00245aac5a5bdfd64dab3cb1e90ecc79e9a96a129f1f3008d4fcd",
+        "lup": "7700f9a64b48422f4c4cd9cc8de2ec94f050292600f99c9a25b9572fe21432f5",
+        "h": "ee1de6190bdc143beef430807388e7eae10fe7b5d6e6da2acb3bab9b767acbaa",
+        "C": "95a8a3be5032d49e169650583d76c6a40dc662e783860d1dd8150043a964f7be",
+        "Cmixed": "0bcc965c62b4c178f3b20e39445a1b18299ea72b4d132a797c5108aaaabe620c",
+        "gamma": "c47f1d2842735be22006dff69a04592852ebc5782500222dbce5867b8f2d9d79",
+        "Gspray": "6cf463786975cc6394f1145cd21ae98a97f64d9484c1856a7406a0d9dd028219",
+        "N": "6dd019c5be4e2df6bd79fae483f89accff723b88b8be84ff3841ff00b3549c1a",
+        "Gberwald": "741c3a9bb4db31918fa9463d95979316292d45b84fac987ebb08508192a662c8",
+        "Gamma": "0637ee18ae79d38723f6d6257ba2c74fd0ea940761b54c167d34da6edb9da5f5",
+        "Rtorsion": "e4c92ebd1a46ec0163cec39ddfbc3f29131f489c29ad4dc560fc7299e68e80a1",
+        "Ptorsion": "56fd4930bb75c1cdf33bdcfee3502fc4cc993aa93a9e25b68b8f64db77c5ca48",
+        "R:cartan": "bb95959bd4e5dcf6d216d321cebf16323fe1335c0ce8a220d0ad890566757436",
+        "R:berwald": "64b2f81894ad9f0a898c2c60dc0f068392dbc6dc4ac6ee1f5138faf1c2bd3f02",
+        "R:chern": "67b0cd1599ed631e6f01d98890d7259b99a6e503c9dee553b503307efaa03487",
+        "R:hashiguchi": "cd880145b877585d2dc6102164d94c62ab80cdc7339351cd9293f100f3c8efb4",
+        "P:cartan": "198572278aab3b95dfea5b5045a0033a48d91702e2713f5f30573b699fed5d1f",
+        "P:berwald": "81114068405854e5bd62a6688b3d05ead42910c06b628beff7f9b63cef010cfd",
+        "P:chern": "2e57d504dd758fde162f20eb410f9b886fd7153318701e4d5b418e0a20bbc0f3",
+        "P:hashiguchi": "23896a0a7d73d3c113dba78e65342d25a5d899ab2a6360a0cb2186a85e84bfff",
+        "S:cartan": "1921e5b448c37416fc96819d9e459bff00ad229af26e28290dffb30397957ded",
+        "S:hashiguchi": "ed54d07705234d68d18aa07b88d5c51b174e8b7176161e7d923dd516c5a6f2c8",
+        "classify": "7111508759ca236706483b919378e625600dab2a57424c254e835eb84c3cb8fb",
+    },
+}
+
+
+def changed_documents(name, fmt, digests):
     geom = geometry_for(name)
-    assert list(DIGESTS[name]) == registry.base_object_ids()
+    assert list(digests) == registry.base_object_ids()
     changed = []
-    for object_id, digest in DIGESTS[name].items():
-        doc = cli.emit(registry.resolve(geom, object_id), "json", geom.structure, object_id)
+    for object_id, digest in digests.items():
+        doc = cli.emit(registry.resolve(geom, object_id), fmt, geom.structure, object_id)
         if hashlib.sha256(doc.encode()).hexdigest() != digest:
             changed.append(object_id)
+    return changed
+
+
+@pytest.mark.parametrize("name", list(DIGESTS))
+def test_json_documents_unchanged(name):
+    changed = changed_documents(name, "json", DIGESTS[name])
     assert not changed, f"documents changed on {name}: {changed}"
+
+
+PRINTED = {"text": TEXT_DIGESTS, "latex": LATEX_DIGESTS}
+
+
+@pytest.mark.parametrize("name", list(TEXT_DIGESTS))
+@pytest.mark.parametrize("fmt", list(PRINTED))
+def test_printed_documents_unchanged(fmt, name):
+    changed = changed_documents(name, fmt, PRINTED[fmt][name])
+    assert not changed, f"{fmt} documents changed on {name}: {changed}"

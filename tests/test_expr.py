@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslercalc import (
+    Constraint,
     Context,
     DomainError,
     NumericPoint,
@@ -242,6 +243,31 @@ class TestIsZero:
             status = e.is_zero(seed=5)
         assert status is ZeroStatus.NUMERICALLY_ZERO
         assert any("numerically zero" in str(w.message) for w in caught)
+
+    def test_rational_decided_without_sampling(self, ctx):
+        # a rational expression is nonzero by its canonical form, however
+        # small its values, and even where no point can be drawn
+        never = [Constraint.parse("x1 > 3", ctx)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            small = ctx.parse("y1/10000000000").is_zero()
+            undrawable = ctx.parse("y1 - y2").is_zero(constraints=never)
+        assert small is ZeroStatus.NON_ZERO
+        assert undrawable is ZeroStatus.NON_ZERO
+        assert not caught
+
+    def test_radical_with_no_drawable_point(self, ctx):
+        e = ctx.parse("sqrt(y1^2 + y2^2) - y3")
+        with pytest.warns(UserWarning, match="retry cap exhausted"):
+            status = e.is_zero(constraints=[Constraint.parse("x1 > 3", ctx)])
+        assert status is ZeroStatus.NON_ZERO
+
+    def test_radical_undefined_at_every_point(self, ctx):
+        # x1 - 3 < 0 on the sampling box, so no point evaluates
+        e = ctx.parse("sqrt(x1 - 3)*y1")
+        with pytest.warns(UserWarning, match="retry cap exhausted"):
+            status = e.is_zero()
+        assert status is ZeroStatus.NON_ZERO
 
 
 class TestSoundness:

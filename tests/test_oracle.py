@@ -189,6 +189,22 @@ class TestSampling:
         b = sample_points(worked3d.structure, 5, seed=9)
         assert a == b
 
+    def test_draws_pinned(self, worked3d):
+        assert sample_points(worked3d.structure, 3, seed=9) == [
+            NumericPoint(
+                x=(1.4630073578150213, 1.3733119313950422, 1.1385394125144552),
+                y=(1.8665618499863412, 1.0064350540811233, 1.5027820800522083),
+            ),
+            NumericPoint(
+                x=(1.8982979700319382, 1.0808146471830011, 1.5542704681782862),
+                y=(1.6166500426836183, 1.0408957654848114, 1.3790196043954357),
+            ),
+            NumericPoint(
+                x=(1.7034803922937471, 1.4520209204500256, 1.725065368582209),
+                y=(1.1571571615966258, 1.2380122024665328, 1.1109475279780145),
+            ),
+        ]
+
     def test_respects_constraints(self, worked3d):
         for p in sample_points(worked3d.structure, 10, seed=2):
             assert worked3d.structure.point_ok(p)
