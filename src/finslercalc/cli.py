@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Container
@@ -61,6 +62,12 @@ class CheckParams:
                 params.box = (float(lo), float(hi))
             else:
                 raise ValueError(f"unknown --check key {key!r}")
+        if params.points < 1:
+            raise ValueError(f"--check points must be at least 1, got {params.points}")
+        if not (math.isfinite(params.tol) and params.tol > 0):
+            raise ValueError(f"--check tol must be finite and positive, got {params.tol}")
+        if not all(map(math.isfinite, params.box)):
+            raise ValueError(f"--check box bounds must be finite, got {params.box}")
         return params
 
 

@@ -21,6 +21,9 @@ pairwise coprime polynomials, so the gcd of two denominators is exponent
 arithmetic and the gcd of a numerator with a denominator is a sequence of
 gcds against those factors.  Both return exactly what ``poly_gcd`` would;
 the factorizations are derived data, outside equality and hashing.
+
+Numeric evaluation has one path, for Fractions, floats and Taylor jets:
+``Poly.eval`` over ``Context.values_at``, whose atoms ``real_root`` takes.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class ZeroStatus(enum.Enum):
     ZERO = "zero"
     NON_ZERO = "nonzero"
     NUMERICALLY_ZERO = "numerically-zero"
+
+
+ZERO_TEST_POINTS = 8  # points ``Expr.is_zero`` samples at most
+ZERO_TEST_TOL = 1e-9  # its relative threshold for a nonzero value
+RETRY_CAP = 100  # rejections in a row before ``draw_points`` gives up
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,14 @@ class Context:
 
     def atom_at(self, sym: int) -> _Atom:
         return self._atoms[sym - 2 * self.dim]
+
+    def values_at(self, coords: Sequence) -> dict:
+        """Symbol values at a point, base then fiber ``coords`` (Fractions,
+        floats or jets); an atom is computed by ``real_root`` when first
+        read, so one undefined at the point raises only where it is used."""
+        if len(coords) != 2 * self.dim:
+            raise ValueError("point dimension mismatch")
+        return _SymbolValues(self, coords)
 
     # -- constructors ------------------------------------------------------
 
@@ -494,35 +510,25 @@ class Expr:
         return num_v / den_v
 
     def eval_at(self, point: "NumericPoint | Mapping[str, object]") -> float:
-        ctx = self.ctx
-        coords = _point_coord_values(ctx, point)
-        den_val = self.den.eval(coords)
+        """The value at a point, exact (coordinates as Fractions) up to the
+        radical atoms until the final conversion to float."""
+        values = self.ctx.values_at(_point_coord_values(self.ctx, point))
+        den_val = self.den.eval(values)
         if den_val == 0:
             raise DomainError("zero denominator at evaluation point")
-        num_val, _ = _eval_poly_with_atoms(ctx, self.num, coords)
-        if isinstance(num_val, Fraction) and isinstance(den_val, Fraction):
-            return float(num_val / den_val)
-        return float(num_val) / float(den_val)
+        return float(self.num.eval(values) / den_val)
 
-    def is_zero(
-        self,
-        *,
-        constraints: Iterable = (),
-        box: tuple[float, float] = (1.0, 2.0),
-        points: int = 8,
-        seed: int = 0,
-        tol: float = 1e-9,
-        retry_cap: int = 100,
-    ) -> ZeroStatus:
+    def is_zero(self, *, constraints: Iterable = (), seed: int = 0) -> ZeroStatus:
         """Decide zero-ness.
 
         A numerator with no radical atom (denominators never hold one) is
         decided by the canonical form: equal rational functions have the
         same coprime form.  Only atoms can hide a relation such as
         ``sqrt(y1)*sqrt(y2) = sqrt(y1*y2)``, so a radical expression is
-        evaluated in floats at up to ``points`` points of ``draw_points``,
-        skipping points where it is undefined: ``NON_ZERO`` at the first
-        point where ``|value| > tol * max(1, max |term| / |den|)``, else
+        evaluated in floats at up to ``ZERO_TEST_POINTS`` points of
+        ``draw_points``, skipping points where it is undefined:
+        ``NON_ZERO`` at the first point where
+        ``|value| > ZERO_TEST_TOL * max(1, max |term| / |den|)``, else
         ``NUMERICALLY_ZERO`` with a warning.  If no point could be drawn
         or evaluated, it is ``NON_ZERO`` with a warning.
         """
@@ -533,16 +539,17 @@ class Expr:
             return ZeroStatus.NON_ZERO
         evaluated = 0
         try:
-            for p in islice(draw_points(ctx.dim, constraints, seed, box, retry_cap), points):
-                coords = [*p.x, *p.y]
-                den_val = self.den.eval(coords)
+            for p in islice(draw_points(ctx.dim, constraints, seed), ZERO_TEST_POINTS):
+                values = ctx.values_at([*p.x, *p.y])
+                den_val = self.den.eval(values)
                 if den_val == 0:
                     continue
                 try:
-                    num_val, max_term = _eval_poly_with_atoms(ctx, self.num, coords)
+                    terms = [float(t) for t in self.num.eval_terms(values)]
                 except DomainError:
                     continue
-                if abs(num_val / den_val) > tol * max(1.0, max_term / abs(den_val)):
+                threshold = ZERO_TEST_TOL * max(1.0, max(map(abs, terms)) / abs(den_val))
+                if abs(sum(terms) / den_val) > threshold:
                     return ZeroStatus.NON_ZERO
                 evaluated += 1
         except SamplingExhausted:
@@ -595,15 +602,14 @@ def draw_points(
     constraints: Iterable,
     seed: int,
     box: tuple[float, float] = (1.0, 2.0),
-    retry_cap: int = 100,
 ) -> Iterator[NumericPoint]:
     """Uniform draws from the box, rejection-sampled against the domain
     constraints, lazily and deterministically for a given seed; raises
-    ``SamplingExhausted`` after ``retry_cap`` rejections in a row."""
+    ``SamplingExhausted`` after ``RETRY_CAP`` rejections in a row."""
     constraints = tuple(constraints)
     rng = random.Random(seed)
     while True:
-        for _attempt in range(retry_cap):
+        for _attempt in range(RETRY_CAP):
             p = NumericPoint(
                 x=tuple(rng.uniform(*box) for _ in range(dim)),
                 y=tuple(rng.uniform(*box) for _ in range(dim)),
@@ -613,12 +619,37 @@ def draw_points(
                 break
         else:
             raise SamplingExhausted(
-                f"could not draw a valid point in {retry_cap} attempts "
+                f"could not draw a valid point in {RETRY_CAP} attempts "
                 f"(box {box}, {len(constraints)} constraints)"
             )
 
 
+def real_root(v, q: int):
+    """The real q-th root of a float, a Fraction or a Taylor jet (a float
+    for a Fraction).  An odd root of a negative number takes its sign; an
+    even one raises ``DomainError``."""
+    if float(v) < 0:
+        if q % 2 == 0:
+            raise DomainError("negative radicand under an even root")
+        return -((-v) ** (1.0 / q))
+    return v ** (1.0 / q)
+
+
 # -- internals -------------------------------------------------------------------
+
+
+class _SymbolValues(dict):
+    """The table of ``Context.values_at``: coordinates, then atoms as read."""
+
+    def __init__(self, ctx: Context, coords: Sequence):
+        super().__init__(enumerate(coords))
+        self.ctx = ctx
+
+    def __missing__(self, sym: int):
+        atom = self.ctx.atom_at(sym)
+        radicand = atom.radicand.num.eval(self) / atom.radicand.den.eval(self)
+        value = self[sym] = real_root(radicand, atom.q)
+        return value
 
 
 def _is_one(p: Poly) -> bool:
@@ -777,75 +808,16 @@ def _point_coord_values(ctx: Context, point) -> list:
             raise ValueError("point dimension mismatch")
         raw = list(point.x) + list(point.y)
     elif isinstance(point, Mapping):
-        raw = []
-        for v in ctx.vars():
-            name = (
-                ctx.coord_names[v.index - 1] if v.kind == "x" else ctx.fiber_names[v.index - 1]
-            )
-            if name not in point:
-                raise ValueError(f"point is missing a value for {name}")
-            raw.append(point[name])
+        names = ctx.coord_names + ctx.fiber_names
+        missing = [name for name in names if name not in point]
+        if missing:
+            raise ValueError(f"point is missing a value for {missing[0]}")
+        raw = [point[name] for name in names]
     else:
         raise TypeError("expected NumericPoint or mapping of names to values")
     # floats convert exactly (binary expansion), keeping evaluation exact
     # up to the radical atoms
     return [Fraction(v) if isinstance(v, (int, float, Fraction)) else v for v in raw]
-
-
-def _atom_value(ctx: Context, sym: int, coords: list) -> float:
-    atom = ctx.atom_at(sym)
-    rad_num, _ = _eval_poly_with_atoms(ctx, atom.radicand.num, coords)
-    rad_den = atom.radicand.den.eval(coords)
-    if rad_den == 0:
-        raise DomainError("zero denominator inside radicand")
-    value = float(rad_num) / float(rad_den)
-    if value < 0:
-        if atom.q % 2 == 0:
-            raise DomainError("negative radicand under an even root")
-        return -((-value) ** (1.0 / atom.q))
-    return value ** (1.0 / atom.q)
-
-
-def _eval_poly_with_atoms(ctx: Context, p: Poly, coords: list):
-    """Evaluate keeping rational arithmetic exact until radicals force
-    floats; returns (value, max |term| as float)."""
-    atom_cache: dict[int, float] = {}
-    exact = Fraction(0)
-    approx = 0.0
-    has_float = False
-    max_term = 0.0
-    for key, coeff in p.terms.items():
-        frac_part = Fraction(coeff)
-        float_part = 1.0
-        term_has_float = False
-        for i, e in enumerate(unpack(key)):
-            if not e:
-                continue
-            if ctx.is_atom_sym(i):
-                val = atom_cache.get(i)
-                if val is None:
-                    val = _atom_value(ctx, i, coords)
-                    atom_cache[i] = val
-                float_part *= val**e
-                term_has_float = True
-            else:
-                v = coords[i]
-                if isinstance(v, Fraction):
-                    frac_part *= v**e
-                else:
-                    float_part *= float(v) ** e
-                    term_has_float = True
-        if term_has_float:
-            term_val = float(frac_part) * float_part
-            approx += term_val
-            has_float = True
-            max_term = max(max_term, abs(term_val))
-        else:
-            exact += frac_part
-            max_term = max(max_term, abs(float(frac_part)))
-    if has_float:
-        return float(exact) + approx, max_term
-    return exact, max_term
 
 
 def _poly_nodes(p: Poly) -> int:

@@ -177,7 +177,7 @@ class Geometry:
         euler = ctx.zero
         for i in range(1, self.dim + 1):
             euler = euler + ctx.fiber(i) * f2.diff(Var("y", i))
-        if not (euler - f2.scale(2)).is_zero_expr():
+        if euler != f2.scale(2):
             raise NotHomogeneous(
                 "F**2 is not positively homogeneous of degree 2 in the fiber variables"
             )

@@ -10,6 +10,9 @@ Christoffel symbols, spray, nonlinear connection, horizontal derivatives,
 connection coefficients and torsions.  Each derivative lowers a jet's
 order by one, and the order-0 parts give covariant derivatives and
 curvatures.  No symbolic derivative or simplification is involved.
+
+F**2 is evaluated on jets by the evaluator of ``expr`` (``Context.values_at``,
+``Poly.eval``, ``real_root``), for which ``Jet`` has ``__float__`` and ``__pow__``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import add, mul, sub
 
-from .expr import DomainError, NumericPoint, SamplingExhausted, draw_points
+from .expr import DomainError, NumericPoint, SamplingExhausted, draw_points, real_root
 from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
 from . import registry
 
@@ -177,25 +180,17 @@ class Jet:
         r = 1.0 / c
         return self.series([(-r) ** m * r for m in range(self.order + 1)])
 
+    def __pow__(self, a: float) -> "Jet":
+        """The binomial series of ``self ** a`` about a positive constant term."""
+        c = self.coeffs[0]
+        taylor = [c**a]  # binom(a, m) * c**(a - m)
+        for m in range(1, self.order + 1):
+            taylor.append(taylor[-1] * (a - (m - 1)) / (m * c))
+        return self.series(taylor)
 
-def _const(v) -> float:
-    return v.coeffs[0] if isinstance(v, Jet) else v
-
-
-def droot(v, q: int):
-    """Real q-th root of a float or a jet; an odd root of a negative
-    number takes its sign."""
-    c = _const(v)
-    if c < 0:
-        if q % 2 == 0:
-            raise DomainError("negative radicand under an even root")
-        return -droot(-v, q)
-    if not isinstance(v, Jet):
-        return v ** (1.0 / q)
-    taylor = [c ** (1.0 / q)]  # binom(1/q, m) * c**(1/q - m)
-    for m in range(1, v.order + 1):
-        taylor.append(taylor[-1] * (1.0 / q - (m - 1)) / (m * c))
-    return v.series(taylor)
+    def __float__(self) -> float:
+        """The constant term: the value at the expansion point."""
+        return self.coeffs[0]
 
 
 def mat_inv(m):
@@ -203,8 +198,8 @@ def mat_inv(m):
     n = len(m)
     a = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(_const(a[r][col])))
-        if abs(_const(a[pivot][col])) < 1e-12:
+        pivot = max(range(col, n), key=lambda r: abs(float(a[r][col])))
+        if abs(float(a[pivot][col])) < 1e-12:
             raise ZeroDivisionError("singular matrix")
         a[col], a[pivot] = a[pivot], a[col]
         inv = 1.0 / a[col][col]
@@ -230,7 +225,7 @@ def _map(fn, *trees):
 
 def _values(tree):
     """The order-0 parts of a nested list of jets, as floats."""
-    return _map(lambda v: float(_const(v)), tree)
+    return _map(float, tree)
 
 
 def _christoffel(ginv, dg, n):
@@ -293,7 +288,7 @@ class _PointJets:
 
     @cached_property
     def finsler(self):
-        return droot(self.f2.truncate(JET_ORDER - 2), 2)  # l, lup and h need no more than g
+        return real_root(self.f2.truncate(JET_ORDER - 2), 2)  # l, lup and h need no more than g
 
     @cached_property
     def l_down(self):
@@ -395,29 +390,9 @@ class NumericGeometry:
 
     # F**2 and expression evaluation -------------------------------------
 
-    def _atoms_needed(self, expr) -> list[int]:
-        ctx = self.ctx
-        needed: set[int] = set()
-        frontier = [expr.num, expr.den]
-        while frontier:
-            poly = frontier.pop()
-            for s in poly.symbols():
-                if ctx.is_atom_sym(s) and s not in needed:
-                    needed.add(s)
-                    rad = ctx.atom_at(s).radicand
-                    frontier.extend([rad.num, rad.den])
-        return sorted(needed)
-
-    def eval_expr(self, expr, values):
+    def eval_expr(self, expr, coords):
         """``expr`` at coordinate values (floats or jets), radicals included."""
-        ctx = self.ctx
-        width = 2 * self.n + len(ctx._atoms)
-        values = list(values) + [None] * (width - 2 * self.n)
-        for s in self._atoms_needed(expr):
-            atom = ctx.atom_at(s)
-            rad_num = atom.radicand.num.eval(values)
-            rad_den = atom.radicand.den.eval(values)
-            values[s] = droot(rad_num * (1.0 / rad_den), atom.q)
+        values = self.ctx.values_at(coords)
         return expr.num.eval(values) * (1.0 / expr.den.eval(values))
 
     def f2(self, coords) -> Jet:
@@ -586,11 +561,10 @@ def sample_points(
     n_points: int,
     seed: int,
     box: tuple[float, float] = (1.0, 2.0),
-    retry_cap: int = 100,
 ) -> list[NumericPoint]:
     """The first ``n_points`` points of ``expr.draw_points`` for the
     structure's constraints; deterministic for a given seed."""
-    draws = draw_points(structure.dim, structure.constraints, seed, box, retry_cap)
+    draws = draw_points(structure.dim, structure.constraints, seed, box)
     return list(itertools.islice(draws, n_points))
 
 
@@ -679,9 +653,7 @@ def verify_many(
         raise ValueError("need at least one sample point")
     points = sample_points(geom.structure, n_points, seed, box)
     numgeom = NumericGeometry(geom.structure)
-    coord_lists = [
-        [float(v) for v in p.x] + [float(v) for v in p.y] for p in points
-    ]
+    coord_lists = [[*p.x, *p.y] for p in points]
     out: dict[str, VerificationReport] = {}
     for object_id in object_ids:
         report = VerificationReport(object_id, seed, tol, points)

@@ -331,12 +331,23 @@ class Poly:
         })
 
     def eval(self, values) -> object:
-        """Evaluate with ``values[i]`` substituted for symbol i.
+        """The sum of ``eval_terms``.  The terms that stay exact (int or
+        Fraction) are summed apart and added last, so a float or jet value
+        of one symbol does not round the rational part."""
+        exact = inexact = None
+        for term in self.eval_terms(values):
+            if type(term) is int or type(term) is Fraction:
+                exact = term if exact is None else exact + term
+            else:
+                inexact = term if inexact is None else inexact + term
+        if inexact is None:
+            return 0 if exact is None else exact
+        return inexact if exact is None else inexact + exact
 
-        Values may be Fractions, floats, or any ring supporting * and +
-        (e.g. Taylor jets); powers are computed by repeated squaring and
-        cached per symbol.
-        """
+    def eval_terms(self, values) -> Iterator[object]:
+        """The value of each term, with ``values[i]`` (an int, Fraction,
+        float, or ring element such as a Taylor jet) for symbol i.  Only
+        the symbols that occur are read; powers are cached per symbol."""
         power_cache: dict[tuple[int, int], object] = {}
 
         def power(sym: int, e: int):
@@ -349,7 +360,6 @@ class Poly:
                 power_cache[(sym, e)] = got
             return got
 
-        total = None
         for key, c in self.terms.items():
             term: object = c
             sym = 0
@@ -359,8 +369,7 @@ class Poly:
                     term = term * power(sym, e)
                 key >>= _BITS
                 sym += 1
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+            yield term
 
     # -- structure helpers ----------------------------------------------
 

@@ -151,7 +151,7 @@ class Tensor:
     def equals(self, other: "Tensor") -> bool:
         if self.sig != other.sig or self.dim != other.dim:
             return False
-        return all((self._comp[i] - other._comp[i]).is_zero_expr() for i in self._comp)
+        return self._comp == other._comp  # canonical forms: equal iff identical
 
     def __repr__(self) -> str:
         kinds = "".join("u" if v is UP else "d" for v in self.sig)

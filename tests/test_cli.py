@@ -231,6 +231,22 @@ class TestValidation:
         assert status == 1
         assert capsys.readouterr().err.startswith("error: exponent beyond the limit 32767")
 
+    BAD_CHECKS = {
+        "points=0": "points must be at least 1, got 0",
+        "tol=nan": "tol must be finite and positive, got nan",
+        "tol=inf": "tol must be finite and positive, got inf",
+        "tol=0": "tol must be finite and positive, got 0.0",
+        "box=nan:1": "box bounds must be finite, got (nan, 1.0)",
+        "box=1:inf": "box bounds must be finite, got (1.0, inf)",
+    }
+
+    @pytest.mark.parametrize("check", BAD_CHECKS)
+    def test_bad_check_value_is_exit_1_before_any_document(self, check, capsys):
+        assert main(WORKED + ["--objects", "g", "--check", check]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --check {self.BAD_CHECKS[check]}\n"
+
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(
             WORKED + ["--objects", "g", "--check", "points=2,tol=1e-30,seed=1"]

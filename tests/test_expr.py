@@ -214,6 +214,11 @@ class TestEvalAt:
         with pytest.raises(DomainError):
             e.eval_at({"x1": -1, "x2": 1, "x3": 1, "y1": 1, "y2": 1, "y3": 1})
 
+    def test_atom_free_expression_ignores_undefined_atoms(self, ctx):
+        ctx.sqrt(ctx.parse("x1 - 3"))  # an atom of ctx, undefined where x1 < 3
+        e = ctx.parse("x1*y1 + 1")
+        assert e.eval_at({"x1": 1, "x2": 1, "x3": 1, "y1": 2, "y2": 1, "y3": 1}) == 3.0
+
     def test_exact_until_conversion(self, ctx):
         e = ctx.parse("(y1 + y2)^2 - y1^2 - 2*y1*y2 - y2^2 + 1/3")
         assert e.eval_at({"x1": 1, "x2": 1, "x3": 1, "y1": 0.1, "y2": 0.2, "y3": 1}) == (

@@ -16,8 +16,8 @@ from finslercalc import (
     verify_many,
 )
 from finslercalc import registry
-from finslercalc.expr import DomainError
-from finslercalc.oracle import Jet, NumericGeometry, droot, mat_inv
+from finslercalc.expr import DomainError, real_root
+from finslercalc.oracle import Jet, NumericGeometry, mat_inv
 
 
 def _jet_partials(jet):
@@ -97,7 +97,7 @@ class TestJets:
         x, y = self.variables()
         s = 3 + self.X + 2 * self.Y
         _assert_partials(
-            droot(3 + x + 2 * y, q),
+            real_root(3 + x + 2 * y, q),
             lambda a, b: 2**b * _falling(1 / q, a + b) * s ** (1 / q - a - b),
         )
 
@@ -106,17 +106,17 @@ class TestJets:
         x, y = self.variables()
         s = self.X + 2 * self.Y
         _assert_partials(
-            droot(x + 2 * y, 3),
+            real_root(x + 2 * y, 3),
             lambda a, b: -((-1) ** (a + b)) * 2**b * _falling(1 / 3, a + b) * (-s) ** (1 / 3 - a - b),
         )
-        assert droot(-8.0, 3) == pytest.approx(-2.0)
+        assert real_root(-8.0, 3) == pytest.approx(-2.0)
 
     def test_even_root_of_negative_raises(self):
         x, y = self.variables()
         with pytest.raises(DomainError):
-            droot(x + 2 * y, 2)
+            real_root(x + 2 * y, 2)
         with pytest.raises(DomainError):
-            droot(-4.0, 2)
+            real_root(-4.0, 2)
 
     def test_mat_inv(self):
         # [[1 + x, y], [y, 2 + x]]^-1 = [[2 + x, -y], [-y, 1 + x]] / det
@@ -157,6 +157,41 @@ class TestJets:
         assert (low * x).order == (x * low).order == 3
         assert (low + x).order == 3
         assert (Fraction(1, 2) * x + Fraction(3)).coeffs[:3] == [3.35, 0.5, 0.0]
+
+
+class TestSharedEvaluation:
+    """``NumericGeometry.eval_expr`` and ``Expr.eval_at`` read radical atoms
+    through one table of symbol values (``Context.values_at``)."""
+
+    COORDS = [1.25, 1.5, 1.75, 1.125]
+
+    @pytest.fixture
+    def numgeom(self):
+        return NumericGeometry(FinslerStructure(2, ["x1", "x2"], ["y1", "y2"], "y1^2 + y2^2"))
+
+    def point(self):
+        return dict(zip(["x1", "x2", "y1", "y2"], self.COORDS))
+
+    @pytest.mark.parametrize("text", [
+        "x1*sqrt(y1^2 + x2*sqrt(x1*y2^3))/(1 + y2)",  # nested radicals
+        "(x1*y2 - 2*y1^2)^(1/3) + y2",  # odd root of a negative radicand
+    ])
+    def test_float_coordinates_match_eval_at(self, numgeom, text):
+        e = numgeom.ctx.parse(text)
+        want = e.eval_at(self.point())
+        assert abs(numgeom.eval_expr(e, self.COORDS) - want) <= 1e-15 * abs(want)
+
+    def test_odd_root_case_has_a_negative_radicand(self, numgeom):
+        e = numgeom.ctx.parse("(x1*y2 - 2*y1^2)^(1/3)")
+        (sym,) = e.num.symbols()
+        assert numgeom.ctx.atom_at(sym).radicand.eval_at(self.point()) < 0
+
+    def test_even_root_of_negative_radicand_raises_on_both_paths(self, numgeom):
+        e = numgeom.ctx.parse("y2*sqrt(x1 - 3*y1)")
+        with pytest.raises(DomainError):
+            e.eval_at(self.point())
+        with pytest.raises(DomainError):
+            numgeom.eval_expr(e, self.COORDS)
 
 
 class TestJetSelfTest:
