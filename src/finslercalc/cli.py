@@ -17,7 +17,7 @@ from collections.abc import Container
 from dataclasses import dataclass, field
 
 from . import registry
-from .expr import ExprError
+from .expr import DomainError, ExprError, ZeroStatus
 from .geometry import (
     Classification,
     DegenerateMetric,
@@ -30,7 +30,11 @@ from .oracle import SamplingExhausted, verify_many
 from .parsing import to_latex
 from .poly import ExponentLimitError
 from .tensor import Tensor, nonzero_components
-from .expr import ZeroStatus
+
+
+# --check keeps every point's jet tables until it reports; on the standard
+# structures a point costs up to a few tenths of a second and a few MB
+MAX_CHECK_POINTS = 100
 
 
 @dataclass
@@ -64,6 +68,10 @@ class CheckParams:
                 raise ValueError(f"unknown --check key {key!r}")
         if params.points < 1:
             raise ValueError(f"--check points must be at least 1, got {params.points}")
+        if params.points > MAX_CHECK_POINTS:
+            raise ValueError(
+                f"--check points must be at most {MAX_CHECK_POINTS}, got {params.points}"
+            )
         if not (math.isfinite(params.tol) and params.tol > 0):
             raise ValueError(f"--check tol must be finite and positive, got {params.tol}")
         if not all(map(math.isfinite, params.box)):
@@ -302,7 +310,7 @@ def run(config: RunConfig, out=None) -> int:
             seed=config.check.seed,
             box=config.check.box,
         )
-    except SamplingExhausted as exc:
+    except (SamplingExhausted, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for object_id in config.objects:

@@ -17,17 +17,7 @@ from typing import Callable, Sequence
 
 from .expr import Context, DomainError, Expr, Var
 from .poly import iter_indices
-from .tensor import (
-    DOWN,
-    UP,
-    Tensor,
-    antisymmetric,
-    define,
-    symmetric,
-    tensor_add,
-    zero_tensor,
-    contract_product,
-)
+from .tensor import DOWN, UP, Tensor, antisymmetric, define, symmetric, zero_tensor
 
 
 class GeometryError(Exception):
@@ -118,16 +108,21 @@ class FinslerStructure:
 
 
 class ConnectionKind(enum.Enum):
-    CARTAN = "cartan"
-    BERWALD = "berwald"
-    CHERN = "chern"
-    HASHIGUCHI = "hashiguchi"
+    """The four fundamental connections, each declared by its triple
+    (F, N, C): F is Gamma when ``uses_gamma`` and the Berwald G otherwise,
+    C is the Cartan tensor when ``has_c`` and zero otherwise."""
 
+    CARTAN = "cartan", True, True
+    BERWALD = "berwald", False, False
+    CHERN = "chern", True, False
+    HASHIGUCHI = "hashiguchi", False, True
 
-_HAS_C = {ConnectionKind.CARTAN: True, ConnectionKind.BERWALD: False,
-          ConnectionKind.CHERN: False, ConnectionKind.HASHIGUCHI: True}
-_USES_GAMMA = {ConnectionKind.CARTAN: True, ConnectionKind.BERWALD: False,
-               ConnectionKind.CHERN: True, ConnectionKind.HASHIGUCHI: False}
+    def __new__(cls, value: str, uses_gamma: bool, has_c: bool):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.uses_gamma = uses_gamma
+        kind.has_c = has_c
+        return kind
 
 
 @dataclass(frozen=True)
@@ -174,9 +169,7 @@ class Geometry:
     def _validate(self):
         ctx = self.ctx
         f2 = self.structure.f_squared
-        euler = ctx.zero
-        for i in range(1, self.dim + 1):
-            euler = euler + ctx.fiber(i) * f2.diff(Var("y", i))
+        euler = _dot(ctx, ((ctx.fiber(i), f2.diff(Var("y", i))) for i in range(1, self.dim + 1)))
         if euler != f2.scale(2):
             raise NotHomogeneous(
                 "F**2 is not positively homogeneous of degree 2 in the fiber variables"
@@ -235,10 +228,8 @@ class Geometry:
             lup = define("l", ctx, self.dim, (UP,), lup_gen)
 
             def ldown_gen(idx):
-                acc = ctx.zero
-                for r in range(1, self.dim + 1):
-                    acc = acc + g[(idx[0], r)] * ctx.fiber(r)
-                return acc / F
+                rs = range(1, self.dim + 1)
+                return _dot(ctx, ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
 
             ldown = define("l", ctx, self.dim, (DOWN,), ldown_gen)
 
@@ -266,10 +257,14 @@ class Geometry:
                 "C", self.ctx, self.dim, (DOWN, DOWN, DOWN), gen, (symmetric(1, 2, 3),)
             )
             ginv = self.inverse_metric()
-            c_mixed = contract_product(ginv, c_down, [(2, 1)], name="C")
-            c_mixed = Tensor(
-                "C", self.ctx, self.dim, c_mixed.sig, dict(c_mixed.components()),
-                (symmetric(2, 3),),
+
+            def mixed_gen(idx):
+                i, j, k = idx
+                rs = range(1, self.dim + 1)
+                return _dot(self.ctx, ((ginv[(i, r)], c_down[(r, j, k)]) for r in rs))
+
+            c_mixed = define(
+                "C", self.ctx, self.dim, (UP, DOWN, DOWN), mixed_gen, (symmetric(2, 3),)
             )
             return c_down, c_mixed
 
@@ -288,13 +283,11 @@ class Geometry:
             half = Fraction(1, 2)
 
             def gen(idx):
-                acc = ctx.zero
-                for j in range(1, self.dim + 1):
-                    for k in range(1, self.dim + 1):
-                        c = gamma[(idx[0], j, k)]
-                        if not c.is_zero_expr():
-                            acc = acc + c * ctx.fiber(j) * ctx.fiber(k)
-                return acc.scale(half)
+                return _dot(ctx, (
+                    (gamma[(idx[0], j, k)], ctx.fiber(j) * ctx.fiber(k))
+                    for j in range(1, self.dim + 1)
+                    for k in range(1, self.dim + 1)
+                )).scale(half)
 
             return define("G", ctx, self.dim, (UP,), gen)
 
@@ -331,15 +324,9 @@ class Geometry:
     def horizontal_derivative(self, e: Expr, k: int) -> Expr:
         """delta_k e = d_k e - N^r_k * (dot d)_r e."""
         N = self.nonlinear_connection()
-        out = e.diff(Var("x", k))
-        for r in range(1, self.dim + 1):
-            coeff = N[(r, k)]
-            if coeff.is_zero_expr():
-                continue
-            d = e.diff(Var("y", r))
-            if not d.is_zero_expr():
-                out = out - coeff * d
-        return out
+        return e.diff(Var("x", k)) - _dot(
+            self.ctx, ((N[(r, k)], e.diff(Var("y", r))) for r in range(1, self.dim + 1))
+        )
 
     def cartan_coefficients(self) -> Tensor:
         """Christoffel symbols of g with respect to the horizontal derivatives."""
@@ -366,12 +353,9 @@ class Geometry:
 
         def gen(idx):
             i, j, k = idx
-            acc = self.ctx.zero
-            for r in range(1, n + 1):
-                inner = dg(j, k, r) + dg(k, j, r) - dg(r, j, k)
-                if not inner.is_zero_expr():
-                    acc = acc + ginv[(i, r)] * inner
-            return acc.scale(half)
+            return _dot(self.ctx, (
+                (ginv[(i, r)], dg(j, k, r) + dg(k, j, r) - dg(r, j, k)) for r in range(1, n + 1)
+            )).scale(half)
 
         return define(name, self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
 
@@ -381,7 +365,6 @@ class Geometry:
 
         def build_torsions():
             N = self.nonlinear_connection()
-            Gamma = self.cartan_coefficients()
 
             def r_gen(idx):
                 i, j, k = idx
@@ -392,27 +375,35 @@ class Geometry:
             r_tor = define(
                 "R", self.ctx, self.dim, (UP, DOWN, DOWN), r_gen, (antisymmetric(2, 3),)
             )
-
-            def p_gen(idx):
-                i, j, k = idx
-                return N[(i, j)].diff(Var("y", k)) - Gamma[(i, j, k)]
-
-            p_tor = define("P", self.ctx, self.dim, (UP, DOWN, DOWN), p_gen)
-            return r_tor, p_tor
+            return r_tor, self._hv_torsion(self.connection(ConnectionKind.CHERN))
 
         return self._get("torsions", build_torsions)
+
+    def _hv_torsion(self, triple: "ConnectionTriple") -> Tensor:
+        """The (v)hv-torsion P^i_jk = (dot d)_k N^i_j - F^i_jk of a
+        connection: the Cartan P-torsion when F = Gamma, zero when F = G."""
+
+        def build_p():
+            N, F = triple.n_coeffs, triple.f_coeffs
+
+            def gen(idx):
+                i, j, k = idx
+                return N[(i, j)].diff(Var("y", k)) - F[(i, j, k)]
+
+            return define("P", self.ctx, self.dim, (UP, DOWN, DOWN), gen)
+
+        return self._get(("Ptorsion", triple.kind.uses_gamma), build_p)
 
     # -- connections ------------------------------------------------------------
 
     def connection(self, kind: ConnectionKind) -> ConnectionTriple:
         def build_triple():
-            n_coeffs = self.nonlinear_connection()
-            f_coeffs = self.cartan_coefficients() if _USES_GAMMA[kind] else self.berwald_coefficients()
-            if _HAS_C[kind]:
+            f_coeffs = self.cartan_coefficients() if kind.uses_gamma else self.berwald_coefficients()
+            if kind.has_c:
                 c_coeffs = self.cartan_tensor()[1]
             else:
                 c_coeffs = zero_tensor("C", self.ctx, self.dim, (UP, DOWN, DOWN))
-            return ConnectionTriple(kind, f_coeffs, n_coeffs, c_coeffs)
+            return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), c_coeffs)
 
         return self._get(("triple", kind), build_triple)
 
@@ -439,19 +430,13 @@ class Geometry:
             if coeffs_zero:
                 return val
             for slot, variance in enumerate(t.sig):
-                for r in range(1, n + 1):
-                    repl = base[:slot] + (r,) + base[slot + 1 :]
-                    comp = t[repl]
-                    if comp.is_zero_expr():
-                        continue
-                    if variance is UP:
-                        c = coeffs[(base[slot], r, k)]
-                        if not c.is_zero_expr():
-                            val = val + comp * c
-                    else:
-                        c = coeffs[(r, base[slot], k)]
-                        if not c.is_zero_expr():
-                            val = val - comp * c
+                a = base[slot]
+                term = _dot(ctx, (
+                    (t[base[:slot] + (r,) + base[slot + 1 :]],
+                     coeffs[(a, r, k)] if variance is UP else coeffs[(r, a, k)])
+                    for r in range(1, n + 1)
+                ))
+                val = val + term if variance is UP else val - term
             return val
 
         sig = t.sig + (DOWN,)
@@ -468,76 +453,56 @@ class Geometry:
         return self._get(("curv", kind, which), lambda: self._build_curvature(kind, which))
 
     def _build_curvature(self, kind: ConnectionKind, which: str) -> Tensor:
+        """One formula per curvature type over the triple (F, N, C); the
+        C-terms vanish with C and are skipped when it is zero."""
         ctx = self.ctx
         n = self.dim
+        ms = range(1, n + 1)
+        sig = (UP, DOWN, DOWN, DOWN)
         triple = self.connection(kind)
-        F = triple.f_coeffs
+        F, C = triple.f_coeffs, triple.c_coeffs
+        with_c = not C.is_zero_tensor()
         if which == "h":
+            r_tor = self.torsions()[0] if with_c else None
+
             def r_gen(idx):
                 i, h, j, k = idx
-                val = self.horizontal_derivative(F[(i, h, j)], k)
-                val = val - self.horizontal_derivative(F[(i, h, k)], j)
-                for m in range(1, n + 1):
-                    a = F[(m, h, j)]
-                    b = F[(i, m, k)]
-                    if not (a.is_zero_expr() or b.is_zero_expr()):
-                        val = val + a * b
-                    a = F[(m, h, k)]
-                    b = F[(i, m, j)]
-                    if not (a.is_zero_expr() or b.is_zero_expr()):
-                        val = val - a * b
+                val = (
+                    self.horizontal_derivative(F[(i, h, j)], k)
+                    - self.horizontal_derivative(F[(i, h, k)], j)
+                    + _dot(ctx, ((F[(m, h, j)], F[(i, m, k)]) for m in ms))
+                    - _dot(ctx, ((F[(m, h, k)], F[(i, m, j)]) for m in ms))
+                )
+                if with_c:
+                    val = val + _dot(ctx, ((C[(i, h, m)], r_tor[(m, j, k)]) for m in ms))
                 return val
 
-            base = define("R", ctx, n, (UP, DOWN, DOWN, DOWN), r_gen, (antisymmetric(3, 4),))
-            if not _HAS_C[kind]:
-                return base
-            c_mixed = triple.c_coeffs
-            r_tor = self.torsions()[0]
-            cr = contract_product(c_mixed, r_tor, [(3, 1)], name="C.R")
-            return tensor_add(base, cr, name="R", symmetries=(antisymmetric(3, 4),))
+            return define("R", ctx, n, sig, r_gen, (antisymmetric(3, 4),))
         if which == "hv":
-            def p0_gen(idx):
-                i, h, j, k = idx
-                return F[(i, h, j)].diff(Var("y", k))
-
-            if not _HAS_C[kind]:
-                return define("P", ctx, n, (UP, DOWN, DOWN, DOWN), p0_gen)
-            c_mixed = triple.c_coeffs
-            hc = self.h_cov_derivative(c_mixed, triple)
-            p_tor = self.torsions()[1] if kind is ConnectionKind.CARTAN else None
+            if with_c:
+                hc = self.h_cov_derivative(C, triple)
+                p_tor = self._hv_torsion(triple)
 
             def p_gen(idx):
                 i, h, j, k = idx
-                val = p0_gen(idx) - hc[(i, h, k, j)]
-                if p_tor is not None:
-                    for m in range(1, n + 1):
-                        a = c_mixed[(i, h, m)]
-                        b = p_tor[(m, j, k)]
-                        if not (a.is_zero_expr() or b.is_zero_expr()):
-                            val = val + a * b
+                val = F[(i, h, j)].diff(Var("y", k))
+                if with_c:
+                    val = val - hc[(i, h, k, j)]
+                    val = val + _dot(ctx, ((C[(i, h, m)], p_tor[(m, j, k)]) for m in ms))
                 return val
 
-            return define("P", ctx, n, (UP, DOWN, DOWN, DOWN), p_gen)
-        # v-curvature
-        if not _HAS_C[kind]:
-            return zero_tensor("S", ctx, n, (UP, DOWN, DOWN, DOWN))
-        c_mixed = triple.c_coeffs
+            return define("P", ctx, n, sig, p_gen)
 
-        def s_gen(idx):
-            i, h, j, k = idx
-            val = ctx.zero
-            for m in range(1, n + 1):
-                a = c_mixed[(m, h, k)]
-                b = c_mixed[(i, m, j)]
-                if not (a.is_zero_expr() or b.is_zero_expr()):
-                    val = val + a * b
-                a = c_mixed[(m, h, j)]
-                b = c_mixed[(i, m, k)]
-                if not (a.is_zero_expr() or b.is_zero_expr()):
-                    val = val - a * b
-            return val
+        def build_s():  # the v-curvature depends on C alone
+            def s_gen(idx):
+                i, h, j, k = idx
+                return _dot(ctx, ((C[(m, h, k)], C[(i, m, j)]) for m in ms)) - _dot(
+                    ctx, ((C[(m, h, j)], C[(i, m, k)]) for m in ms)
+                )
 
-        return define("S", ctx, n, (UP, DOWN, DOWN, DOWN), s_gen, (antisymmetric(3, 4),))
+            return define("S", ctx, n, sig, s_gen, (antisymmetric(3, 4),))
+
+        return self._get(("S", kind.has_c), build_s)
 
     # -- classification ------------------------------------------------------------
 
@@ -560,6 +525,15 @@ class Geometry:
             return Classification(riemannian=riemannian, berwaldian=berwaldian)
 
         return self._get("classify", build_classification)
+
+
+def _dot(ctx: Context, pairs) -> Expr:
+    """The sum of a * b over the (a, b) pairs, skipping pairs with a zero factor."""
+    acc = ctx.zero
+    for a, b in pairs:
+        if not (a.is_zero_expr() or b.is_zero_expr()):
+            acc = acc + a * b
+    return acc
 
 
 # -- symbolic determinants ---------------------------------------------------------

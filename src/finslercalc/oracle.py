@@ -358,14 +358,6 @@ class _PointJets:
         return _map(sub, self.berwald, self.big_gamma)
 
 
-# The objects with a jet table of their own; each is also a method of
-# NumericGeometry that returns the table's order-0 values.
-_TABLES = (
-    "g_mat", "ginv_mat", "l_down", "l_up", "h_mat", "cartan_down", "cartan_mixed",
-    "gamma", "spray", "n_mat", "berwald", "big_gamma", "r_torsion", "p_torsion",
-)
-
-
 class NumericGeometry:
     """Evaluates the whole definitional chain from F**2 jets.
 
@@ -401,14 +393,6 @@ class NumericGeometry:
 
     # connections ---------------------------------------------------------------
 
-    def _f_name(self, kind: ConnectionKind) -> str:
-        if kind in (ConnectionKind.CARTAN, ConnectionKind.CHERN):
-            return "big_gamma"
-        return "berwald"
-
-    def has_c(self, kind: ConnectionKind) -> bool:
-        return kind in (ConnectionKind.CARTAN, ConnectionKind.HASHIGUCHI)
-
     def cov_derivative(self, fn, sig: str, kind: ConnectionKind, coords, horizontal: bool):
         """Covariant derivative of one of this class's tables (``fn`` is the
         bound method): the result has one extra (last) index; sig gives the
@@ -417,10 +401,10 @@ class NumericGeometry:
         pt = self._at(coords)
         name = fn.__name__
         if horizontal:
-            coeffs = _values(getattr(pt, self._f_name(kind)))
+            coeffs = _values(getattr(pt, _f_table(kind)))
             deriv = [_values(pt.delta(name, k)) for k in range(n)]
         else:
-            coeffs = self.cartan_mixed(coords) if self.has_c(kind) else None
+            coeffs = self.cartan_mixed(coords) if kind.has_c else None
             deriv = [_values(pt.derivative(name, n + k)) for k in range(n)]
 
         def entry(tree, idx):
@@ -450,9 +434,9 @@ class NumericGeometry:
     def curvature(self, kind: ConnectionKind, which: str, coords):
         n = self.n
         pt = self._at(coords)
-        f_name = self._f_name(kind)
+        f_name = _f_table(kind)
         out = _empty(n, 4)
-        cm = self.cartan_mixed(coords) if self.has_c(kind) else None
+        cm = self.cartan_mixed(coords) if kind.has_c else None
         if which == "h":
             f = _values(getattr(pt, f_name))
             df = [_values(pt.delta(f_name, k)) for k in range(n)]
@@ -469,7 +453,7 @@ class NumericGeometry:
             dfy = [_values(pt.derivative(f_name, n + k)) for k in range(n)]
             if cm is not None:
                 hc = self.cov_derivative(self.cartan_mixed, "udd", kind, coords, horizontal=True)
-                ptor = self.p_torsion(coords) if kind is ConnectionKind.CARTAN else None
+                ptor = self.p_torsion(coords) if kind.uses_gamma else None
             for i, h, j, k in _indices(n, 4):
                 val = dfy[k][i][h][j]
                 if cm is not None:
@@ -515,8 +499,14 @@ def _order0(name: str):
     return method
 
 
-for _name in _TABLES:
-    setattr(NumericGeometry, _name, _order0(_name))
+# every registry table is also a method returning its order-0 values
+for _entry in registry._BASE.values():
+    setattr(NumericGeometry, _entry.numeric, _order0(_entry.numeric))
+
+
+def _f_table(kind: ConnectionKind) -> str:
+    """The jet table of a connection's horizontal coefficients F."""
+    return "big_gamma" if kind.uses_gamma else "berwald"
 
 
 def _empty(n, rank):
@@ -661,7 +651,10 @@ def verify_many(
             out[object_id] = _verify_classification(geom, report, numgeom, coord_lists)
             continue
         tensor = registry.resolve(geom, object_id)
-        tables = [numgeom.object_table(object_id, coords) for coords in coord_lists]
+        tables = [
+            _at_point(p, numgeom.object_table, object_id, coords)
+            for p, coords in zip(points, coord_lists)
+        ]
         for idx, expr in tensor.components():
             max_abs = 0.0
             max_rel = 0.0
@@ -694,8 +687,8 @@ def _verify_classification(
     cls = report.classification = geom.classify()
     n = geom.dim
     max_c, max_dg = [], []
-    for coords in coord_lists:
-        pt = numgeom._at(coords)
+    for p, coords in zip(report.points, coord_lists):
+        pt = _at_point(p, numgeom._at, coords)
         max_c.append(max(map(abs, _flat(_values(pt.cartan_down)))))
         dg = [_values(pt.derivative("berwald", n + m)) for m in range(n)]
         max_dg.append(max(map(abs, _flat(dg))))
@@ -703,6 +696,14 @@ def _verify_classification(
     report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol, report.points)
     report.components[(2,)] = _flag_check((2,), max_dg, cls.berwaldian, tol, report.points)
     return report
+
+
+def _at_point(point: NumericPoint, fn, *args):
+    """``fn(*args)``, with a ``DomainError`` reraised naming the sample point."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        raise DomainError(f"F is not defined at the sample point {point}: {exc}") from None
 
 
 def _flat(tree) -> list[float]:

@@ -7,8 +7,9 @@ Plain ids name cached tensors; ``R:<kind>``, ``P:<kind>`` and
 ``classify`` reports the Riemannian/Berwaldian flags.
 
 Each plain id has a symbolic builder and names its numeric counterpart,
-a method of the oracle's ``NumericGeometry``.  The oracle keeps its own
-formulas; it only reads the ids through ``parse``.
+a method of the oracle's ``NumericGeometry`` that the oracle generates
+from that name.  The oracle keeps its own formulas; it only reads the
+ids through ``parse``.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def base_object_ids() -> list[str]:
     out = list(_BASE)
     for letter in ("R", "P"):
         out.extend(f"{letter}:{k}" for k in _KINDS)
-    out.extend(["S:cartan", "S:hashiguchi"])
+    out.extend(f"S:{k}" for k, kind in _KINDS.items() if kind.has_c)
     out.append("classify")
     return out
 
@@ -89,9 +90,10 @@ def parse(object_id: str) -> tuple:
         return ("base", _BASE[object_id])
     parts = object_id.split(":")
     if len(parts) == 2 and parts[0] in _CURVATURE_WHICH and parts[1] in _KINDS:
+        kind = _KINDS[parts[1]]
         # connections without a vertical part have no v-curvature
-        if not (parts[0] == "S" and parts[1] in ("berwald", "chern")):
-            return ("curvature", _KINDS[parts[1]], _CURVATURE_WHICH[parts[0]])
+        if parts[0] != "S" or kind.has_c:
+            return ("curvature", kind, _CURVATURE_WHICH[parts[0]])
     if len(parts) == 3 and parts[0] in ("hcov", "vcov") and parts[2] in _KINDS:
         if parts[1] in _BASE:
             return (parts[0], _BASE[parts[1]], _KINDS[parts[2]])

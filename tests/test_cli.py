@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from finslercalc.cli import build_config, main, run
+from finslercalc.cli import MAX_CHECK_POINTS, build_config, main, run
 
 WORKED = [
     "--dim", "3",
@@ -233,6 +233,8 @@ class TestValidation:
 
     BAD_CHECKS = {
         "points=0": "points must be at least 1, got 0",
+        "points=101": "points must be at most 100, got 101",
+        "points=1000000": "points must be at most 100, got 1000000",
         "tol=nan": "tol must be finite and positive, got nan",
         "tol=inf": "tol must be finite and positive, got inf",
         "tol=0": "tol must be finite and positive, got 0.0",
@@ -246,6 +248,29 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --check {self.BAD_CHECKS[check]}\n"
+
+    def test_points_at_the_cap_are_accepted(self):
+        argv = WORKED + ["--objects", "g", "--check", f"points={MAX_CHECK_POINTS}"]
+        assert build_config(argv).check.points == MAX_CHECK_POINTS
+
+    @pytest.mark.parametrize("objects", ["g", "classify"])
+    def test_sample_point_outside_the_domain_is_exit_1(self, objects, capsys):
+        # the radicand x2*y1^4 + y2^4 is negative at every point of the box
+        argv = [
+            "--dim", "2",
+            "--coords", "x1,x2",
+            "--fibers", "y1,y2",
+            "--metric-function", "y1^2 + y2^2 + sqrt(x2*y1^4 + y2^4)",
+            "--objects", objects,
+            "--check", "box=-2:-1,points=8",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"# {objects}\n")
+        assert captured.err.startswith(
+            "error: F is not defined at the sample point NumericPoint(x=(-"
+        )
+        assert captured.err.endswith("): negative radicand under an even root\n")
 
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(

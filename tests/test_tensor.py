@@ -84,11 +84,12 @@ class TestDefine:
             )
 
 
-@pytest.mark.parametrize("name", ["worked-3d", "cuberoot-3d", "polar-flat-2d"])
+@pytest.mark.parametrize(
+    "name", ["worked-3d", "cuberoot-3d", "polar-flat-2d", "berwald-4d", "perturbed-flat-2d"]
+)
 def test_declared_symmetries_hold_exactly(name, strict_define):
     """Every registry object, built with each declared symmetry checked
-    exactly on every orbit.  berwald-4d and perturbed-flat-2d are left
-    out for time."""
+    exactly on every orbit."""
     assert tensor.define is strict_define and geometry.define is strict_define
     geom = build(make_structure(name))
     for object_id in base_object_ids() + ["hcov:Cmixed:cartan", "vcov:h:cartan"]:
