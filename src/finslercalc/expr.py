@@ -22,8 +22,12 @@ arithmetic and the gcd of a numerator with a denominator is a sequence of
 gcds against those factors.  Both return exactly what ``poly_gcd`` would;
 the factorizations are derived data, outside equality and hashing.
 
-Numeric evaluation has one path, for Fractions, floats and Taylor jets:
-``Poly.eval`` over ``Context.values_at``, whose atoms ``real_root`` takes.
+Numeric evaluation reads every symbol through one table per point,
+``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
+Taylor jets go through ``Poly.eval``.  ``Expr.eval_at`` and the oracle's
+check read the exact table of ``Context.point_values``: there a value stays
+exact, in integers, until the final conversion to float, and only the
+terms with an atom are floats.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
@@ -175,6 +180,12 @@ class Context:
         if len(coords) != 2 * self.dim:
             raise ValueError("point dimension mismatch")
         return _SymbolValues(self, coords)
+
+    def point_values(self, point: "NumericPoint | Mapping[str, object]") -> "_PointValues":
+        """The exact table of one point (a ``NumericPoint`` or a mapping of
+        coordinate names to numbers) for ``Expr.eval_at``; build it once
+        and share it across the expressions evaluated at that point."""
+        return _PointValues(self, _point_coord_values(self, point))
 
     # -- constructors ------------------------------------------------------
 
@@ -509,14 +520,15 @@ class Expr:
         den_v = _poly_apply(ctx, self.den, sym_value)
         return num_v / den_v
 
-    def eval_at(self, point: "NumericPoint | Mapping[str, object]") -> float:
-        """The value at a point, exact (coordinates as Fractions) up to the
-        radical atoms until the final conversion to float."""
-        values = self.ctx.values_at(_point_coord_values(self.ctx, point))
-        den_val = self.den.eval(values)
-        if den_val == 0:
-            raise DomainError("zero denominator at evaluation point")
-        return float(self.num.eval(values) / den_val)
+    def eval_at(self, point: "NumericPoint | Mapping[str, object] | _PointValues") -> float:
+        """The value at a point, or at the table ``Context.point_values``
+        built for it: exact up to the radical atoms until the final
+        conversion to float (see ``_PointValues``)."""
+        if not isinstance(point, _PointValues):
+            point = self.ctx.point_values(point)
+        elif point.ctx is not self.ctx:
+            raise ValueError("point table belongs to a different context")
+        return point.quotient(self)
 
     def is_zero(self, *, constraints: Iterable = (), seed: int = 0) -> ZeroStatus:
         """Decide zero-ness.
@@ -647,8 +659,96 @@ class _SymbolValues(dict):
 
     def __missing__(self, sym: int):
         atom = self.ctx.atom_at(sym)
-        radicand = atom.radicand.num.eval(self) / atom.radicand.den.eval(self)
-        value = self[sym] = real_root(radicand, atom.q)
+        value = self[sym] = real_root(self.quotient(atom.radicand), atom.q)
+        return value
+
+    def quotient(self, e: "Expr"):
+        """The value of ``e`` read through this table."""
+        return e.num.eval(self) / e.den.eval(self)
+
+
+class _PointValues(_SymbolValues):
+    """The table of ``Context.point_values``.
+
+    The 2n coordinates are written m_i / D over one common denominator D
+    (a power of two for floats); the powers of each m_i, of D and of each
+    atom are computed once per point.  The atom-free terms of a polynomial
+    of degree d in the coordinates sum to one int,
+    sum c * L * prod m_i**k_i * D**(d - deg) over L * D**d, where L clears
+    the coefficients' denominators.  A term with atoms is a float: its
+    exact coordinate part rounded once, times the atom powers, and these
+    terms are added in term order, as ``Poly.eval`` adds them."""
+
+    def __init__(self, ctx: Context, coords: Sequence):
+        super().__init__(ctx, coords)
+        ratios = [v.as_integer_ratio() for v in coords]
+        den = lcm(*(q for _, q in ratios))
+        self._powers = [_Powers(p * (den // q)) for p, q in ratios]
+        self._den_powers = _Powers(den)
+        self._atom_powers: dict[tuple[int, int], float] = {}
+
+    def _atom_power(self, sym: int, k: int) -> float:
+        """The atom's value multiplied by itself k - 1 times, as in
+        ``Poly.eval_terms``."""
+        got = self._atom_powers.get((sym, k))
+        if got is None:
+            base = got = self[sym]
+            for _ in range(k - 1):
+                got = got * base
+            self._atom_powers[sym, k] = got
+        return got
+
+    def _sums(self, p: Poly) -> tuple[int, int, float | None]:
+        """(n, d, inexact): n / d is the sum of the atom-free terms of p,
+        and ``inexact`` the float sum of the others (None if none)."""
+        nsyms, den_powers = len(self._powers), self._den_powers
+        exact, top, clear, inexact = [], 0, 1, None
+        for key, c in p.terms.items():
+            exps = unpack(key)
+            mono = 1
+            deg = 0
+            for e, powers in zip(exps, self._powers):
+                if e:
+                    mono *= powers[e]
+                    deg += e
+            if len(exps) <= nsyms:
+                exact.append((c, mono, deg))
+                top = max(top, deg)
+                if type(c) is not int:
+                    clear = lcm(clear, c.denominator)
+                continue
+            term = (c.numerator * mono) / (c.denominator * den_powers[deg])
+            for sym, e in enumerate(exps[nsyms:], nsyms):
+                if e:
+                    term = term * self._atom_power(sym, e)
+            inexact = term if inexact is None else inexact + term
+        n = sum(
+            c.numerator * (clear // c.denominator) * mono * den_powers[top - deg]
+            for c, mono, deg in exact
+        )
+        return n, clear * den_powers[top], inexact
+
+    def quotient(self, e: "Expr") -> float:
+        den, den_scale, _ = self._sums(e.den)  # denominators hold no atom
+        if not den:
+            raise DomainError("zero denominator at evaluation point")
+        num, num_scale, inexact = self._sums(e.num)
+        if inexact is None:
+            return (num * den_scale) / (num_scale * den)
+        if num:
+            inexact = inexact + num / num_scale
+        return inexact / (den / den_scale)
+
+
+class _Powers(dict):
+    """``base**k`` by k, computed when first read."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, k: int) -> int:
+        value = self[k] = self.base**k
         return value
 
 
@@ -815,9 +915,7 @@ def _point_coord_values(ctx: Context, point) -> list:
         raw = [point[name] for name in names]
     else:
         raise TypeError("expected NumericPoint or mapping of names to values")
-    # floats convert exactly (binary expansion), keeping evaluation exact
-    # up to the radical atoms
-    return [Fraction(v) if isinstance(v, (int, float, Fraction)) else v for v in raw]
+    return raw
 
 
 def _poly_nodes(p: Poly) -> int:

@@ -256,6 +256,10 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if not self.terms or not other.terms:
             return _ZERO
+        if self.terms == _ONE.terms:  # Polys are immutable, so 1 * p is p
+            return other
+        if other.terms == _ONE.terms:
+            return self
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a

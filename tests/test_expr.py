@@ -224,6 +224,22 @@ class TestEvalAt:
         assert e.eval_at({"x1": 1, "x2": 1, "x3": 1, "y1": 0.1, "y2": 0.2, "y3": 1}) == (
             1.0 / 3.0
         )
+        # coordinates that are not dyadic share one common denominator
+        e = ctx.parse("(3*x1 - 1)*10^20 + y1")
+        third = Fraction(1, 3)
+        assert e.eval_at({"x1": third, "x2": 1, "x3": 1, "y1": 2, "y2": 1, "y3": 1}) == 2.0
+
+    def test_radical_terms_are_added_to_the_exact_part(self, ctx):
+        e = ctx.parse("sqrt(x1) + y1^2/3")
+        assert e.eval_at({"x1": 2, "x2": 1, "x3": 1, "y1": 1, "y2": 1, "y3": 1}) == (
+            2**0.5 + 1 / 3
+        )
+
+    def test_table_of_another_context_is_refused(self, ctx):
+        other = Context(3, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
+        table = other.point_values(NumericPoint((1.0, 1.0, 1.0), (1.0, 1.0, 1.0)))
+        with pytest.raises(ValueError):
+            ctx.parse("x1 + y2").eval_at(table)
 
 
 class TestIsZero:

@@ -1,7 +1,11 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import geometry_for
 from finslercalc import (
@@ -17,7 +21,14 @@ from finslercalc import (
 )
 from finslercalc import registry
 from finslercalc.expr import DomainError, real_root
-from finslercalc.oracle import Jet, NumericGeometry, mat_inv
+from finslercalc.oracle import (
+    Jet,
+    NumericGeometry,
+    _basis,
+    _dense_product,
+    _sparse_product,
+    mat_inv,
+)
 
 
 def _jet_partials(jet):
@@ -192,6 +203,66 @@ class TestSharedEvaluation:
             e.eval_at(self.point())
         with pytest.raises(DomainError):
             numgeom.eval_expr(e, self.COORDS)
+
+
+class TestSparseProduct:
+    """``Jet.__mul__`` sums over the nonzero coefficients of a sparse
+    factor; it must give the dense kernel's product.  Up to Python 3.11
+    ``sum`` adds floats in order and the two agree to the bit; later
+    versions compensate ``sum``, so there they agree to rounding (an index
+    error would be off by a whole term)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nvars=st.integers(2, 6),
+        order_sparse=st.integers(0, 5),
+        order_dense=st.integers(0, 5),
+        order_basis=st.integers(0, 5),  # raised to the larger jet order
+        nonzero=st.integers(1, 12),
+        sparse_left=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sparse_factor_matches_dense_kernel(
+        self, nvars, order_sparse, order_dense, order_basis, nonzero, sparse_left, seed
+    ):
+        basis = _basis(nvars, max(order_sparse, order_dense, order_basis))
+        rng = random.Random(seed)
+        dense = Jet([rng.uniform(-2, 2) for _ in range(basis.size[order_dense])], order_dense, basis)
+        coeffs = [0.0] * basis.size[order_sparse]
+        for i in rng.sample(range(len(coeffs)), min(nonzero, len(coeffs))):
+            coeffs[i] = rng.uniform(-2, 2)
+        sparse = Jet(coeffs, order_sparse, basis)
+        a, b = (sparse, dense) if sparse_left else (dense, sparse)
+        order = min(order_sparse, order_dense)
+        want = _dense_product(basis, order, a.coeffs, b.coeffs)
+        scale = _dense_product(basis, order, [abs(c) for c in a.coeffs], [abs(c) for c in b.coeffs])
+        for got in (_sparse_product(basis, order, a.coeffs, b.coeffs, not sparse_left),
+                    (a * b).coeffs):
+            assert len(got) == len(want)
+            if sys.version_info < (3, 12):
+                assert got == want
+            for g, w, m in zip(got, want, scale):
+                assert abs(g - w) <= 1e-12 * m
+
+
+class TestExactPointValues:
+    """``Expr.eval_at`` on one shared table of ``Context.point_values``
+    gives the value computed in Fractions and rounded once; where radical
+    atoms occur, the value ``Poly.eval`` gives with Fraction coordinates
+    (atoms as floats, those terms added in term order)."""
+
+    @pytest.mark.parametrize(
+        "name", ["worked-3d", "perturbed-flat-2d", "polar-flat-2d", "berwald-4d", "cuberoot-3d"]
+    )
+    def test_every_component_matches_fraction_evaluation(self, name):
+        geom = geometry_for(name)
+        (point,) = sample_points(geom.structure, 1, seed=3)
+        table = geom.ctx.point_values(point)
+        values = geom.ctx.values_at([Fraction(v) for v in (*point.x, *point.y)])
+        for object_id in registry.verifiable_object_ids():
+            for idx, e in registry.resolve(geom, object_id).components():
+                want = float(e.num.eval(values) / e.den.eval(values))
+                assert e.eval_at(table) == want, (object_id, idx)
 
 
 class TestJetSelfTest:
