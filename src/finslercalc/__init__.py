@@ -16,10 +16,6 @@ from .expr import (
     UnknownIdentifierError,
     Var,
     ZeroStatus,
-    differentiate,
-    eval_at,
-    is_zero,
-    substitute,
 )
 from .parsing import ParseError, parse, to_latex, to_text
 from .tensor import (
@@ -68,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Context", "DomainError", "Expr", "ExprError", "NumericPoint",
     "UnknownIdentifierError", "Var", "ZeroStatus",
-    "differentiate", "eval_at", "is_zero", "substitute",
     "ParseError", "parse", "to_latex", "to_text",
     "DOWN", "UP", "Symmetry", "Tensor",
     "VarianceMismatch", "alternate", "antisymmetric", "contract_product",

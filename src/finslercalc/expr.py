@@ -1,13 +1,21 @@
 """Exact symbolic expressions over base/fiber coordinates.
 
-An expression is kept permanently in canonical form: a quotient N/D of
-polynomials over the coordinate symbols plus *radical atoms*.  A radical
+An expression is kept permanently in canonical form ``c * N / D``: a
+rational content c (a ``Fraction``) times a quotient of polynomials over
+the integers in the coordinate symbols plus *radical atoms*.  A radical
 atom stands for ``radicand**(1/q)``; its q-th power rewrites back to the
 radicand, perfect q-th-power factors are pulled out of radicands at
-creation, and denominators are always cleared of atoms.  Numerator and
-denominator are coprime, the denominator has coprime integer coefficients
-and positive leading coefficient under graded lex order with base
-coordinates before fiber coordinates.
+creation, and denominators are always cleared of atoms.  N and D are
+coprime and primitive (coprime integer coefficients).  D has a positive
+leading coefficient under graded lex order with base coordinates before
+fiber coordinates; N has a positive coefficient at its greatest packed
+key, a rule that needs no sort.  Zero is ``0 * 0 / 1``.
+
+So every ``Poly`` product, sum, exact division and gcd runs over the
+integers: a sum scales the numerators by ints and takes one integer
+content, a product multiplies the contents, and ``scale`` and negation
+touch only c.  By Gauss's lemma a quotient of primitive integer
+polynomials that is exact over the rationals is exact over the integers.
 
 Two expressions that are equal as functions (within the supported
 fragment of rational functions extended by radicals of rational
@@ -26,8 +34,8 @@ Numeric evaluation reads every symbol through one table per point,
 ``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
 Taylor jets go through ``Poly.eval``.  ``Expr.eval_at`` and the oracle's
 check read the exact table of ``Context.point_values``: there a value stays
-exact, in integers, until the final conversion to float, and only the
-terms with an atom are floats.
+exact, in integers with c folded in, until the final conversion to float,
+and only the terms with an atom are floats.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
@@ -46,12 +54,17 @@ from .poly import (
     Poly,
     div_exact,
     int_power_extract,
+    int_primitive,
     make_primitive,
     monomial_gcd,
     pack,
     power_free_extract,
     unpack,
 )
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class ExprError(Exception):
@@ -141,8 +154,8 @@ class Context:
         self._diff_cache: dict[tuple["Expr", int], "Expr"] = {}
         self._atom_diff_cache: dict[tuple[int, int], "Expr"] = {}
         self.factors = FactorBase()
-        self.zero = Expr(self, Poly.zero(), Poly.one())
-        self.one = Expr(self, Poly.one(), Poly.one())
+        self.zero = Expr(self, Poly.zero(), Poly.one(), _ZERO, _normalized=True)
+        self.one = Expr(self, Poly.one(), Poly.one(), _ONE, _normalized=True)
 
     # -- symbols ---------------------------------------------------------
 
@@ -190,7 +203,10 @@ class Context:
     # -- constructors ------------------------------------------------------
 
     def number(self, value) -> "Expr":
-        return Expr(self, Poly.const(Fraction(value)), Poly.one())
+        value = Fraction(value)
+        if not value:
+            return self.zero
+        return Expr(self, Poly.one(), Poly.one(), value, _normalized=True)
 
     def var(self, v: Var) -> "Expr":
         return Expr(self, Poly.variable(self.sym_of(v)), Poly.one())
@@ -228,7 +244,7 @@ class Context:
             raise ValueError("root index must be >= 1")
         if e.ctx is not self:
             raise ValueError("expression belongs to a different context")
-        if e.num.is_zero():
+        if not e.content:
             return self.zero
         radicand = e.num * e.den ** (q - 1)
         prefactor = Expr(self, Poly.one(), e.den)
@@ -240,12 +256,13 @@ class Context:
             radicand = Poly({key - shift: c for key, c in radicand.terms.items()})
         if self.has_atoms(radicand):
             # tower case: polynomial factor extraction would need atom-aware
-            # derivatives, so normalize the constant only
-            content, a_poly = make_primitive(radicand)
+            # derivatives, so normalize the sign only
+            sign, a_poly = make_primitive(radicand)
         else:
-            content, a_poly, b_poly = power_free_extract(radicand, q)
+            sign, a_poly, b_poly = power_free_extract(radicand, q)
             if not b_poly.is_const():
                 prefactor = prefactor * Expr(self, b_poly, Poly.one())
+        content = e.content * sign
         # content = sign * s/t; root(content*a) = (b2/t)*root(sign*a2*a)
         # with s*t**(q-1) = a2*b2**q and a2 q-th-power free
         sign = -1 if content < 0 else 1
@@ -259,7 +276,7 @@ class Context:
         for sym, power in mono_out:
             result = result * Expr(self, Poly.monomial((0,) * sym + (power,)), Poly.one())
         rad_final = a_poly.scale(sign * a2)
-        if rad_final.is_const() and rad_final.const_value() == 1:
+        if _is_one(rad_final):
             return result
         atom_sym = self._intern_atom(rad_final, q)
         return result * Expr(self, Poly.variable(atom_sym), Poly.one())
@@ -294,16 +311,21 @@ class Context:
 
 
 class Expr:
-    """Canonical immutable expression; see module docstring."""
+    """Canonical immutable expression ``content * num / den``; see module
+    docstring.  The constructor takes ``num`` and ``den`` over the integers
+    (``num`` may hold atoms) and a rational ``content``, and normalizes
+    them unless ``_normalized`` says they are canonical already."""
 
-    __slots__ = ("ctx", "num", "den", "_hash")
+    __slots__ = ("ctx", "content", "num", "den", "_hash")
 
-    def __init__(self, ctx: Context, num: Poly, den: Poly, _normalized: bool = False):
+    def __init__(
+        self, ctx: Context, num: Poly, den: Poly, content: Fraction = _ONE, _normalized=False
+    ):
         self.ctx = ctx
         if _normalized:
-            self.num, self.den = num, den
+            self.content, self.num, self.den = content, num, den
         else:
-            self.num, self.den = _normalize(ctx, num, den)
+            self.content, self.num, self.den = _normalize(ctx, content, num, den)
         self._hash: int | None = None
 
     # -- identity ------------------------------------------------------
@@ -311,11 +333,13 @@ class Expr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (
+            self.num == other.num and self.den == other.den and self.content == other.content
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            self._hash = hash((self.content, self.num, self.den))
         return self._hash
 
     def __repr__(self) -> str:
@@ -329,7 +353,7 @@ class Expr:
     # -- predicates ------------------------------------------------------
 
     def is_zero_expr(self) -> bool:
-        return self.num.is_zero()
+        return not self.content
 
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
@@ -337,7 +361,7 @@ class Expr:
     def const_value(self) -> Fraction:
         if not self.is_const():
             raise ExprError("not a constant expression")
-        return self.num.const_value() / self.den.const_value()
+        return self.content
 
     # -- ring operations ---------------------------------------------------
 
@@ -353,42 +377,54 @@ class Expr:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        if self.num.is_zero():
+        if not self.content:
             return o
-        if o.num.is_zero():
+        if not o.content:
             return self
+        # self + o = c * (ia * N_a / D_a + ib * N_b / D_b) for coprime ints ia, ib
+        a, b = self.content, o.content
+        g_num = gcd(a.numerator, b.numerator)
+        den = lcm(a.denominator, b.denominator)
+        c = Fraction(g_num, den)
+        a_num = self.num.scale(a.numerator // g_num * (den // a.denominator))
+        b_num = o.num.scale(b.numerator // g_num * (den // b.denominator))
         # cross-cancellation keeps every gcd call small (Knuth 4.5.1);
         # sums never grow atom exponents, so no re-reduction is needed
         if self.den == o.den:
-            num = self.num + o.num
+            num = a_num + b_num
             if num.is_zero():
                 return ctx.zero
+            c, num = _primitive(c, num)
             if _is_one(self.den):
-                return Expr(ctx, num, self.den, _normalized=True)
+                return Expr(ctx, num, self.den, c, _normalized=True)
             g, num_g = ctx.factors.gcd_num_den(num, self.den)
             if _is_one(g):
-                return Expr(ctx, num, self.den, _normalized=True)
-            return Expr(ctx, num_g, div_exact(self.den, g), _normalized=True)
+                return Expr(ctx, num, self.den, c, _normalized=True)
+            c, num_g = _signed(c, num_g)
+            return Expr(ctx, num_g, div_exact(self.den, g), c, _normalized=True)
         g = ctx.factors.gcd_dens(self.den, o.den)
         if _is_one(g):
-            num = self.num * o.den + o.num * self.den
+            num = a_num * o.den + b_num * self.den
             if num.is_zero():
                 return ctx.zero
-            return Expr(ctx, num, self.den * o.den, _normalized=True)
+            c, num = _primitive(c, num)
+            return Expr(ctx, num, self.den * o.den, c, _normalized=True)
         bq = div_exact(self.den, g)
         dq = div_exact(o.den, g)
-        t = self.num * dq + o.num * bq
+        t = a_num * dq + b_num * bq
         if t.is_zero():
             return ctx.zero
+        c, t = _primitive(c, t)
         g2, t_g2 = ctx.factors.gcd_num_den(t, g)
         if _is_one(g2):
-            return Expr(ctx, t, bq * o.den, _normalized=True)
-        return Expr(ctx, t_g2, div_exact(self.den, g2) * dq, _normalized=True)
+            return Expr(ctx, t, bq * o.den, c, _normalized=True)
+        c, t_g2 = _signed(c, t_g2)
+        return Expr(ctx, t_g2, div_exact(self.den, g2) * dq, c, _normalized=True)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(self.ctx, -self.num, self.den, _normalized=True)
+        return Expr(self.ctx, self.num, self.den, -self.content, _normalized=True)
 
     def __sub__(self, other) -> "Expr":
         o = self._coerce(other)
@@ -407,8 +443,9 @@ class Expr:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        if self.num.is_zero() or o.num.is_zero():
+        if not (self.content and o.content):
             return ctx.zero
+        c = self.content * o.content
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
         if not _is_one(b_den):
@@ -425,8 +462,10 @@ class Expr:
         den = a_den * b_den
         reduced, extra = _reduce_atoms(ctx, num)
         if reduced is not num or not _is_one(extra):
-            return Expr(ctx, reduced, den * extra)
-        return Expr(ctx, num, den, _normalized=True)
+            return Expr(ctx, reduced, den * extra, c)
+        # a product of primitive polynomials is primitive (Gauss's lemma)
+        c, num = _signed(c, num)
+        return Expr(ctx, num, den, c, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -434,7 +473,9 @@ class Expr:
         c = Fraction(c)
         if not c:
             return self.ctx.zero
-        return Expr(self.ctx, self.num.scale(c), self.den, _normalized=True)
+        if c == 1:
+            return self
+        return Expr(self.ctx, self.num, self.den, self.content * c, _normalized=True)
 
     def __truediv__(self, other) -> "Expr":
         o = self._coerce(other)
@@ -461,18 +502,20 @@ class Expr:
         if n < 0:
             return self._inverse() ** (-n)
         num = self.num**n
-        if self.ctx.has_atoms(num):
-            return Expr(self.ctx, num, self.den**n)
-        return Expr(self.ctx, num, self.den**n, _normalized=True)
+        c = self.content**n
+        # the greatest key's coefficient of num**n is a power of a positive one
+        return Expr(self.ctx, num, self.den**n, c, _normalized=not self.ctx.has_atoms(num))
 
     def _inverse(self) -> "Expr":
-        if self.num.is_zero():
+        if not self.content:
             raise ZeroDivisionError("division by zero expression")
-        if not self.ctx.has_atoms(self.num):
-            c, prim = make_primitive(self.num)
-            return Expr(self.ctx, self.den.scale(Fraction(1) / c), prim, _normalized=True)
-        inv_num = _invert_atom_poly(self.ctx, self.num)
-        return inv_num * Expr(self.ctx, self.den, Poly.one())
+        ctx = self.ctx
+        if not ctx.has_atoms(self.num):
+            sign, den = make_primitive(self.num)
+            c, num = _signed(sign / self.content, self.den)
+            return Expr(ctx, num, den, c, _normalized=True)
+        inv_num = _invert_atom_poly(ctx, self.num)
+        return (inv_num * Expr(ctx, self.den, Poly.one())).scale(1 / self.content)
 
     # -- calculus ------------------------------------------------------------
 
@@ -486,12 +529,14 @@ class Expr:
             return got
         dnum = _poly_total_diff(ctx, self.num, sym)
         dden = _poly_total_diff(ctx, self.den, sym)
-        den_e = Expr(ctx, self.den, Poly.one(), _normalized=True)
+        sign, den_num = _signed(_ONE, self.den)
+        den_e = Expr(ctx, den_num, Poly.one(), sign, _normalized=True)
         if dden.is_zero_expr():
             result = dnum / den_e
         else:
-            num_e = Expr(ctx, self.num, Poly.one())
+            num_e = Expr(ctx, self.num, Poly.one(), _ONE, _normalized=True)
             result = (dnum * den_e - num_e * dden) / (den_e * den_e)
+        result = result.scale(self.content)
         ctx._diff_cache[(self, sym)] = result
         return result
 
@@ -518,7 +563,7 @@ class Expr:
 
         num_v = _poly_apply(ctx, self.num, sym_value)
         den_v = _poly_apply(ctx, self.den, sym_value)
-        return num_v / den_v
+        return (num_v / den_v).scale(self.content)
 
     def eval_at(self, point: "NumericPoint | Mapping[str, object] | _PointValues") -> float:
         """The value at a point, or at the table ``Context.point_values``
@@ -544,7 +589,7 @@ class Expr:
         ``NUMERICALLY_ZERO`` with a warning.  If no point could be drawn
         or evaluated, it is ``NON_ZERO`` with a warning.
         """
-        if self.num.is_zero():
+        if not self.content:
             return ZeroStatus.ZERO
         ctx = self.ctx
         if not ctx.has_atoms(self.num):
@@ -553,7 +598,7 @@ class Expr:
         try:
             for p in islice(draw_points(ctx.dim, constraints, seed), ZERO_TEST_POINTS):
                 values = ctx.values_at([*p.x, *p.y])
-                den_val = self.den.eval(values)
+                den_val = self.den.eval(values) / self.content
                 if den_val == 0:
                     continue
                 try:
@@ -583,30 +628,12 @@ class Expr:
 
     def node_count(self) -> int:
         """Size of the canonical form: one node per coefficient, symbol and
-        power, as the text form would spell it."""
-        total = _poly_nodes(self.num)
-        if not (self.den.is_const() and self.den.const_value() == 1):
-            total += 1 + _poly_nodes(self.den)
+        power, as the text form ``(a*N)/(b*D)`` for content a/b spells it."""
+        total = _poly_nodes(self.num.scale(self.content.numerator))
+        den = self.den.scale(self.content.denominator)
+        if not _is_one(den):
+            total += 1 + _poly_nodes(den)
         return total
-
-
-# -- public operation-style API ------------------------------------------------
-
-
-def differentiate(e: Expr, v: Var) -> Expr:
-    return e.diff(v)
-
-
-def substitute(e: Expr, bindings: Mapping[Var, Expr]) -> Expr:
-    return e.substitute(bindings)
-
-
-def eval_at(e: Expr, point) -> float:
-    return e.eval_at(point)
-
-
-def is_zero(e: Expr, **kwargs) -> ZeroStatus:
-    return e.is_zero(**kwargs)
 
 
 def draw_points(
@@ -664,7 +691,7 @@ class _SymbolValues(dict):
 
     def quotient(self, e: "Expr"):
         """The value of ``e`` read through this table."""
-        return e.num.eval(self) / e.den.eval(self)
+        return e.num.eval(self) * e.content / e.den.eval(self)
 
 
 class _PointValues(_SymbolValues):
@@ -672,12 +699,13 @@ class _PointValues(_SymbolValues):
 
     The 2n coordinates are written m_i / D over one common denominator D
     (a power of two for floats); the powers of each m_i, of D and of each
-    atom are computed once per point.  The atom-free terms of a polynomial
-    of degree d in the coordinates sum to one int,
-    sum c * L * prod m_i**k_i * D**(d - deg) over L * D**d, where L clears
-    the coefficients' denominators.  A term with atoms is a float: its
-    exact coordinate part rounded once, times the atom powers, and these
-    terms are added in term order, as ``Poly.eval`` adds them."""
+    atom are computed once per point.  For an expression's content a/b and
+    its integer numerator, the atom-free terms of degree at most d in the
+    coordinates sum to one int, a * sum c * prod m_i**k_i * D**(d - deg),
+    over b * D**d.  A term with atoms is a float: its exact coordinate part
+    a * c * prod m_i**k_i / (b * D**deg), rounded once, times the atom
+    powers, and these terms are added in term order, as ``Poly.eval`` adds
+    them."""
 
     def __init__(self, ctx: Context, coords: Sequence):
         super().__init__(ctx, coords)
@@ -698,11 +726,13 @@ class _PointValues(_SymbolValues):
             self._atom_powers[sym, k] = got
         return got
 
-    def _sums(self, p: Poly) -> tuple[int, int, float | None]:
-        """(n, d, inexact): n / d is the sum of the atom-free terms of p,
-        and ``inexact`` the float sum of the others (None if none)."""
+    def _sums(self, p: Poly, content: Fraction = _ONE) -> tuple[int, int, float | None]:
+        """(n, d, inexact): n / d is the sum of the atom-free terms of
+        ``content * p``, and ``inexact`` the float sum of the others (None
+        if none)."""
+        a, b = content.numerator, content.denominator
         nsyms, den_powers = len(self._powers), self._den_powers
-        exact, top, clear, inexact = [], 0, 1, None
+        exact, top, inexact = [], 0, None
         for key, c in p.terms.items():
             exps = unpack(key)
             mono = 1
@@ -714,25 +744,20 @@ class _PointValues(_SymbolValues):
             if len(exps) <= nsyms:
                 exact.append((c, mono, deg))
                 top = max(top, deg)
-                if type(c) is not int:
-                    clear = lcm(clear, c.denominator)
                 continue
-            term = (c.numerator * mono) / (c.denominator * den_powers[deg])
+            term = (a * c * mono) / (b * den_powers[deg])
             for sym, e in enumerate(exps[nsyms:], nsyms):
                 if e:
                     term = term * self._atom_power(sym, e)
             inexact = term if inexact is None else inexact + term
-        n = sum(
-            c.numerator * (clear // c.denominator) * mono * den_powers[top - deg]
-            for c, mono, deg in exact
-        )
-        return n, clear * den_powers[top], inexact
+        n = sum(c * mono * den_powers[top - deg] for c, mono, deg in exact)
+        return a * n, b * den_powers[top], inexact
 
     def quotient(self, e: "Expr") -> float:
         den, den_scale, _ = self._sums(e.den)  # denominators hold no atom
         if not den:
             raise DomainError("zero denominator at evaluation point")
-        num, num_scale, inexact = self._sums(e.num)
+        num, num_scale, inexact = self._sums(e.num, e.content)
         if inexact is None:
             return (num * den_scale) / (num_scale * den)
         if num:
@@ -756,25 +781,37 @@ def _is_one(p: Poly) -> bool:
     return len(p.terms) == 1 and p.terms.get(0) == 1
 
 
-def _normalize(ctx: Context, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+def _signed(c: Fraction, p: Poly) -> tuple[Fraction, Poly]:
+    """(±c, ±p) with a positive coefficient at the greatest key of ±p."""
+    if p.terms[max(p.terms)] > 0:
+        return c, p
+    return -c, -p
+
+
+def _primitive(c: Fraction, p: Poly) -> tuple[Fraction, Poly]:
+    """``c * p`` for a nonzero p over the integers, as (content, canonical
+    numerator)."""
+    k, p = int_primitive(p)
+    return _signed(c * k, p)
+
+
+def _normalize(ctx: Context, c: Fraction, num: Poly, den: Poly) -> tuple[Fraction, Poly, Poly]:
     if den.is_zero():
         raise ZeroDivisionError("zero denominator in expression")
     if ctx.has_atoms(den):
         raise ExprError("internal: denominator carries radical atoms")
     num, extra = _reduce_atoms(ctx, num)
-    if not (extra.is_const() and extra.const_value() == 1):
+    if not _is_one(extra):
         den = den * extra
-    if num.is_zero():
-        return Poly.zero(), Poly.one()
-    c, den = make_primitive(den)
-    if c != 1:
-        num = num.scale(1 / c)
+    if num.is_zero() or not c:
+        return _ZERO, Poly.zero(), Poly.one()
+    k, den = make_primitive(den)
+    c, num = _primitive(c / k, num)
     g, num_g = ctx.factors.gcd_num_den(num, den)
     if not _is_one(g):
-        num = num_g
+        c, num = _signed(c, num_g)
         den = div_exact(den, g)
-        assert den is not None
-    return num, den
+    return c, num, den
 
 
 def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
@@ -794,7 +831,9 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
             break
         atom = ctx.atom_at(target)
         q = atom.q
-        rad_num, rad_den = atom.radicand.num, atom.radicand.den
+        rad = atom.radicand
+        rad_num = rad.num.scale(rad.content.numerator)
+        rad_den = rad.den.scale(rad.content.denominator)
         parts = p.split_by_symbol(target)
         m = max(e // q for e in parts)
         acc = Poly.zero()

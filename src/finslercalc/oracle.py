@@ -433,8 +433,7 @@ class NumericGeometry:
 
     def eval_expr(self, expr, coords):
         """``expr`` at coordinate values (floats or jets), radicals included."""
-        values = self.ctx.values_at(coords)
-        return expr.num.eval(values) * (1.0 / expr.den.eval(values))
+        return self.ctx.values_at(coords).quotient(expr)
 
     def f2(self, coords) -> Jet:
         """The order-``JET_ORDER`` jet of F**2 at a point."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, lcm
+from math import comb
 
 from .expr import Context, Expr, ExprError
 from .poly import EXPONENT_LIMIT, Poly, unpack
@@ -134,8 +134,11 @@ class _Parser:
             self.next()
             exponent = self.parse_exponent()
             _check_power(base, exponent, tok.pos)
-            if exponent.denominator != 1 and base.is_zero_expr():
-                return self.ctx.zero
+            if base.is_zero_expr():
+                if exponent < 0:
+                    raise ParseError("division by zero", tok.pos)
+                if exponent.denominator != 1:
+                    return self.ctx.zero
             return base**exponent
         return base
 
@@ -167,6 +170,8 @@ class _Parser:
             q = self.next()
             if q.kind != "number" or "." in q.text:
                 raise ParseError("bad exponent", q.pos, "integer")
+            if not int(q.text):
+                raise ParseError("division by zero", q.pos)
             self.expect(")")
             return Fraction(sign * int(p.text), int(q.text))
         raise ParseError(f"found {tok.text or 'end of input'!r}", tok.pos, "exponent")
@@ -299,7 +304,7 @@ def _sym_text(ctx: Context, sym: int) -> str:
     return f"({inner})^(1/{atom.q})"
 
 
-def _monomial_text(ctx: Context, exps: tuple[int, ...], mag: Fraction) -> str:
+def _monomial_text(ctx: Context, exps: tuple[int, ...], mag: int) -> str:
     factors = []
     for i, e in enumerate(exps):
         if not e:
@@ -334,15 +339,6 @@ def _poly_form(ctx: Context, p: Poly, monomial) -> str:
     return " ".join(parts)
 
 
-def _cleared(e: Expr) -> tuple[Poly, Poly]:
-    """Numerator and denominator, both scaled by the lcm of the
-    numerator's coefficient denominators."""
-    scale = lcm(*(c.denominator for c in e.num.terms.values()))
-    if scale == 1:
-        return e.num, e.den
-    return e.num.scale(scale), e.den.scale(scale)
-
-
 def _den_needs_parens(p: Poly) -> bool:
     if len(p.terms) != 1:
         return True
@@ -353,9 +349,10 @@ def _den_needs_parens(p: Poly) -> bool:
 
 
 def to_text(e: Expr) -> str:
-    """Canonical text form; parses back to the same expression."""
+    """Canonical text form ``(a*N)/(b*D)`` for content a/b; parses back
+    to the same expression."""
     ctx = e.ctx
-    num, den = _cleared(e)
+    num, den = e.num.scale(e.content.numerator), e.den.scale(e.content.denominator)
     num_text = _poly_form(ctx, num, _monomial_text)
     if den.is_const() and den.const_value() == 1:
         return num_text
@@ -380,7 +377,7 @@ def _sym_latex(ctx: Context, sym: int) -> str:
     return rf"\left({inner}\right)^{{1/{atom.q}}}"
 
 
-def _monomial_latex(ctx: Context, exps: tuple[int, ...], mag: Fraction) -> str:
+def _monomial_latex(ctx: Context, exps: tuple[int, ...], mag: int) -> str:
     factors = []
     for i, e in enumerate(exps):
         if not e:
@@ -402,7 +399,7 @@ def _monomial_latex(ctx: Context, exps: tuple[int, ...], mag: Fraction) -> str:
 
 def to_latex(e: Expr) -> str:
     ctx = e.ctx
-    num, den = _cleared(e)
+    num, den = e.num.scale(e.content.numerator), e.den.scale(e.content.denominator)
     if den.is_const() and den.const_value() == 1:
         return _poly_form(ctx, num, _monomial_latex)
     # single-term numerators carry their sign outside the fraction

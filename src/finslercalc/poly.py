@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over the integers.
 
 Symbols are identified by the integers 0 .. ``MAX_SYMBOLS`` - 1.  A
 monomial is stored as one packed int key: the exponent of symbol i sits in
@@ -23,19 +23,22 @@ degree first, then lexicographic with the lower symbol index more
 significant): it fixes the sign in ``make_primitive`` and the term order of
 ``sorted_terms``, the tuple view the printers read.
 
-Coefficients are ints wherever the value is integral and Fractions
-otherwise; keeping ints as ints matters, since gcd work runs over
-primitive integer polynomials.
+Coefficients are nonzero ints: a ``Poly`` is an element of Z[x].  Exact
+division means division in Z[x] (``div_exact`` refuses a quotient that is
+not integral), which for the primitive divisors used here is the same as
+division over the rationals (Gauss's lemma).  Rational values belong to
+the expressions built on top (``expr``), which keep one rational content
+apart from their primitive integer polynomials.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
+from numbers import Rational
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -103,30 +106,13 @@ def _mono_min(a: int, b: int) -> int:
     return (b & ge) | (a & ~ge)
 
 
-def _has_fraction(terms: dict) -> bool:
-    return Fraction in set(map(type, terms.values()))
-
-
-def _cnorm(c):
-    if type(c) is not int and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _cdiv(a, b):
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return q if r == 0 else Fraction(a, b)
-    return _cnorm(a / b)
-
-
 class Poly:
     """Immutable sparse polynomial: ``terms`` maps packed monomial keys to
-    nonzero int or Fraction coefficients."""
+    nonzero int coefficients."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[int, int | Fraction]):
+    def __init__(self, terms: dict[int, int]):
         self.terms = terms
         self._hash: int | None = None
 
@@ -141,8 +127,7 @@ class Poly:
         return _ONE
 
     @staticmethod
-    def const(c) -> "Poly":
-        c = _cnorm(c if isinstance(c, (int, Fraction)) else Fraction(c))
+    def const(c: int) -> "Poly":
         return Poly({0: c}) if c else _ZERO
 
     @staticmethod
@@ -152,8 +137,7 @@ class Poly:
         return Poly({1 << (_BITS * sym): 1})
 
     @staticmethod
-    def monomial(exps: tuple[int, ...], coeff=1) -> "Poly":
-        coeff = _cnorm(coeff)
+    def monomial(exps: tuple[int, ...], coeff: int = 1) -> "Poly":
         return Poly({pack(exps): coeff}) if coeff else _ZERO
 
     # -- basic queries -------------------------------------------------
@@ -164,10 +148,8 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
-    def const_value(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return Fraction(self.terms[0])
+    def const_value(self) -> int:
+        return self.terms.get(0, 0)
 
     def symbols(self) -> set[int]:
         return {sym for sym, e in enumerate(unpack(_span(self.terms))) if e}
@@ -183,7 +165,7 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(unpack(key)) for key in self.terms), default=0)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], int]:
         """(exponents, coefficient) of the leading term under grlex."""
         terms = self.terms
         if sum(unpack(_span(terms))) < _FIELD:
@@ -197,7 +179,7 @@ class Poly:
         key = tied[0] if len(tied) == 1 else max(tied, key=unpack)
         return unpack(key), terms[key]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """(exponents, coefficient) pairs in descending grlex order."""
         items = [(unpack(key), c) for key, c in self.terms.items()]
         items.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -239,12 +221,10 @@ class Poly:
                 terms[key] = c
             else:
                 acc = acc + c
-                if not acc:
-                    del terms[key]
-                elif type(acc) is int:
+                if acc:
                     terms[key] = acc
                 else:
-                    terms[key] = _cnorm(acc)
+                    del terms[key]
         return Poly(terms)
 
     def __neg__(self) -> "Poly":
@@ -286,20 +266,16 @@ class Poly:
                             del terms[key]
         if past_limit:
             _check_limit(terms)
-        if _has_fraction(terms):
-            terms = {key: _cnorm(c) for key, c in terms.items()}
         return Poly(terms)
 
-    def scale(self, c) -> "Poly":
-        if not isinstance(c, int):
-            c = _cnorm(Fraction(c))
+    def scale(self, c: int) -> "Poly":
         if not c:
             return _ZERO
         if c == 1:
             return self
-        return Poly({e: k * c if type(k) is int else _cnorm(k * c) for e, k in self.terms.items()})
+        return Poly({e: k * c for e, k in self.terms.items()})
 
-    def mul_monomial(self, key: int, coeff=1) -> "Poly":
+    def mul_monomial(self, key: int, coeff: int = 1) -> "Poly":
         """The product with the monomial of packed ``key`` times ``coeff``."""
         p = self.scale(coeff)
         if not key or not p.terms:
@@ -328,19 +304,18 @@ class Poly:
         unit = 1 << shift
         # distinct keys stay distinct, so nothing is collected
         return Poly({
-            key - unit: c * (key >> shift & _FIELD) if type(c) is int
-            else _cnorm(c * (key >> shift & _FIELD))
+            key - unit: c * (key >> shift & _FIELD)
             for key, c in self.terms.items()
             if key >> shift & _FIELD
         })
 
     def eval(self, values) -> object:
-        """The sum of ``eval_terms``.  The terms that stay exact (int or
-        Fraction) are summed apart and added last, so a float or jet value
-        of one symbol does not round the rational part."""
+        """The sum of ``eval_terms``.  The terms that stay exact (rational)
+        are summed apart and added last, so a float or jet value of one
+        symbol does not round the rational part."""
         exact = inexact = None
         for term in self.eval_terms(values):
-            if type(term) is int or type(term) is Fraction:
+            if isinstance(term, Rational):
                 exact = term if exact is None else exact + term
             else:
                 inexact = term if inexact is None else inexact + term
@@ -349,7 +324,7 @@ class Poly:
         return inexact if exact is None else inexact + exact
 
     def eval_terms(self, values) -> Iterator[object]:
-        """The value of each term, with ``values[i]`` (an int, Fraction,
+        """The value of each term, with ``values[i]`` (an int, rational,
         float, or ring element such as a Taylor jet) for symbol i.  Only
         the symbols that occur are read; powers are cached per symbol."""
         power_cache: dict[tuple[int, int], object] = {}
@@ -401,53 +376,52 @@ _ONE = Poly({0: 1})
 # -- normalization ------------------------------------------------------
 
 
-def frac_content(p: Poly) -> Fraction:
-    """Positive rational c such that p/c has coprime integer coefficients."""
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(0)
+def int_primitive(p: Poly) -> tuple[int, Poly]:
+    """(content, primitive part) of a nonzero polynomial: the content is
+    the positive gcd of the coefficients, and the sign is left as it is."""
+    content = int_gcd(*p.terms.values())
+    if content == 1:
+        return 1, p
+    return content, Poly({e: c // content for e, c in p.terms.items()})
 
 
-def make_primitive(p: Poly) -> tuple[Fraction, Poly]:
+def make_primitive(p: Poly) -> tuple[int, Poly]:
     """Split into (content, primitive) with primitive having positive
     leading coefficient under grlex."""
     if p.is_zero():
-        return Fraction(0), p
-    c = frac_content(p)
-    _, lead = p.leading()
-    if lead < 0:
-        c = -c
-    return c, p.scale(1 / c)
+        return 0, p
+    c, p = int_primitive(p)
+    if p.leading()[1] < 0:
+        return -c, -p
+    return c, p
 
 
 # -- exact division ------------------------------------------------------
 
 
 def div_exact(a: Poly, b: Poly) -> Poly | None:
-    """Return a/b if b divides a exactly, else None.
+    """Return a/b if b divides a in Z[x], else None.
 
-    A constant or a monomial divides term by term.  Otherwise this is a
-    heap division in the order of the int keys: the remainder's greatest
-    key is taken from a heap of its keys, and the first one that the
-    divisor's greatest key does not divide ends the division with None."""
+    A monomial (a constant included) divides term by term.  Otherwise this
+    is a heap division in the order of the int keys: the remainder's
+    greatest key is taken from a heap of its keys, and the first one that
+    the divisor's greatest term does not divide, in key or in coefficient,
+    ends the division with None."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.is_zero():
         return a
-    if b.is_const():
-        return a.scale(Fraction(1) / b.const_value())
     if len(b.terms) == 1:
-        # a monomial divides term by term
         ((lb, lb_c),) = b.terms.items()
         q = {}
         for key, c in a.terms.items():
             d = key - lb
             if d < 0 or d & _GUARD:
                 return None
-            q[d] = _cdiv(c, lb_c)
+            qc, rc = divmod(c, lb_c)
+            if rc:
+                return None
+            q[d] = qc
         return Poly(q)
     if len(a.terms) == 1:
         # the greatest and least terms of a multiple of b cannot cancel
@@ -461,7 +435,7 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
     r = dict(a.terms)
     heap = [-key for key in r]
     heapify(heap)
-    q: dict[int, object] = {}
+    q: dict[int, int] = {}
     while heap:
         key = -heappop(heap)
         c = r.pop(key, None)
@@ -470,8 +444,12 @@ def div_exact(a: Poly, b: Poly) -> Poly | None:
         d = key - lb
         if d < 0 or d & _GUARD:
             return None
-        # _cdiv also turns an integral Fraction left in r into an int
-        coeff = c if lb_c == 1 and type(c) is int else _cdiv(c, lb_c)
+        if lb_c == 1:
+            coeff = c
+        else:
+            coeff, rc = divmod(c, lb_c)
+            if rc:
+                return None
         q[d] = coeff
         for eb, cb in b_rest:
             key = d + eb
@@ -535,7 +513,7 @@ def _content_wrt(p: Poly, sym: int) -> Poly:
 def _eval_sym(p: Poly, sym: int, value: int) -> Poly:
     """Substitute an integer for one symbol (coefficients stay exact)."""
     shift = _BITS * sym
-    out: dict[int, object] = {}
+    out: dict[int, int] = {}
     for key, c in p.terms.items():
         e = key >> shift & _FIELD
         if e:
@@ -578,27 +556,7 @@ def _interpolate(h: Poly, sym: int, xi: int) -> Poly:
 
 
 def _max_abs_coeff(p: Poly) -> int:
-    out = 1
-    for c in p.terms.values():
-        mag = abs(c if isinstance(c, int) else c.numerator)
-        if mag > out:
-            out = mag
-    return out
-
-
-def _int_primitive(p: Poly) -> tuple[int, Poly]:
-    """Integer content and primitive part, with int coefficients, of an
-    integer polynomial (the sign is left as it is)."""
-    content = 0
-    ints = True
-    for c in p.terms.values():
-        if type(c) is not int:
-            ints = False
-        content = int_gcd(content, c.numerator)
-    if content == 1 and ints:
-        return 1, p
-    # integral Fractions become ints, so the evaluations stay int arithmetic
-    return content, Poly({e: c.numerator // content for e, c in p.terms.items()})
+    return max(map(abs, p.terms.values()))
 
 
 def _heugcd(f: Poly, g: Poly, syms: list[int]) -> Poly | None:
@@ -606,12 +564,11 @@ def _heugcd(f: Poly, g: Poly, syms: list[int]) -> Poly | None:
     evaluate at a big integer, recurse, reconstruct, verify by trial
     division, and put the gcd of the contents back)."""
     if not syms:
-        value = int_gcd(int(f.const_value()), int(g.const_value()))
-        return Poly.const(value)
+        return Poly.const(int_gcd(f.const_value(), g.const_value()))
     # the evaluated polynomials of the recursion are not primitive, and
     # the reconstructed candidate is, so the contents are handled here
-    cf, f = _int_primitive(f)
-    cg, g = _int_primitive(g)
+    cf, f = int_primitive(f)
+    cg, g = int_primitive(g)
     content = int_gcd(cf, cg)
     sym = syms[0]
     xi = 2 * min(_max_abs_coeff(f), _max_abs_coeff(g)) + 29
@@ -779,9 +736,9 @@ def int_power_extract(n: int, q: int) -> tuple[int, int]:
     return a, b
 
 
-def power_free_extract(p: Poly, q: int) -> tuple[Fraction, Poly, Poly]:
+def power_free_extract(p: Poly, q: int) -> tuple[int, Poly, Poly]:
     """Write p = c * a * b**q with b the maximal q-th-power polynomial
-    factor; c is a rational constant with the same sign as p's content."""
+    factor; c is the content of p, signed as ``make_primitive`` signs it."""
     content, prim = make_primitive(p)
     b = Poly.one()
     a = prim
@@ -947,10 +904,9 @@ class FactorBase:
         """(a / f or None, True only if gcd(a, f) = 1) for an element f.
 
         Both come from one univariate image modulo the prime ``_P``: every
-        symbol but a main symbol x of f is set to a fixed point.  If ``_P``
-        divides no coefficient denominator of a, f can divide a only if its
-        image divides the image of a, so the exact division is tried only
-        then.  The coprimality certificate is Brown's (JACM 18, 1971): let
+        symbol but a main symbol x of f is set to a fixed point.  f can
+        divide a only if its image divides the image of a, so the exact
+        division is tried only then.  The coprimality certificate is Brown's (JACM 18, 1971): let
         also f be primitive in x and its image keep its degree in x.  A
         common factor h of a and f then has positive degree in x (f is
         primitive in x), an image of the same degree (its leading
@@ -960,10 +916,9 @@ class FactorBase:
         if f not in self._images:
             self._images[f] = self._element_image(f)
         image_f = self._images[f]
-        image_a = None if image_f is None else self._image(a, image_f[0])
-        if image_a is None:
+        if image_f is None:
             return div_exact(a, f), False
-        rem = _rem_mod(image_a, image_f[1])
+        rem = _rem_mod(self._image(a, image_f[0]), image_f[1])
         if not rem:
             return div_exact(a, f), False
         return None, _gcd_degree_mod(image_f[1], rem) == 0
@@ -976,24 +931,18 @@ class FactorBase:
             if not lc.is_const() and not _content_wrt(f, x).is_const():
                 continue
             image = self._image(f, x)
-            if image is not None and len(image) == f.degree_in(x) + 1:
+            if len(image) == f.degree_in(x) + 1:
                 return x, image
         return None
 
-    def _image(self, p: Poly, x: int) -> list[int] | None:
+    def _image(self, p: Poly, x: int) -> list[int]:
         """Coefficients (low to high in x) of p modulo ``_P`` with every
-        other symbol set to its point, or None if ``_P`` divides a
-        coefficient denominator.  Leading zeros are trimmed."""
+        other symbol set to its point.  Leading zeros are trimmed."""
         values = self._values
         out: dict[int, int] = {}
         shift = _BITS * x
         for key, c in p.terms.items():
-            if type(c) is int:
-                v = c % _P
-            else:
-                if not c.denominator % _P:
-                    return None
-                v = c.numerator * pow(c.denominator, -1, _P) % _P
+            v = c % _P
             d = key >> shift & _FIELD
             key -= d << shift
             if key:

@@ -170,6 +170,20 @@ class TestValidation:
         )
         assert status == 1
 
+    @pytest.mark.parametrize("f2", ["y1^2+y2^(1/0)", "y1^2+y2^2+0^(-1/2)"])
+    def test_division_by_zero_is_exit_1(self, f2, capsys):
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", f2,
+                "--objects", "g",
+            ]
+        )
+        assert status == 1
+        assert capsys.readouterr().err == "error: division by zero at position 11\n"
+
     def test_oversized_power_is_exit_1(self, capsys):
         status, _ = run_cli(
             [

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from fractions import Fraction
@@ -17,7 +18,11 @@ from finslercalc import (
     ZeroStatus,
 )
 
-from conftest import STRUCTURE_NAMES, make_structure
+from finslercalc import registry
+from finslercalc.expr import Expr
+from finslercalc.poly import Poly, int_primitive
+
+from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +32,23 @@ def ctx():
 
 def zero_diff(a, b):
     return (a - b).is_zero_expr()
+
+
+def assert_canonical(e):
+    """``e`` is c * N / D with a reduced Fraction c and primitive N and D
+    over the integers: D with a positive grlex leading coefficient, N with
+    a positive coefficient at its greatest packed key; zero is 0 * 0 / 1."""
+    c = e.content
+    assert type(c) is Fraction and c.denominator > 0
+    assert math.gcd(c.numerator, c.denominator) == 1
+    for p in (e.num, e.den):
+        assert all(type(k) is int for k in p.terms.values())
+    assert int_primitive(e.den)[0] == 1 and e.den.leading()[1] > 0
+    if not c:
+        assert e.num.is_zero() and e.den == Poly.one()
+        return
+    assert int_primitive(e.num)[0] == 1
+    assert e.num.terms[max(e.num.terms)] > 0
 
 
 class TestParse:
@@ -100,6 +122,30 @@ class TestParseLimits:
         assert time.perf_counter() - t0 < 1.0
         assert words in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("y1^2+y2^(1/0)", 11),
+            ("y1^2+y2^(0/0)", 11),
+            ("y1^2+y2^(-3/0)", 12),
+            ("0^-1", 1),
+            ("(y1-y1)^-2", 7),
+            ("sqrt(0)^-1", 7),
+            ("y1^2+y2^2+0^(-1/2)", 11),
+        ],
+    )
+    def test_division_by_zero(self, ctx, text, position):
+        """A zero exponent denominator, and a zero base under a negative
+        exponent, integer or not, are refused where they occur."""
+        with pytest.raises(ParseError) as err:
+            ctx.parse(text)
+        assert str(err.value) == f"division by zero at position {position}"
+        assert err.value.position == position
+
+    def test_zero_base_under_positive_exponent(self, ctx):
+        assert ctx.parse("0^(1/2)") == ctx.parse("0^3") == ctx.zero
+        assert ctx.parse("0^0") == ctx.one
+
     def test_monomial_powers_pass(self, ctx):
         assert ctx.parse("y1^1000") == ctx.fiber(1) ** 1000
         # degree 32767 in one symbol is the most a polynomial can hold
@@ -142,6 +188,31 @@ class TestDifferentiate:
 class TestCanonical:
     def test_constant_fold(self, ctx):
         assert str(ctx.parse("4 - 3 + 0*y1")) == "1"
+
+    def test_sign_rule_after_cancellation(self, ctx):
+        """x1 - y1 has a positive grlex leading coefficient (at x1) but a
+        negative one at its greatest packed key (at y1), so cancelling it
+        flips the sign of a numerator; each result is made canonical
+        again, by products, sums over one, two and coprime denominators,
+        inverses and the normalizing constructor alike."""
+        g = ctx.parse("x1 - y1")
+        sym = ctx.sym_of
+        g_poly = Poly.variable(sym(Var("x", 1))) - Poly.variable(sym(Var("y", 1)))
+        y2_poly = Poly.variable(sym(Var("y", 2)))
+        cases = [
+            (g * ctx.fiber(2) * (1 / g), "y2"),
+            (ctx.parse("y1/(x1-y1) - x1/(x1-y1)"), "-1"),
+            (
+                ctx.parse("(y1-x1+y2)/((x1-y1)*y2) + (y1-x1-x2)/((x1-y1)*x2)"),
+                "-(x2+y2)/(x2*y2)",
+            ),
+            ((ctx.fiber(2) / g) ** -1, "(x1-y1)/y2"),
+            (Expr(ctx, g_poly * y2_poly, g_poly.scale(3)), "y2/3"),
+            ((1 / g).diff(Var("y", 1)), "1/(x1-y1)^2"),
+        ]
+        for got, text in cases:
+            assert_canonical(got)
+            assert got == ctx.parse(text), text
 
     def test_common_denominator(self, ctx):
         a = ctx.parse("y1^3*x3/y2 + y3^2")
@@ -316,27 +387,57 @@ class TestSoundness:
 
 # random expression trees: arithmetic on canonical forms agrees with
 # float arithmetic on the same trees
+_POINT = {"x1": Fraction(5, 4), "x2": Fraction(3, 2), "y1": Fraction(7, 4), "y2": Fraction(9, 8)}
+
+
 def _expr_strategy(ctx):
-    atoms = st.sampled_from(
-        [ctx.base(1), ctx.base(2), ctx.fiber(1), ctx.fiber(2)]
-    ) | st.integers(-3, 3).map(ctx.number)
+    """(expression, its exact value at ``_POINT``) pairs: sums, differences
+    and products of coordinates and small rational constants, and their
+    quotients by nonzero constants."""
+    constants = st.integers(-3, 3).map(Fraction) | st.fractions(-3, 3, max_denominator=6)
+    coords = st.sampled_from(["x1", "x2", "y1", "y2"]).map(
+        lambda name: (ctx.var(ctx.var_named(name)), _POINT[name])
+    )
+    leaves = coords | constants.map(lambda c: (ctx.number(c), c))
 
     def combine(children):
-        a, b = children
-        return st.sampled_from([a + b, a - b, a * b])
+        (a, va), (b, vb) = children
+        return st.sampled_from([(a + b, va + vb), (a - b, va - vb), (a * b, va * vb)])
 
-    return st.recursive(atoms, lambda s: st.tuples(s, s).flatmap(combine), max_leaves=8)
+    def extend(trees):
+        quotients = st.tuples(trees, constants.filter(bool)).map(
+            lambda t: (t[0][0] / t[1], t[0][1] / t[1])
+        )
+        return st.tuples(trees, trees).flatmap(combine) | quotients
+
+    return st.recursive(leaves, extend, max_leaves=8)
 
 
 class TestArithmeticAgainstFloats:
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_random_trees(self, data):
         ctx = Context(2, ["x1", "x2"], ["y1", "y2"])
-        e = data.draw(_expr_strategy(ctx))
-        point = {"x1": 1.25, "x2": 1.5, "y1": 1.75, "y2": 1.125}
-        # rebuild the float value from the canonical form only
-        got = e.eval_at(point)
-        assert got == pytest.approx(got, abs=0)  # finite
-        # canonical equality is stable under printing
-        assert ctx.parse(str(e)) == e
+        e, value = data.draw(_expr_strategy(ctx))
+        # rebuild the value from the canonical form only: the point is
+        # dyadic, so its floats are exact and the one rounding is the last
+        point = {name: float(v) for name, v in _POINT.items()}
+        assert e.eval_at(point) == float(value)
+        # canonical equality and hashing are stable under printing
+        back = ctx.parse(str(e))
+        assert back == e and hash(back) == hash(e)
+        assert (back - e).is_zero_expr()
+
+
+@pytest.mark.parametrize(
+    "name", ["worked-3d", "perturbed-flat-2d", "polar-flat-2d", "berwald-4d", "cuberoot-3d"]
+)
+def test_canonical_form_invariants(name):
+    """Every component of every object, and every atom's radicand, is in
+    canonical form (``assert_canonical``)."""
+    geom = geometry_for(name)
+    for atom in geom.ctx._atoms:
+        assert_canonical(atom.radicand)
+    for object_id in registry.verifiable_object_ids():
+        for _, e in registry.resolve(geom, object_id).components():
+            assert_canonical(e)

@@ -21,6 +21,7 @@ from finslercalc import (
 )
 from finslercalc import registry
 from finslercalc.expr import DomainError, real_root
+from finslercalc.poly import Poly
 from finslercalc.oracle import (
     Jet,
     NumericGeometry,
@@ -249,7 +250,8 @@ class TestExactPointValues:
     """``Expr.eval_at`` on one shared table of ``Context.point_values``
     gives the value computed in Fractions and rounded once; where radical
     atoms occur, the value ``Poly.eval`` gives with Fraction coordinates
-    (atoms as floats, those terms added in term order)."""
+    and the content folded into each coefficient (atoms as floats, those
+    terms added in term order)."""
 
     @pytest.mark.parametrize(
         "name", ["worked-3d", "perturbed-flat-2d", "polar-flat-2d", "berwald-4d", "cuberoot-3d"]
@@ -261,7 +263,9 @@ class TestExactPointValues:
         values = geom.ctx.values_at([Fraction(v) for v in (*point.x, *point.y)])
         for object_id in registry.verifiable_object_ids():
             for idx, e in registry.resolve(geom, object_id).components():
-                want = float(e.num.eval(values) / e.den.eval(values))
+                # rational coefficients: a reference value only, not an Expr part
+                num = Poly({key: e.content * c for key, c in e.num.terms.items()})
+                want = float(num.eval(values) / e.den.eval(values))
                 assert e.eval_at(table) == want, (object_id, idx)
 
 

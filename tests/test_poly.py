@@ -9,9 +9,9 @@ from finslercalc.poly import (
     EXPONENT_LIMIT,
     ExponentLimitError,
     Poly,
-    _int_primitive,
     div_exact,
     int_power_extract,
+    int_primitive,
     iter_indices,
     make_primitive,
     pack,
@@ -57,8 +57,8 @@ class TestArithmetic:
         assert p.diff(1) == x**3 + y.scale(2)
 
     def test_eval_exact(self):
-        p = x * y + Poly.const(Fraction(1, 2))
-        assert p.eval([Fraction(2), Fraction(3)]) == Fraction(13, 2)
+        p = x * y + Poly.const(3)
+        assert p.eval([Fraction(1, 2), Fraction(3)]) == Fraction(9, 2)
 
     def test_leading_grlex(self):
         # total degree first, then lexicographic with x before y
@@ -77,34 +77,35 @@ class TestArithmetic:
 
 
 class TestIntegralCoefficients:
-    """Integral coefficients are ints, so the gcd evaluations run in int
-    arithmetic rather than Fraction arithmetic."""
+    """A Poly is an element of Z[x]: arithmetic keeps int coefficients, and
+    exact division gives an integral quotient or None."""
 
     def test_one_and_powers(self):
         assert all(type(c) is int for c in Poly.one().terms.values())
         assert all(type(c) is int for c in ((x + y) ** 3).terms.values())
 
     def test_primitive_part(self):
-        p = Poly({pack((1,)): Fraction(6), pack((0, 1)): Fraction(-4), 0: Fraction(2)})
-        content, prim = _int_primitive(p)
+        content, prim = int_primitive(x.scale(6) - y.scale(4) + Poly.const(2))
         assert content == 2 and prim == x.scale(3) - y.scale(2) + one
-        assert all(type(c) is int for c in prim.terms.values())
-        content, prim = _int_primitive(Poly({pack((1,)): Fraction(3), 0: Fraction(1)}))
-        assert content == 1 and all(type(c) is int for c in prim.terms.values())
+        assert int_primitive(x.scale(3) + one) == (1, x.scale(3) + one)
+        # make_primitive also fixes the sign of the grlex leading coefficient
+        assert make_primitive(y.scale(4) - x.scale(6)) == (-2, x.scale(3) - y.scale(2))
 
     def test_products_and_sums(self):
-        half = Poly({pack((1,)): Fraction(1, 2), 0: 1})
-        for p in (
-            half * Poly({pack((1,)): 2}),
-            half * (x + one).scale(2),
-            half.mul_monomial(pack((0, 1)), 2),
-            half.scale(4),
-            half + x.scale(Fraction(1, 2)),
-            (x * x).scale(Fraction(1, 2)).diff(0),
+        p = x.scale(2) + one
+        for q in (
+            p * p,
+            p + x.scale(3),
+            p.scale(4),
+            (p * p).diff(0),
+            p.mul_monomial(pack((0, 1)), 3),
+            div_exact(p * p.scale(3), p),
+            div_exact(p.scale(6), Poly.const(3)),
         ):
-            assert all(type(c) is int for c in p.terms.values()), p
-        assert half * Poly({pack((1,)): 2}) == x * x + x.scale(2)
-        assert half + x.scale(Fraction(1, 2)) == x + one
+            assert all(type(c) is int for c in q.terms.values()), q
+        # over the rationals these divide, over the integers they do not
+        assert div_exact(p, Poly.const(2)) is None
+        assert div_exact(p * p, p.scale(2)) is None
 
 
 class TestPackedKeys:
@@ -152,9 +153,11 @@ class TestDivision:
         assert div_exact(x.scale(6), Poly.const(3)) == x.scale(2)
 
     def test_by_monomial(self):
-        assert div_exact(x * x * y.scale(4) + x * y * z, x * y.scale(2)) == (
-            x.scale(2) + z.scale(Fraction(1, 2))
+        assert div_exact(x * x * y.scale(4) + x * y * z.scale(2), x * y.scale(2)) == (
+            x.scale(2) + z
         )
+        # the quotient 2*x + z/2 is not integral
+        assert div_exact(x * x * y.scale(4) + x * y * z, x * y.scale(2)) is None
         assert div_exact(x * x + y, x) is None
         assert div_exact(x * z, z * z) is None
 

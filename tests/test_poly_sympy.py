@@ -69,9 +69,11 @@ class TestAgainstSympy:
     )
     @settings(max_examples=30, deadline=None)
     def test_div_exact(self, a, b, c, m):
-        """Any divisor, and a multi-term one (the heap division) also with
-        its terms in ascending key order, so that its leading term is the
-        last key; the dividends include multiples plus a remainder."""
+        """Division in Z[x]: any divisor, and a multi-term one (the heap
+        division) also with its terms in ascending key order, so that its
+        leading term is the last key; the dividends include multiples plus
+        a remainder.  A divisor divides when it leaves no remainder and an
+        integral quotient."""
         ascending = Poly(dict(sorted(m.terms.items())))
         for divisor in (b, m, ascending):
             if divisor.is_zero():
@@ -82,7 +84,7 @@ class TestAgainstSympy:
                     to_sympy(dividend).as_expr(), to_sympy(divisor).as_expr(), *SYMS
                 )
                 got = div_exact(dividend, divisor)
-                if r == 0:
+                if r == 0 and all(c.is_Integer for c in sympy.Poly(q, *SYMS).coeffs()):
                     assert got is not None and to_sympy(got).as_expr() == q
                 else:
                     assert got is None
