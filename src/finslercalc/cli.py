@@ -14,10 +14,10 @@ import math
 import os
 import sys
 from collections.abc import Container
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import registry
-from .expr import DomainError, ExprError, ZeroStatus
+from .expr import DomainError, ExprError, SamplingExhausted, ZeroStatus
 from .geometry import (
     Classification,
     DegenerateMetric,
@@ -26,7 +26,6 @@ from .geometry import (
     NotHomogeneous,
     build,
 )
-from .oracle import SamplingExhausted, verify_many
 from .parsing import to_latex
 from .poly import ExponentLimitError
 from .tensor import Tensor, nonzero_components
@@ -37,8 +36,7 @@ from .tensor import Tensor, nonzero_components
 MAX_CHECK_POINTS = 100
 
 
-@dataclass
-class CheckParams:
+class CheckParams(NamedTuple):
     points: int = 8
     tol: float = 1e-9
     seed: int = 0
@@ -46,7 +44,7 @@ class CheckParams:
 
     @staticmethod
     def parse(text: str) -> "CheckParams":
-        params = CheckParams()
+        given = {}
         for part in text.split(","):
             part = part.strip()
             if not part:
@@ -56,16 +54,17 @@ class CheckParams:
             key, value = part.split("=", 1)
             key = key.strip()
             if key == "points":
-                params.points = int(value)
+                given["points"] = int(value)
             elif key == "tol":
-                params.tol = float(value)
+                given["tol"] = float(value)
             elif key == "seed":
-                params.seed = int(value)
+                given["seed"] = int(value)
             elif key == "box":
                 lo, hi = value.split(":")
-                params.box = (float(lo), float(hi))
+                given["box"] = (float(lo), float(hi))
             else:
                 raise ValueError(f"unknown --check key {key!r}")
+        params = CheckParams(**given)
         if params.points < 1:
             raise ValueError(f"--check points must be at least 1, got {params.points}")
         if params.points > MAX_CHECK_POINTS:
@@ -79,19 +78,23 @@ class CheckParams:
         return params
 
 
-@dataclass
 class RunConfig:
-    dim: int = 0
-    coords: list[str] = field(default_factory=list)
-    fibers: list[str] = field(default_factory=list)
-    metric_function: str = ""
-    given_f: str = ""
-    constraints: list[str] = field(default_factory=list)
-    objects: list[str] = field(default_factory=list)
-    format: str = "text"
-    full_table: bool = False
-    check: CheckParams | None = None
-    seed: int = 0
+    def __init__(self, dim: int = 0, coords: list[str] | None = None,
+                 fibers: list[str] | None = None, metric_function: str = "", given_f: str = "",
+                 constraints: list[str] | None = None, objects: list[str] | None = None,
+                 format: str = "text", full_table: bool = False,
+                 check: CheckParams | None = None, seed: int = 0):
+        self.dim = dim
+        self.coords = [] if coords is None else coords
+        self.fibers = [] if fibers is None else fibers
+        self.metric_function = metric_function
+        self.given_f = given_f
+        self.constraints = [] if constraints is None else constraints
+        self.objects = [] if objects is None else objects
+        self.format = format
+        self.full_table = full_table
+        self.check = check
+        self.seed = seed
 
     def validate(self):
         if self.dim < 2:
@@ -187,7 +190,7 @@ def build_config(argv: list[str]) -> RunConfig:
     if env_seed is not None:
         cfg.seed = int(env_seed)
         if cfg.check is not None:
-            cfg.check.seed = int(env_seed)
+            cfg.check = cfg.check._replace(seed=cfg.seed)
     elif cfg.check is not None:
         cfg.seed = cfg.check.seed
     return cfg
@@ -301,6 +304,8 @@ def run(config: RunConfig, out=None) -> int:
     print("\n\n".join(documents), file=out)
     if config.check is None:
         return 0
+    from .oracle import verify_many
+
     try:
         reports = verify_many(
             geom,

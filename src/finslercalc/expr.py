@@ -43,11 +43,10 @@ from __future__ import annotations
 import enum
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .poly import (
     FactorBase,
@@ -96,30 +95,27 @@ ZERO_TEST_TOL = 1e-9  # its relative threshold for a nonzero value
 RETRY_CAP = 100  # rejections in a row before ``draw_points`` gives up
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple("Var", [("kind", str), ("index", int)])):
     """A declared coordinate: base ('x') or fiber ('y'), 1-based index."""
 
-    kind: str
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("x", "y"):
+    def __new__(cls, kind: str, index: int):
+        if kind not in ("x", "y"):
             raise ValueError("Var kind must be 'x' or 'y'")
-        if self.index < 1:
+        if index < 1:
             raise ValueError("Var index is 1-based")
+        return super().__new__(cls, kind, index)
 
 
-@dataclass(frozen=True)
-class NumericPoint:
+class NumericPoint(NamedTuple):
     """A sample point on the slit tangent bundle."""
 
     x: tuple[float, ...]
     y: tuple[float, ...]
 
 
-@dataclass
-class _Atom:
+class _Atom(NamedTuple):
     sym: int
     q: int
     radicand: "Expr"  # canonical, involves only symbols below ``sym``
@@ -383,11 +379,14 @@ class Expr:
             return self
         # self + o = c * (ia * N_a / D_a + ib * N_b / D_b) for coprime ints ia, ib
         a, b = self.content, o.content
-        g_num = gcd(a.numerator, b.numerator)
-        den = lcm(a.denominator, b.denominator)
-        c = Fraction(g_num, den)
-        a_num = self.num.scale(a.numerator // g_num * (den // a.denominator))
-        b_num = o.num.scale(b.numerator // g_num * (den // b.denominator))
+        if a == b:
+            c, a_num, b_num = a, self.num, o.num
+        else:
+            g_num = gcd(a.numerator, b.numerator)
+            den = lcm(a.denominator, b.denominator)
+            c = Fraction(g_num, den)
+            a_num = self.num.scale(a.numerator // g_num * (den // a.denominator))
+            b_num = o.num.scale(b.numerator // g_num * (den // b.denominator))
         # cross-cancellation keeps every gcd call small (Knuth 4.5.1);
         # sums never grow atom exponents, so no re-reduction is needed
         if self.den == o.den:
@@ -443,9 +442,10 @@ class Expr:
         if o is None:
             return NotImplemented
         ctx = self.ctx
-        if not (self.content and o.content):
+        a, b = self.content, o.content
+        if not (a and b):
             return ctx.zero
-        c = self.content * o.content
+        c = b if a == 1 else a if b == 1 else a * b
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
         if not _is_one(b_den):

@@ -11,9 +11,8 @@ a cache hit returns the identical tensor a fresh computation would.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .expr import Context, DomainError, Expr, Var
 from .poly import iter_indices
@@ -32,8 +31,7 @@ class DegenerateMetric(GeometryError):
     """det(g) is identically zero."""
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Domain restriction used by numeric sampling, e.g. x3 != 0."""
 
     expr: Expr
@@ -125,8 +123,7 @@ class ConnectionKind(enum.Enum):
         return kind
 
 
-@dataclass(frozen=True)
-class ConnectionTriple:
+class ConnectionTriple(NamedTuple):
     """(horizontal coefficients, nonlinear connection, vertical
     coefficients) identifying one fundamental connection."""
 
@@ -136,8 +133,7 @@ class ConnectionTriple:
     c_coeffs: Tensor
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     riemannian: bool
     berwaldian: bool
 

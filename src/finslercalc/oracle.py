@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .expr import DomainError, NumericPoint, SamplingExhausted, draw_points, real_root
 from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
@@ -606,8 +606,7 @@ def sample_points(
     return list(itertools.islice(draws, n_points))
 
 
-@dataclass
-class ComponentCheck:
+class ComponentCheck(NamedTuple):
     index: tuple[int, ...]
     max_abs_deviation: float
     max_rel_deviation: float
@@ -615,16 +614,25 @@ class ComponentCheck:
     worst_point: NumericPoint | None = None  # where max_rel_deviation occurs
 
 
-@dataclass
 class VerificationReport:
     """Symbolic-vs-numeric comparison of one object across sample points."""
 
-    object_id: str
-    seed: int
-    tolerance: float
-    points: list[NumericPoint]
-    components: dict[tuple[int, ...], ComponentCheck] = field(default_factory=dict)
-    classification: Classification | None = None  # set for ``classify`` only
+    def __init__(self, object_id: str, seed: int, tolerance: float, points: list[NumericPoint],
+                 components: dict[tuple[int, ...], ComponentCheck] | None = None,
+                 classification: Classification | None = None):
+        self.object_id = object_id
+        self.seed = seed
+        self.tolerance = tolerance
+        self.points = points
+        self.components = {} if components is None else components
+        self.classification = classification  # set for ``classify`` only
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def passed(self) -> bool:

@@ -11,10 +11,10 @@ Grammar (no implicit multiplication; decimals become exact rationals)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
+from typing import NamedTuple
 
 from .expr import Context, Expr, ExprError
 from .poly import EXPONENT_LIMIT, Poly, unpack
@@ -38,8 +38,7 @@ class ParseError(ExprError):
         self.expected = expected
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # number | ident | op | end
     text: str
     pos: int

@@ -10,8 +10,7 @@ that assume no symmetry.  All tensors are immutable after construction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .expr import Context, Expr, ZeroStatus
 from .poly import iter_indices
@@ -40,18 +39,18 @@ def signature(spec: str) -> tuple[Variance, ...]:
     return tuple(table[c] for c in spec)
 
 
-@dataclass(frozen=True)
-class Symmetry:
-    """Pairwise or set symmetry between index positions (1-based)."""
+class Symmetry(NamedTuple("Symmetry", [("kind", str), ("positions", tuple[int, ...])])):
+    """Pairwise or set symmetry between index positions (1-based); ``kind``
+    is "symmetric" or "antisymmetric"."""
 
-    kind: str  # "symmetric" | "antisymmetric"
-    positions: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("symmetric", "antisymmetric"):
+    def __new__(cls, kind: str, positions: tuple[int, ...]):
+        if kind not in ("symmetric", "antisymmetric"):
             raise ValueError("symmetry kind must be symmetric or antisymmetric")
-        if len(self.positions) < 2 or len(set(self.positions)) != len(self.positions):
+        if len(positions) < 2 or len(set(positions)) != len(positions):
             raise ValueError("symmetry needs at least two distinct positions")
+        return super().__new__(cls, kind, positions)
 
 
 def symmetric(*positions: int) -> Symmetry:
@@ -302,8 +301,7 @@ def alternate(t: Tensor, j: int, k: int, name: str | None = None) -> Tensor:
     )
 
 
-@dataclass(frozen=True)
-class ComponentEntry:
+class ComponentEntry(NamedTuple):
     index: tuple[int, ...]
     expr: Expr
     status: ZeroStatus

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
-from finslercalc.cli import MAX_CHECK_POINTS, build_config, main, run
+from finslercalc import Classification, FinslerStructure
+from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, RunConfig, build_config, emit, main, run
+from finslercalc.expr import draw_points
 
 WORKED = [
     "--dim", "3",
@@ -269,7 +271,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("objects", ["g", "classify"])
     def test_sample_point_outside_the_domain_is_exit_1(self, objects, capsys):
-        # the radicand x2*y1^4 + y2^4 is negative at every point of the box
+        # the radicand x2*y1^4 + y2^4 is negative on much of the box
         argv = [
             "--dim", "2",
             "--coords", "x1,x2",
@@ -281,10 +283,15 @@ class TestValidation:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out.startswith(f"# {objects}\n")
-        assert captured.err.startswith(
-            "error: F is not defined at the sample point NumericPoint(x=(-"
+        # the message names, by its record repr, the first point drawn
+        # where the radicand is negative
+        draws = draw_points(2, (), 0, (-2.0, -1.0))
+        first = next(p for p in draws if p.x[1] * p.y[0] ** 4 + p.y[1] ** 4 < 0)
+        assert repr(first).startswith("NumericPoint(x=(-")
+        assert captured.err == (
+            f"error: F is not defined at the sample point {first!r}: "
+            "negative radicand under an even root\n"
         )
-        assert captured.err.endswith("): negative radicand under an even root\n")
 
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(
@@ -292,6 +299,32 @@ class TestValidation:
         )
         assert status == 2
         assert "FAIL" in out
+
+
+class TestRecords:
+    def test_classification_keywords(self):
+        structure = FinslerStructure(2, ["x1", "x2"], ["y1", "y2"], "y1^2 + y2^2")
+        cls = Classification(riemannian=True, berwaldian=False)
+        assert (cls.riemannian, cls.berwaldian) == (True, False)
+        doc = json.loads(emit(cls, "json", structure, "classify"))
+        assert doc == {"name": "classify", "riemannian": True, "berwaldian": False}
+
+    def test_run_configs_share_no_list(self):
+        a, b = RunConfig(), RunConfig()
+        for name in ("coords", "fibers", "constraints", "objects"):
+            getattr(a, name).append("x1")
+            assert getattr(b, name) == []
+
+    def test_check_params_hold_no_list(self):
+        params = CheckParams()
+        for name in ("points", "tol", "seed", "box"):
+            assert not isinstance(getattr(params, name), list)
+        assert params == CheckParams(8, 1e-9, 0, (1.0, 2.0))
+
+    def test_check_params_parse(self):
+        parsed = CheckParams.parse("points=3, box=1:3")
+        assert parsed == CheckParams(points=3, box=(1.0, 3.0))
+        assert repr(parsed) == "CheckParams(points=3, tol=1e-09, seed=0, box=(1.0, 3.0))"
 
 
 class TestConfigFile:

@@ -19,7 +19,7 @@ from finslercalc import (
 )
 
 from finslercalc import registry
-from finslercalc.expr import Expr
+from finslercalc.expr import Expr, _point_coord_values
 from finslercalc.poly import Poly, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
@@ -360,6 +360,39 @@ class TestIsZero:
         with pytest.warns(UserWarning, match="retry cap exhausted"):
             status = e.is_zero()
         assert status is ZeroStatus.NON_ZERO
+
+
+class TestRecords:
+    """Var and NumericPoint are immutable value records."""
+
+    @pytest.mark.parametrize(
+        "kind, index, message",
+        [("z", 1, "Var kind must be 'x' or 'y'"), ("x", 0, "Var index is 1-based")],
+    )
+    def test_var_validates(self, kind, index, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Var(kind, index)
+
+    def test_equal_records_hash_alike(self):
+        assert Var("y", 2) == Var(kind="y", index=2)
+        assert hash(Var("y", 2)) == hash(Var(kind="y", index=2))
+        assert Var("y", 2) != Var("x", 2)
+        p, q = NumericPoint((1.0, 2.0), (3.0, 4.0)), NumericPoint(x=(1.0, 2.0), y=(3.0, 4.0))
+        assert p == q and hash(p) == hash(q)
+        assert p != NumericPoint((1.0, 2.0), (3.0, 5.0))
+
+    def test_repr(self):
+        assert repr(Var("x", 3)) == "Var(kind='x', index=3)"
+        p = NumericPoint((1.0, -2.5), (0.125, 3.0))
+        assert repr(p) == "NumericPoint(x=(1.0, -2.5), y=(0.125, 3.0))"
+        assert f"{p}" == repr(p)
+
+    def test_numeric_point_is_read_as_a_point(self, ctx):
+        # not as a mapping of names, the other kind of point it takes
+        point = NumericPoint((1, 2, 3), (4, 5, 6))
+        assert _point_coord_values(ctx, point) == [1, 2, 3, 4, 5, 6]
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            _point_coord_values(ctx, NumericPoint((1, 2), (4, 5)))
 
 
 class TestSoundness:

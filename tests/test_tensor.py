@@ -6,6 +6,7 @@ from finslercalc import (
     DOWN,
     UP,
     VarianceMismatch,
+    Symmetry,
     ZeroStatus,
     alternate,
     antisymmetric,
@@ -26,6 +27,26 @@ from finslercalc import geometry, tensor
 @pytest.fixture(scope="module")
 def ctx():
     return Context(2, ["x1", "x2"], ["y1", "y2"])
+
+
+class TestSymmetryRecord:
+    @pytest.mark.parametrize(
+        "kind, positions, message",
+        [
+            ("sym", (1, 2), "symmetry kind must be symmetric or antisymmetric"),
+            ("symmetric", (1,), "symmetry needs at least two distinct positions"),
+            ("symmetric", (1, 1), "symmetry needs at least two distinct positions"),
+        ],
+    )
+    def test_validates(self, kind, positions, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Symmetry(kind, positions)
+
+    def test_value_equality(self):
+        a, b = symmetric(1, 2), Symmetry(kind="symmetric", positions=(1, 2))
+        assert a == b and hash(a) == hash(b)
+        assert a != antisymmetric(1, 2)
+        assert repr(a) == "Symmetry(kind='symmetric', positions=(1, 2))"
 
 
 class TestDefine:
