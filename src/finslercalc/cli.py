@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Declares a Finsler structure, computes requested objects, and emits one
-document per object as text, JSON, or LaTeX.  Exit status: 0 on success,
-1 on validation errors (bad input, unknown objects, degenerate or
-non-homogeneous metric functions), 2 when --check verification fails.
+document per object as text, JSON, or LaTeX.  The argparse parser is the
+one declaration of the options: the ``key = value`` lines of a --config
+file become ``--key=value`` arguments placed before the command line, so
+a file value is read exactly as the flag is, and flags win.  Exit status:
+0 on success, 1 on validation errors (a bad flag or config value, unknown
+objects, degenerate or non-homogeneous metric functions), 2 when --check
+verification fails.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import json
 import math
 import os
 import sys
-from collections.abc import Container
 from typing import NamedTuple
 
 from . import registry
@@ -35,6 +38,9 @@ from .tensor import Tensor, nonzero_components
 # structures a point costs up to a few tenths of a second and a few MB
 MAX_CHECK_POINTS = 100
 
+# the form each --check value must take, as its error message names it
+_CHECK_FORMS = {"points": "an integer", "tol": "a number", "seed": "an integer", "box": "lo:hi"}
+
 
 class CheckParams(NamedTuple):
     points: int = 8
@@ -51,19 +57,19 @@ class CheckParams(NamedTuple):
                 continue
             if "=" not in part:
                 raise ValueError(f"bad --check item {part!r}; expected key=value")
-            key, value = part.split("=", 1)
-            key = key.strip()
-            if key == "points":
-                given["points"] = int(value)
-            elif key == "tol":
-                given["tol"] = float(value)
-            elif key == "seed":
-                given["seed"] = int(value)
-            elif key == "box":
-                lo, hi = value.split(":")
-                given["box"] = (float(lo), float(hi))
-            else:
+            key, value = (s.strip() for s in part.split("=", 1))
+            if key not in _CHECK_FORMS:
                 raise ValueError(f"unknown --check key {key!r}")
+            try:
+                if key == "box":
+                    lo, hi = value.split(":")
+                    given[key] = (float(lo), float(hi))
+                else:
+                    given[key] = (float if key == "tol" else int)(value)
+            except ValueError:
+                raise ValueError(
+                    f"--check {key} must be {_CHECK_FORMS[key]}, got {value!r}"
+                ) from None
         params = CheckParams(**given)
         if params.points < 1:
             raise ValueError(f"--check points must be at least 1, got {params.points}")
@@ -78,47 +84,50 @@ class CheckParams(NamedTuple):
         return params
 
 
-class RunConfig:
-    def __init__(self, dim: int = 0, coords: list[str] | None = None,
-                 fibers: list[str] | None = None, metric_function: str = "", given_f: str = "",
-                 constraints: list[str] | None = None, objects: list[str] | None = None,
-                 format: str = "text", full_table: bool = False,
-                 check: CheckParams | None = None, seed: int = 0):
-        self.dim = dim
-        self.coords = [] if coords is None else coords
-        self.fibers = [] if fibers is None else fibers
-        self.metric_function = metric_function
-        self.given_f = given_f
-        self.constraints = [] if constraints is None else constraints
-        self.objects = [] if objects is None else objects
-        self.format = format
-        self.full_table = full_table
-        self.check = check
-        self.seed = seed
-
-    def validate(self):
-        if self.dim < 2:
-            raise ValueError("--dim must be at least 2")
-        if len(self.coords) != self.dim or len(self.fibers) != self.dim:
-            raise ValueError("--coords and --fibers must list exactly dim names")
-        if len(set(self.coords + self.fibers)) != 2 * self.dim:
-            raise ValueError("coordinate and fiber names must be distinct")
-        if bool(self.metric_function) == bool(self.given_f):
-            raise ValueError("give exactly one of --metric-function (F^2) or --given-f")
-        if not self.objects:
-            raise ValueError("--objects must name at least one object")
-        for obj in self.objects:
-            if not registry.is_known(obj):
-                raise ValueError(
-                    f"unknown object {obj!r}; known: {', '.join(registry.base_object_ids())} "
-                    "plus hcov:<id>:<kind> and vcov:<id>:<kind>"
-                )
-        if self.format not in ("text", "json", "latex"):
-            raise ValueError("--format must be text, json, or latex")
+def validate(config: argparse.Namespace) -> None:
+    """Checks over the parsed options, with the messages the CLI prints."""
+    if config.dim < 2:
+        raise ValueError("--dim must be at least 2")
+    if len(config.coords) != config.dim or len(config.fibers) != config.dim:
+        raise ValueError("--coords and --fibers must list exactly dim names")
+    if len(set(config.coords + config.fibers)) != 2 * config.dim:
+        raise ValueError("coordinate and fiber names must be distinct")
+    if bool(config.metric_function) == bool(config.given_f):
+        raise ValueError("give exactly one of --metric-function (F^2) or --given-f")
+    if not config.objects:
+        raise ValueError("--objects must name at least one object")
+    for obj in config.objects:
+        if not registry.is_known(obj):
+            raise ValueError(
+                f"unknown object {obj!r}; known: {', '.join(registry.base_object_ids())} "
+                "plus hcov:<id>:<kind> and vcov:<id>:<kind>"
+            )
+    if config.format not in ("text", "json", "latex"):
+        raise ValueError("--format must be text, json, or latex")
 
 
-def _config_from_file(path: str, known: Container[str]) -> dict[str, str]:
-    out = {}
+class _Parser(argparse.ArgumentParser):
+    """Every parse error is a ValueError, so that ``main`` ends it with exit 1
+    like any other bad input; --help still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _split_csv(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def boolean(text: str) -> bool:
+    """A --full-table value: ``true``/``yes``/``1`` or ``false``/``no``/``0``."""
+    if text in ("true", "yes", "1", "false", "no", "0"):
+        return text in ("true", "yes", "1")
+    raise ValueError(text)
+
+
+def _config_args(path: str, keys: set[str]) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` arguments."""
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -128,72 +137,49 @@ def _config_from_file(path: str, known: Container[str]) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key not in known:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+            out.append(f"--{key}={value.strip()}")
     return out
 
 
-def _split_csv(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
-
-
-def build_config(argv: list[str]) -> RunConfig:
-    parser = argparse.ArgumentParser(
+def build_config(argv: list[str]) -> argparse.Namespace:
+    parser = _Parser(
         prog="finslercalc",
         description="Symbolic Finsler geometry: connections, torsions, curvatures.",
     )
-    parser.add_argument("--dim", type=int)
-    parser.add_argument("--coords", help="comma-separated base coordinate names")
-    parser.add_argument("--fibers", help="comma-separated fiber coordinate names")
-    parser.add_argument("--metric-function", help="F^2 as an expression")
-    parser.add_argument("--given-f", help="F as an expression (squared textually)")
-    parser.add_argument("--constraints", help="comma-separated, e.g. 'x3!=0,y2>0'")
-    parser.add_argument("--objects", help="comma-separated object ids")
-    parser.add_argument("--format", choices=["text", "json", "latex"])
-    parser.add_argument("--full-table", action="store_true", default=None)
+    parser.add_argument("--dim", type=int, default=0)
+    parser.add_argument("--coords", type=_split_csv, default="",
+                        help="comma-separated base coordinate names")
+    parser.add_argument("--fibers", type=_split_csv, default="",
+                        help="comma-separated fiber coordinate names")
+    parser.add_argument("--metric-function", default="", help="F^2 as an expression")
+    parser.add_argument("--given-f", default="", help="F as an expression (squared textually)")
+    parser.add_argument("--constraints", type=_split_csv, default="",
+                        help="comma-separated, e.g. 'x3!=0,y2>0'")
+    parser.add_argument("--objects", type=_split_csv, default="",
+                        help="comma-separated object ids")
+    parser.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    parser.add_argument("--full-table", type=boolean, nargs="?", const=True, default=False,
+                        metavar="BOOL", help="every component, not one per symmetry orbit")
     parser.add_argument("--check", help="points=<n>,tol=<t>,seed=<s>,box=<lo:hi>")
     parser.add_argument("--config", help="file with 'key = value' lines (same keys)")
-    args = parser.parse_args(argv)
-
-    cli_pairs = {
-        "dim": args.dim,
-        "coords": args.coords,
-        "fibers": args.fibers,
-        "metric-function": args.metric_function,
-        "given-f": args.given_f,
-        "constraints": args.constraints,
-        "objects": args.objects,
-        "format": args.format,
-        "full-table": args.full_table,
-        "check": args.check,
-    }
-    values = _config_from_file(args.config, cli_pairs) if args.config else {}
-    for key, value in cli_pairs.items():
-        if value is not None:
-            values[key] = value
-
-    cfg = RunConfig()
-    if "dim" in values:
-        cfg.dim = int(values["dim"])
-    cfg.coords = _split_csv(values.get("coords", ""))
-    cfg.fibers = _split_csv(values.get("fibers", ""))
-    cfg.metric_function = values.get("metric-function", "")
-    cfg.given_f = values.get("given-f", "")
-    cfg.constraints = _split_csv(values.get("constraints", ""))
-    cfg.objects = _split_csv(values.get("objects", ""))
-    cfg.format = values.get("format", "text")
-    cfg.full_table = values.get("full-table") in (True, "true", "yes", "1")
-    if values.get("check"):
-        cfg.check = CheckParams.parse(values["check"])
+    config = parser.parse_args(argv)
+    if config.config:
+        keys = {dest.replace("_", "-") for dest in vars(config)} - {"config"}
+        config = parser.parse_args(_config_args(config.config, keys) + argv)
+    config.check = CheckParams.parse(config.check) if config.check else None
     env_seed = os.environ.get("FINSLER_SEED")
     if env_seed is not None:
-        cfg.seed = int(env_seed)
-        if cfg.check is not None:
-            cfg.check = cfg.check._replace(seed=cfg.seed)
-    elif cfg.check is not None:
-        cfg.seed = cfg.check.seed
-    return cfg
+        try:
+            config.seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"FINSLER_SEED must be an integer, got {env_seed!r}") from None
+        if config.check is not None:
+            config.check = config.check._replace(seed=config.seed)
+    else:
+        config.seed = config.check.seed if config.check is not None else 0
+    return config
 
 
 # -- emission -------------------------------------------------------------------
@@ -275,10 +261,10 @@ def emit(obj, fmt: str, structure: FinslerStructure, object_id: str,
 # -- driver ----------------------------------------------------------------------
 
 
-def run(config: RunConfig, out=None) -> int:
+def run(config: argparse.Namespace, out=None) -> int:
     out = out or sys.stdout
     try:
-        config.validate()
+        validate(config)
         if config.given_f:
             structure = FinslerStructure.from_f(
                 config.dim, config.coords, config.fibers, config.given_f,

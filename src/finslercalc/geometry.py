@@ -52,6 +52,11 @@ class Constraint(NamedTuple):
 
     @staticmethod
     def parse(text: str, ctx: Context) -> "Constraint":
+        for op in (">=", "<="):
+            if op in text:
+                raise ValueError(
+                    f"constraint {text!r} uses {op}; the accepted relations are !=, > and <"
+                )
         for op in ("!=", ">", "<"):
             if op in text:
                 lhs, rhs = text.split(op, 1)

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from finslercalc import Classification, FinslerStructure
-from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, RunConfig, build_config, emit, main, run
+from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, build_config, emit, main, run
 from finslercalc.expr import draw_points
 
 WORKED = [
@@ -256,6 +256,12 @@ class TestValidation:
         "tol=0": "tol must be finite and positive, got 0.0",
         "box=nan:1": "box bounds must be finite, got (nan, 1.0)",
         "box=1:inf": "box bounds must be finite, got (1.0, inf)",
+        "box=1:2:3": "box must be lo:hi, got '1:2:3'",
+        "box=1": "box must be lo:hi, got '1'",
+        "box=a:2": "box must be lo:hi, got 'a:2'",
+        "points=abc": "points must be an integer, got 'abc'",
+        "seed=abc": "seed must be an integer, got 'abc'",
+        "tol=x": "tol must be a number, got 'x'",
     }
 
     @pytest.mark.parametrize("check", BAD_CHECKS)
@@ -264,6 +270,56 @@ class TestValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --check {self.BAD_CHECKS[check]}\n"
+
+    def test_bad_seed_variable_is_exit_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("FINSLER_SEED", "abc")
+        assert main(WORKED + ["--objects", "g", "--check", "points=2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: FINSLER_SEED must be an integer, got 'abc'\n"
+
+    BAD_FLAGS = {
+        ("--dim", "abc"): "argument --dim: invalid int value: 'abc'",
+        ("--format", "pdf"): "argument --format: invalid choice: 'pdf'",
+        ("--bogus", "1"): "unrecognized arguments: --bogus 1",
+        ("--full-table=maybe",): "argument --full-table: invalid boolean value: 'maybe'",
+        ("--objects",): "argument --objects: expected one argument",
+    }
+
+    @pytest.mark.parametrize("flag", BAD_FLAGS)
+    def test_bad_flag_is_exit_1_with_one_error_line(self, flag, capsys):
+        assert main(WORKED + ["--objects", "g"] + list(flag)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {self.BAD_FLAGS[flag]}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("key, value", [("dim", "abc"), ("format", "pdf"),
+                                            ("full-table", "maybe")])
+    def test_bad_config_value_reads_as_the_flag(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(cfg)]) == 1
+        from_file = capsys.readouterr()
+        assert main([f"--{key}={value}"]) == 1
+        assert capsys.readouterr() == from_file
+        assert from_file.out == "" and from_file.err.startswith(f"error: argument --{key}: ")
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: finslercalc")
+
+    @pytest.mark.parametrize("op", [">=", "<="])
+    def test_inclusive_relation_is_refused(self, op, capsys):
+        argv = WORKED[:-2] + ["--constraints", f"x3{op}0", "--objects", "g"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: constraint 'x3{op}0' uses {op}; the accepted relations are !=, > and <\n"
+        )
 
     def test_points_at_the_cap_are_accepted(self):
         argv = WORKED + ["--objects", "g", "--check", f"points={MAX_CHECK_POINTS}"]
@@ -310,10 +366,12 @@ class TestRecords:
         assert doc == {"name": "classify", "riemannian": True, "berwaldian": False}
 
     def test_run_configs_share_no_list(self):
-        a, b = RunConfig(), RunConfig()
-        for name in ("coords", "fibers", "constraints", "objects"):
-            getattr(a, name).append("x1")
-            assert getattr(b, name) == []
+        for argv in ([], WORKED + ["--objects", "g"]):
+            a, b = build_config(argv), build_config(argv)
+            for name in ("coords", "fibers", "constraints", "objects"):
+                before = list(getattr(b, name))
+                getattr(a, name).append("x1")
+                assert getattr(b, name) == before
 
     def test_check_params_hold_no_list(self):
         params = CheckParams()
@@ -352,6 +410,18 @@ class TestConfigFile:
         status, out = run_cli(["--config", str(cfg), "--objects", "Gspray"])
         assert status == 0
         assert "# Gspray" in out
+
+    def test_full_table_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        base = ("dim = 3\ncoords = x1,x2,x3\nfibers = y1,y2,y3\n"
+                "metric-function = x3*y1^3/y2 + y3^2\nobjects = g\n")
+        _, full = run_cli(WORKED + ["--objects", "g", "--full-table"])
+        _, reduced = run_cli(WORKED + ["--objects", "g"])
+        for value, expected in (("yes", full), ("1", full), ("false", reduced)):
+            cfg.write_text(base + f"full-table = {value}\n")
+            assert run_cli(["--config", str(cfg)]) == (0, expected)
+        cfg.write_text(base + "full-table = false\n")
+        assert run_cli(["--config", str(cfg), "--full-table"]) == (0, full)
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
