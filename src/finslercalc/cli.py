@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import NamedTuple
 
 from . import registry
-from .expr import DomainError, ExprError, SamplingExhausted, ZeroStatus
+from .expr import DomainError, ExprError, SamplingExhausted, ZeroStatus, check_tol_and_box
 from .geometry import (
     Classification,
     DegenerateMetric,
@@ -77,10 +76,10 @@ class CheckParams(NamedTuple):
             raise ValueError(
                 f"--check points must be at most {MAX_CHECK_POINTS}, got {params.points}"
             )
-        if not (math.isfinite(params.tol) and params.tol > 0):
-            raise ValueError(f"--check tol must be finite and positive, got {params.tol}")
-        if not all(map(math.isfinite, params.box)):
-            raise ValueError(f"--check box bounds must be finite, got {params.box}")
+        try:
+            check_tol_and_box(params.tol, params.box)
+        except ValueError as exc:
+            raise ValueError(f"--check {exc}") from None
         return params
 
 

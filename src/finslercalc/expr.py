@@ -45,7 +45,7 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .poly import (
@@ -212,11 +212,6 @@ class Context:
 
     def fiber(self, index: int) -> "Expr":
         return self.var(Var("y", index))
-
-    def vars(self) -> list[Var]:
-        return [Var("x", i) for i in range(1, self.dim + 1)] + [
-            Var("y", i) for i in range(1, self.dim + 1)
-        ]
 
     def parse(self, text: str) -> "Expr":
         from .parsing import parse
@@ -634,6 +629,16 @@ class Expr:
         if not _is_one(den):
             total += 1 + _poly_nodes(den)
         return total
+
+
+def check_tol_and_box(tol: float, box: tuple[float, float]) -> None:
+    """The rule on a check's tolerance and sampling box: a tolerance no
+    deviation can exceed (NaN, infinity) passes everything, and a point
+    drawn from a box with a non-finite bound has no exact value."""
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not all(map(isfinite, box)):
+        raise ValueError(f"box bounds must be finite, got {box}")
 
 
 def draw_points(

@@ -376,16 +376,17 @@ class Geometry:
             r_tor = define(
                 "R", self.ctx, self.dim, (UP, DOWN, DOWN), r_gen, (antisymmetric(2, 3),)
             )
-            return r_tor, self._hv_torsion(self.connection(ConnectionKind.CHERN))
+            return r_tor, self._p_torsion()
 
         return self._get("torsions", build_torsions)
 
-    def _hv_torsion(self, triple: "ConnectionTriple") -> Tensor:
-        """The (v)hv-torsion P^i_jk = (dot d)_k N^i_j - F^i_jk of a
-        connection: the Cartan P-torsion when F = Gamma, zero when F = G."""
+    def _p_torsion(self) -> Tensor:
+        """P^i_jk = (dot d)_k N^i_j - Gamma^i_jk, the (v)hv-torsion of the
+        connections with F = Gamma; built apart from R so that the
+        hv-curvatures need no R.  With F = G it is zero by definition."""
 
         def build_p():
-            N, F = triple.n_coeffs, triple.f_coeffs
+            N, F = self.nonlinear_connection(), self.cartan_coefficients()
 
             def gen(idx):
                 i, j, k = idx
@@ -393,7 +394,7 @@ class Geometry:
 
             return define("P", self.ctx, self.dim, (UP, DOWN, DOWN), gen)
 
-        return self._get(("Ptorsion", triple.kind.uses_gamma), build_p)
+        return self._get("Ptorsion", build_p)
 
     # -- connections ------------------------------------------------------------
 
@@ -455,7 +456,8 @@ class Geometry:
 
     def _build_curvature(self, kind: ConnectionKind, which: str) -> Tensor:
         """One formula per curvature type over the triple (F, N, C); the
-        C-terms vanish with C and are skipped when it is zero."""
+        C-terms vanish with C and are skipped when it is zero, and so is
+        the C·P term when F = G, whose P-torsion is zero by definition."""
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)
@@ -482,14 +484,15 @@ class Geometry:
         if which == "hv":
             if with_c:
                 hc = self.h_cov_derivative(C, triple)
-                p_tor = self._hv_torsion(triple)
+                p_tor = self._p_torsion() if kind.uses_gamma else None
 
             def p_gen(idx):
                 i, h, j, k = idx
                 val = F[(i, h, j)].diff(Var("y", k))
                 if with_c:
                     val = val - hc[(i, h, k, j)]
-                    val = val + _dot(ctx, ((C[(i, h, m)], p_tor[(m, j, k)]) for m in ms))
+                    if p_tor is not None:
+                        val = val + _dot(ctx, ((C[(i, h, m)], p_tor[(m, j, k)]) for m in ms))
                 return val
 
             return define("P", ctx, n, sig, p_gen)

@@ -11,6 +11,10 @@ connection coefficients and torsions.  Each derivative lowers a jet's
 order by one, and the order-0 parts give covariant derivatives and
 curvatures.  No symbolic derivative or simplification is involved.
 
+Each plain object id of ``registry`` names one jet table of a point, and
+every id, compound ones included, is read through ``registry.parse`` by
+one lookup, ``_PointJets.table``.
+
 F**2 is evaluated on jets by the evaluator of ``expr`` (``Context.values_at``,
 ``Poly.eval``, ``real_root``), for which ``Jet`` has ``__float__`` and ``__pow__``.
 """
@@ -23,7 +27,7 @@ from functools import cache, cached_property
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .expr import DomainError, NumericPoint, SamplingExhausted, draw_points, real_root
+from .expr import DomainError, NumericPoint, check_tol_and_box, draw_points, real_root
 from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
 from . import registry
 
@@ -294,35 +298,57 @@ def _christoffel(ginv, dg, n):
 
 
 class _PointJets:
-    """Jet tables of the objects at one point, each built on first use.
-    The attribute names are those of ``NumericGeometry``'s methods."""
+    """The objects at one point: a jet table per plain object id, named by
+    the id and built on first use, and ``table``, the order-0 component
+    tree of any object id."""
 
     def __init__(self, numgeom: "NumericGeometry", coords):
         n = self.n = numgeom.n
         self.y = Jet.variables(coords, JET_ORDER)[n:]
         self.f2 = numgeom.f2(coords)
         self._derived: dict = {}
+        self._tables: dict = {}
 
-    def derivative(self, name: str, v: int):
-        """d/dx_v (v < n) or d/dy_{v-n} of an object's table."""
-        key = (name, v)
+    def table(self, object_id: str):
+        """The order-0 component tree (nested lists of floats) of a registry
+        object id, kept per id and shared by every caller."""
+        got = self._tables.get(object_id)
+        if got is None:
+            op, *rest = registry.parse(object_id)
+            if op == "classify":
+                raise ValueError("classify is not a tensor")
+            if op == "base":
+                got = _values(getattr(self, object_id))
+            elif op == "curvature":
+                got = self._curvature(*rest)
+            else:
+                entry, kind = rest
+                got = self._cov_derivative(object_id.split(":")[1], entry.sig, kind, op == "hcov")
+            self._tables[object_id] = got
+        return got
+
+    def derivative(self, object_id: str, v: int):
+        """d/dx_v (v < n) or d/dy_{v-n} of an object's jet table."""
+        key = (object_id, v)
         if key not in self._derived:
-            self._derived[key] = _map(lambda e: e.diff(v), getattr(self, name))
+            self._derived[key] = _map(lambda e: e.diff(v), getattr(self, object_id))
         return self._derived[key]
 
-    def delta(self, name: str, k: int):
-        """delta_k = d/dx_k - N^r_k d/dy_r of an object's table."""
-        key = (name, "delta", k)
+    def delta(self, object_id: str, k: int):
+        """delta_k = d/dx_k - N^r_k d/dy_r of an object's jet table."""
+        key = (object_id, "delta", k)
         if key not in self._derived:
-            out = self.derivative(name, k)
+            out = self.derivative(object_id, k)
             for r in range(self.n):
-                nrk = self.n_mat[r][k]
-                out = _map(lambda a, b: a - nrk * b, out, self.derivative(name, self.n + r))
+                nrk = self.N[r][k]
+                out = _map(lambda a, b: a - nrk * b, out, self.derivative(object_id, self.n + r))
             self._derived[key] = out
         return self._derived[key]
 
+    # jet tables, one per plain object id -----------------------------------------
+
     @cached_property
-    def g_mat(self):
+    def g(self):
         n = self.n
         dy = [self.f2.diff(n + i) for i in range(n)]
         out = [[None] * n for _ in range(n)]
@@ -332,36 +358,36 @@ class _PointJets:
         return out
 
     @cached_property
-    def ginv_mat(self):
-        return mat_inv(self.g_mat)
+    def ginv(self):
+        return mat_inv(self.g)
 
     @cached_property
     def finsler(self):
         return real_root(self.f2.truncate(JET_ORDER - 2), 2)  # l, lup and h need no more than g
 
     @cached_property
-    def l_down(self):
-        g, y = self.g_mat, self.y
+    def l(self):
+        g, y = self.g, self.y
         return [sum(g[i][j] * y[j] for j in range(self.n)) / self.finsler for i in range(self.n)]
 
     @cached_property
-    def l_up(self):
+    def lup(self):
         return [yi / self.finsler for yi in self.y]
 
     @cached_property
-    def h_mat(self):
-        g, l = self.g_mat, self.l_down
+    def h(self):
+        g, l = self.g, self.l
         return [[g[i][j] - l[i] * l[j] for j in range(self.n)] for i in range(self.n)]
 
     @cached_property
-    def cartan_down(self):
+    def C(self):
         n = self.n
-        gk = [self.derivative("g_mat", n + k) for k in range(n)]
+        gk = [self.derivative("g", n + k) for k in range(n)]
         return [[[gk[k][i][j] * 0.5 for k in range(n)] for j in range(n)] for i in range(n)]
 
     @cached_property
-    def cartan_mixed(self):
-        n, ginv, cd = self.n, self.ginv_mat, self.cartan_down
+    def Cmixed(self):
+        n, ginv, cd = self.n, self.ginv, self.C
         return [
             [[sum(ginv[i][r] * cd[r][j][k] for r in range(n)) for k in range(n)] for j in range(n)]
             for i in range(n)
@@ -369,51 +395,147 @@ class _PointJets:
 
     @cached_property
     def gamma(self):
-        return _christoffel(self.ginv_mat, [self.derivative("g_mat", j) for j in range(self.n)], self.n)
+        return _christoffel(self.ginv, [self.derivative("g", j) for j in range(self.n)], self.n)
 
     @cached_property
-    def spray(self):
+    def Gspray(self):
         """G^i = (1/4) g^{ir} (y^j d_j dot-d_r F2 - d_r F2)."""
         n, y = self.n, self.y
         rhs = []
         for r in range(n):
             dyr = self.f2.diff(n + r)
             rhs.append(sum(dyr.diff(j) * y[j] for j in range(n)) - self.f2.diff(r))
-        ginv = self.ginv_mat
+        ginv = self.ginv
         return [sum(ginv[i][r] * rhs[r] for r in range(n)) * 0.25 for i in range(n)]
 
     @cached_property
-    def n_mat(self):
+    def N(self):
         n = self.n
-        return [[self.spray[i].diff(n + j) for j in range(n)] for i in range(n)]
+        return [[self.Gspray[i].diff(n + j) for j in range(n)] for i in range(n)]
 
     @cached_property
-    def berwald(self):
+    def Gberwald(self):
         n = self.n
-        return [[[self.n_mat[i][j].diff(n + k) for k in range(n)] for j in range(n)] for i in range(n)]
+        return [[[self.N[i][j].diff(n + k) for k in range(n)] for j in range(n)] for i in range(n)]
 
     @cached_property
-    def big_gamma(self):
-        return _christoffel(self.ginv_mat, [self.delta("g_mat", j) for j in range(self.n)], self.n)
+    def Gamma(self):
+        return _christoffel(self.ginv, [self.delta("g", j) for j in range(self.n)], self.n)
 
     @cached_property
-    def r_torsion(self):
+    def Rtorsion(self):
         n = self.n
-        dn = [self.delta("n_mat", k) for k in range(n)]
+        dn = [self.delta("N", k) for k in range(n)]
         return [[[dn[k][i][j] - dn[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
 
     @cached_property
-    def p_torsion(self):
-        return _map(sub, self.berwald, self.big_gamma)
+    def Ptorsion(self):
+        return _map(sub, self.Gberwald, self.Gamma)
+
+    # covariant derivatives and curvatures, from order-0 tables -------------------
+
+    def _cov_derivative(self, object_id: str, sig: str, kind: ConnectionKind, horizontal: bool):
+        """Covariant derivative of a plain object whose slots have the
+        variances ``sig``; the new (derivative) slot comes last."""
+        n = self.n
+        if horizontal:
+            coeffs = self.table(_f_id(kind))
+            deriv = [_values(self.delta(object_id, k)) for k in range(n)]
+        else:
+            coeffs = self.table("Cmixed") if kind.has_c else None
+            deriv = [_values(self.derivative(object_id, n + k)) for k in range(n)]
+        base = self.table(object_id) if coeffs is not None else None
+
+        def component(idx):
+            idx, k = idx[:-1], idx[-1]
+            val = _entry(deriv[k], idx)
+            if coeffs is not None:
+                for slot, variance in enumerate(sig):
+                    for r in range(n):
+                        comp = _entry(base, idx[:slot] + (r,) + idx[slot + 1 :])
+                        if variance == "u":
+                            val = val + comp * coeffs[idx[slot]][r][k]
+                        else:
+                            val = val - comp * coeffs[r][idx[slot]][k]
+            return val
+
+        return _tree(n, len(sig) + 1, component)
+
+    def _curvature(self, kind: ConnectionKind, which: str):
+        """The h-, hv- or v-curvature of a connection (F, N, C); the C-terms
+        are left out when C is zero."""
+        n = self.n
+        f_id = _f_id(kind)
+        cm = self.table("Cmixed") if kind.has_c else None
+        if which == "h":
+            f = self.table(f_id)
+            df = [_values(self.delta(f_id, k)) for k in range(n)]
+            rt = self.table("Rtorsion") if cm is not None else None
+
+            def component(idx):
+                i, h, j, k = idx
+                val = df[k][i][h][j] - df[j][i][h][k]
+                for m in range(n):
+                    val = val + f[m][h][j] * f[i][m][k] - f[m][h][k] * f[i][m][j]
+                if cm is not None:
+                    for m in range(n):
+                        val = val + cm[i][h][m] * rt[m][j][k]
+                return val
+
+        elif which == "hv":
+            dfy = [_values(self.derivative(f_id, n + k)) for k in range(n)]
+            if cm is not None:
+                hc = self.table(f"hcov:Cmixed:{kind.value}")
+                # the P-torsion of F = G is zero by definition
+                ptor = self.table("Ptorsion") if kind.uses_gamma else None
+
+            def component(idx):
+                i, h, j, k = idx
+                val = dfy[k][i][h][j]
+                if cm is not None:
+                    val = val - hc[i][h][k][j]
+                    if ptor is not None:
+                        for m in range(n):
+                            val = val + cm[i][h][m] * ptor[m][j][k]
+                return val
+
+        else:  # the v-curvature, of connections with C only
+
+            def component(idx):
+                i, h, j, k = idx
+                val = 0.0
+                for m in range(n):
+                    val = val + cm[m][h][k] * cm[i][m][j] - cm[m][h][j] * cm[i][m][k]
+                return val
+
+        return _tree(n, 4, component)
+
+
+def _f_id(kind: ConnectionKind) -> str:
+    """The object id of a connection's horizontal coefficients F."""
+    return "Gamma" if kind.uses_gamma else "Gberwald"
+
+
+def _tree(n: int, rank: int, fn, idx: tuple = ()):
+    """Nested lists of ``fn(idx)`` over every index tuple of length ``rank``."""
+    if len(idx) == rank:
+        return fn(idx)
+    return [_tree(n, rank, fn, idx + (i,)) for i in range(n)]
+
+
+def _entry(tree, idx):
+    for i in idx:
+        tree = tree[i]
+    return tree
 
 
 class NumericGeometry:
     """Evaluates the whole definitional chain from F**2 jets.
 
     Coordinates are passed as one flat list of floats (base then fiber
-    values); the methods return nested lists of floats.  The jet tables of
-    each point are kept, keyed by its coordinate values, so objects at the
-    same point share them and F**2 is evaluated once per point.
+    values).  The jet tables of each point are kept, keyed by its
+    coordinate values, so objects at the same point share them and F**2 is
+    evaluated once per point.
     """
 
     def __init__(self, structure: FinslerStructure):
@@ -429,8 +551,6 @@ class NumericGeometry:
             got = self._points[key] = _PointJets(self, key)
         return got
 
-    # F**2 and expression evaluation -------------------------------------
-
     def eval_expr(self, expr, coords):
         """``expr`` at coordinate values (floats or jets), radicals included."""
         return self.ctx.values_at(coords).quotient(expr)
@@ -439,143 +559,10 @@ class NumericGeometry:
         """The order-``JET_ORDER`` jet of F**2 at a point."""
         return self.eval_expr(self.structure.f_squared, Jet.variables(coords, JET_ORDER))
 
-    # connections ---------------------------------------------------------------
-
-    def cov_derivative(self, fn, sig: str, kind: ConnectionKind, coords, horizontal: bool):
-        """Covariant derivative of one of this class's tables (``fn`` is the
-        bound method): the result has one extra (last) index; sig gives the
-        variances of fn's slots."""
-        n = self.n
-        pt = self._at(coords)
-        name = fn.__name__
-        if horizontal:
-            coeffs = _values(getattr(pt, _f_table(kind)))
-            deriv = [_values(pt.delta(name, k)) for k in range(n)]
-        else:
-            coeffs = self.cartan_mixed(coords) if kind.has_c else None
-            deriv = [_values(pt.derivative(name, n + k)) for k in range(n)]
-
-        def entry(tree, idx):
-            for i in idx:
-                tree = tree[i]
-            return tree
-
-        result = _empty(n, len(sig) + 1)
-        base_tree = fn(coords) if coeffs is not None else None
-        for idx in _indices(n, len(sig)):
-            for k in range(n):
-                val = entry(deriv[k], idx)
-                if coeffs is not None:
-                    for slot, variance in enumerate(sig):
-                        for r in range(n):
-                            repl = idx[:slot] + (r,) + idx[slot + 1 :]
-                            comp = entry(base_tree, repl)
-                            if variance == "u":
-                                val = val + comp * coeffs[idx[slot]][r][k]
-                            else:
-                                val = val - comp * coeffs[r][idx[slot]][k]
-                _set(result, idx + (k,), val)
-        return result
-
-    # curvatures -----------------------------------------------------------------
-
-    def curvature(self, kind: ConnectionKind, which: str, coords):
-        n = self.n
-        pt = self._at(coords)
-        f_name = _f_table(kind)
-        out = _empty(n, 4)
-        cm = self.cartan_mixed(coords) if kind.has_c else None
-        if which == "h":
-            f = _values(getattr(pt, f_name))
-            df = [_values(pt.delta(f_name, k)) for k in range(n)]
-            rt = self.r_torsion(coords) if cm is not None else None
-            for i, h, j, k in _indices(n, 4):
-                val = df[k][i][h][j] - df[j][i][h][k]
-                for m in range(n):
-                    val = val + f[m][h][j] * f[i][m][k] - f[m][h][k] * f[i][m][j]
-                if cm is not None:
-                    for m in range(n):
-                        val = val + cm[i][h][m] * rt[m][j][k]
-                out[i][h][j][k] = val
-        elif which == "hv":
-            dfy = [_values(pt.derivative(f_name, n + k)) for k in range(n)]
-            if cm is not None:
-                hc = self.cov_derivative(self.cartan_mixed, "udd", kind, coords, horizontal=True)
-                ptor = self.p_torsion(coords) if kind.uses_gamma else None
-            for i, h, j, k in _indices(n, 4):
-                val = dfy[k][i][h][j]
-                if cm is not None:
-                    val = val - hc[i][h][k][j]
-                    if ptor is not None:
-                        for m in range(n):
-                            val = val + cm[i][h][m] * ptor[m][j][k]
-                out[i][h][j][k] = val
-        else:  # v-curvature
-            for i, h, j, k in _indices(n, 4):
-                val = 0.0
-                if cm is not None:
-                    for m in range(n):
-                        val = val + cm[m][h][k] * cm[i][m][j] - cm[m][h][j] * cm[i][m][k]
-                out[i][h][j][k] = val
-        return out
-
-    # registry objects ------------------------------------------------------------
-
     def object_table(self, object_id: str, coords):
-        """Numeric component tree for a registry object id."""
-        op, *rest = registry.parse(object_id)
-        if op == "classify":
-            raise ValueError("classify is not a tensor")
-        if op == "base":
-            return getattr(self, rest[0].numeric)(coords)
-        if op == "curvature":
-            kind, which = rest
-            return self.curvature(kind, which, coords)
-        entry, kind = rest
-        return self.cov_derivative(
-            getattr(self, entry.numeric), entry.sig, kind, coords, horizontal=op == "hcov"
-        )
-
-
-def _order0(name: str):
-    def method(self, coords):
-        return _values(getattr(self._at(coords), name))
-
-    method.__name__ = name
-    method.__qualname__ = f"NumericGeometry.{name}"
-    method.__doc__ = f"Order-0 values of the ``{name}`` jet table at a point."
-    return method
-
-
-# every registry table is also a method returning its order-0 values
-for _entry in registry._BASE.values():
-    setattr(NumericGeometry, _entry.numeric, _order0(_entry.numeric))
-
-
-def _f_table(kind: ConnectionKind) -> str:
-    """The jet table of a connection's horizontal coefficients F."""
-    return "big_gamma" if kind.uses_gamma else "berwald"
-
-
-def _empty(n, rank):
-    if rank == 1:
-        return [None] * n
-    return [_empty(n, rank - 1) for _ in range(n)]
-
-
-def _indices(n, rank):
-    if rank == 0:
-        yield ()
-        return
-    for rest in _indices(n, rank - 1):
-        for i in range(n):
-            yield (i,) + rest
-
-
-def _set(tree, idx, value):
-    for i in idx[:-1]:
-        tree = tree[i]
-    tree[idx[-1]] = value
+        """The component tree (nested lists of floats) of a registry object
+        id at a point."""
+        return self._at(coords).table(object_id)
 
 
 def numeric_object(geom: Geometry, object_id: str, point: NumericPoint):
@@ -584,11 +571,12 @@ def numeric_object(geom: Geometry, object_id: str, point: NumericPoint):
         raise DomainError(f"point violates the structure's domain constraints: {point}")
     num = NumericGeometry(geom.structure)
     coords = [float(v) for v in point.x] + [float(v) for v in point.y]
+    pt = num._at(coords)
     try:
-        num.ginv_mat(coords)
+        pt.ginv
     except ZeroDivisionError:
         raise SingularMetricAt(point) from None
-    return num.object_table(object_id, coords)
+    return pt.table(object_id)
 
 
 # -- sampling and verification ---------------------------------------------------
@@ -697,6 +685,7 @@ def verify_many(
     oracle's intermediate jets are shared between objects."""
     if n_points < 1:
         raise ValueError("need at least one sample point")
+    check_tol_and_box(tol, box)
     points = sample_points(geom.structure, n_points, seed, box)
     numgeom = NumericGeometry(geom.structure)
     coord_lists = [[*p.x, *p.y] for p in points]
@@ -746,8 +735,8 @@ def _verify_classification(
     max_c, max_dg = [], []
     for p, coords in zip(report.points, coord_lists):
         pt = _at_point(p, numgeom._at, coords)
-        max_c.append(max(map(abs, _flat(_values(pt.cartan_down)))))
-        dg = [_values(pt.derivative("berwald", n + m)) for m in range(n)]
+        max_c.append(max(map(abs, _flat(pt.table("C")))))
+        dg = [_values(pt.derivative("Gberwald", n + m)) for m in range(n)]
         max_dg.append(max(map(abs, _flat(dg))))
     tol = report.tolerance
     report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol, report.points)

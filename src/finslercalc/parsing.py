@@ -6,7 +6,7 @@ Grammar (no implicit multiplication; decimals become exact rationals)::
     term     := factor (('*'|'/') factor)*
     factor   := base ('^' exponent)?
     base     := number | ident | '(' expr ')' | 'sqrt' '(' expr ')' | '-' factor
-    exponent := signed integer | '(' integer '/' integer ')'
+    exponent := signed integer | '(' signed integer ('/' integer)? ')'
 """
 
 from __future__ import annotations
@@ -143,37 +143,34 @@ class _Parser:
 
     def parse_exponent(self) -> Fraction:
         tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.next()
-            sign = -1 if tok.text == "-" else 1
-            num = self.next()
-            if num.kind != "number" or "." in num.text:
-                raise ParseError("bad exponent", num.pos, "integer")
-            return Fraction(sign * int(num.text))
-        if tok.kind == "number":
-            self.next()
-            if "." in tok.text:
-                raise ParseError("bad exponent", tok.pos, "integer")
-            return Fraction(int(tok.text))
         if tok.kind == "op" and tok.text == "(":
             self.next()
-            sign = 1
-            t = self.peek()
-            if t.kind == "op" and t.text == "-":
+            value = Fraction(self.parse_signed_integer())
+            if self.peek().kind == "op" and self.peek().text == "/":
                 self.next()
-                sign = -1
-            p = self.next()
-            if p.kind != "number" or "." in p.text:
-                raise ParseError("bad exponent", p.pos, "integer")
-            self.expect("/")
-            q = self.next()
-            if q.kind != "number" or "." in q.text:
-                raise ParseError("bad exponent", q.pos, "integer")
-            if not int(q.text):
-                raise ParseError("division by zero", q.pos)
+                q_pos = self.peek().pos
+                q = self.parse_integer()
+                if not q:
+                    raise ParseError("division by zero", q_pos)
+                value /= q
             self.expect(")")
-            return Fraction(sign * int(p.text), int(q.text))
+            return value
+        if tok.kind == "number" or (tok.kind == "op" and tok.text in "+-"):
+            return Fraction(self.parse_signed_integer())
         raise ParseError(f"found {tok.text or 'end of input'!r}", tok.pos, "exponent")
+
+    def parse_signed_integer(self) -> int:
+        tok = self.peek()
+        if tok.kind == "op" and tok.text in "+-":
+            self.next()
+            return -self.parse_integer() if tok.text == "-" else self.parse_integer()
+        return self.parse_integer()
+
+    def parse_integer(self) -> int:
+        tok = self.next()
+        if tok.kind != "number" or "." in tok.text:
+            raise ParseError("bad exponent", tok.pos, "integer")
+        return int(tok.text)
 
     def parse_base(self) -> Expr:
         tok = self.next()

@@ -6,10 +6,9 @@ Plain ids name cached tensors; ``R:<kind>``, ``P:<kind>`` and
 ``vcov:<id>:<kind>`` apply a covariant derivative to any tensor id; and
 ``classify`` reports the Riemannian/Berwaldian flags.
 
-Each plain id has a symbolic builder and names its numeric counterpart,
-a method of the oracle's ``NumericGeometry`` that the oracle generates
-from that name.  The oracle keeps its own formulas; it only reads the
-ids through ``parse``.
+Each plain id has a symbolic builder here.  The oracle keeps its own
+formulas, one jet table per plain id and named by it, and reads every id
+through ``parse``.
 """
 
 from __future__ import annotations
@@ -23,24 +22,23 @@ from .tensor import Tensor
 class Entry(NamedTuple):
     sig: str  # variance per slot, 'u' or 'd'
     build: Callable[[Geometry], Tensor]
-    numeric: str  # NumericGeometry method: coords -> nested component lists
 
 
 _BASE = {
-    "g": Entry("dd", lambda geom: geom.metric(), "g_mat"),
-    "ginv": Entry("uu", lambda geom: geom.inverse_metric(), "ginv_mat"),
-    "l": Entry("d", lambda geom: geom.supporting_and_angular()[0], "l_down"),
-    "lup": Entry("u", lambda geom: geom.supporting_and_angular()[1], "l_up"),
-    "h": Entry("dd", lambda geom: geom.supporting_and_angular()[2], "h_mat"),
-    "C": Entry("ddd", lambda geom: geom.cartan_tensor()[0], "cartan_down"),
-    "Cmixed": Entry("udd", lambda geom: geom.cartan_tensor()[1], "cartan_mixed"),
-    "gamma": Entry("udd", lambda geom: geom.christoffel_gamma(), "gamma"),
-    "Gspray": Entry("u", lambda geom: geom.spray(), "spray"),
-    "N": Entry("ud", lambda geom: geom.nonlinear_connection(), "n_mat"),
-    "Gberwald": Entry("udd", lambda geom: geom.berwald_coefficients(), "berwald"),
-    "Gamma": Entry("udd", lambda geom: geom.cartan_coefficients(), "big_gamma"),
-    "Rtorsion": Entry("udd", lambda geom: geom.torsions()[0], "r_torsion"),
-    "Ptorsion": Entry("udd", lambda geom: geom.torsions()[1], "p_torsion"),
+    "g": Entry("dd", lambda geom: geom.metric()),
+    "ginv": Entry("uu", lambda geom: geom.inverse_metric()),
+    "l": Entry("d", lambda geom: geom.supporting_and_angular()[0]),
+    "lup": Entry("u", lambda geom: geom.supporting_and_angular()[1]),
+    "h": Entry("dd", lambda geom: geom.supporting_and_angular()[2]),
+    "C": Entry("ddd", lambda geom: geom.cartan_tensor()[0]),
+    "Cmixed": Entry("udd", lambda geom: geom.cartan_tensor()[1]),
+    "gamma": Entry("udd", lambda geom: geom.christoffel_gamma()),
+    "Gspray": Entry("u", lambda geom: geom.spray()),
+    "N": Entry("ud", lambda geom: geom.nonlinear_connection()),
+    "Gberwald": Entry("udd", lambda geom: geom.berwald_coefficients()),
+    "Gamma": Entry("udd", lambda geom: geom.cartan_coefficients()),
+    "Rtorsion": Entry("udd", lambda geom: geom.torsions()[0]),
+    "Ptorsion": Entry("udd", lambda geom: geom.torsions()[1]),
 }
 
 _KINDS = {k.value: k for k in ConnectionKind}

@@ -33,12 +33,6 @@ UP = Variance.UP
 DOWN = Variance.DOWN
 
 
-def signature(spec: str) -> tuple[Variance, ...]:
-    """Signature from a compact string, e.g. 'udd' for (Up, Down, Down)."""
-    table = {"u": UP, "d": DOWN}
-    return tuple(table[c] for c in spec)
-
-
 class Symmetry(NamedTuple("Symmetry", [("kind", str), ("positions", tuple[int, ...])])):
     """Pairwise or set symmetry between index positions (1-based); ``kind``
     is "symmetric" or "antisymmetric"."""

@@ -237,28 +237,28 @@ def test_criterion_5_identity_suite():
         for p in sample_points(geom.structure, 8, seed=1234):
             coords = [float(v) for v in p.x] + [float(v) for v in p.y]
             y = coords[n:]
-            nm = num.n_mat(coords)
-            sp = num.spray(coords)
+            nm = num.object_table("N", coords)
+            sp = num.object_table("Gspray", coords)
             for i in range(n):
                 lhs = sum(nm[i][j] * y[j] for j in range(n))
                 assert abs(lhs - 2 * sp[i]) <= tol * max(1.0, abs(2 * sp[i]))
-            hm = num.h_mat(coords)
-            lu = num.l_up(coords)
-            cd = num.cartan_down(coords)
+            hm = num.object_table("h", coords)
+            lu = num.object_table("lup", coords)
+            cd = num.object_table("C", coords)
             for i in range(n):
                 assert abs(sum(hm[i][j] * lu[j] for j in range(n))) <= tol
                 for j in range(n):
                     assert abs(sum(cd[i][j][k] * y[k] for k in range(n))) <= tol
-            hg = num.cov_derivative(num.g_mat, "dd", ConnectionKind.CARTAN, coords, True)
-            vg = num.cov_derivative(num.g_mat, "dd", ConnectionKind.CARTAN, coords, False)
-            rc = num.curvature(ConnectionKind.CARTAN, "h", coords)
-            rch = num.curvature(ConnectionKind.CHERN, "h", coords)
-            rb = num.curvature(ConnectionKind.BERWALD, "h", coords)
-            rh = num.curvature(ConnectionKind.HASHIGUCHI, "h", coords)
-            sc = num.curvature(ConnectionKind.CARTAN, "v", coords)
-            sh = num.curvature(ConnectionKind.HASHIGUCHI, "v", coords)
-            cmx = num.cartan_mixed(coords)
-            rt = num.r_torsion(coords)
+            hg = num.object_table("hcov:g:cartan", coords)
+            vg = num.object_table("vcov:g:cartan", coords)
+            rc = num.object_table("R:cartan", coords)
+            rch = num.object_table("R:chern", coords)
+            rb = num.object_table("R:berwald", coords)
+            rh = num.object_table("R:hashiguchi", coords)
+            sc = num.object_table("S:cartan", coords)
+            sh = num.object_table("S:hashiguchi", coords)
+            cmx = num.object_table("Cmixed", coords)
+            rt = num.object_table("Rtorsion", coords)
             scale = 10
             for i in range(n):
                 for hh in range(n):

@@ -75,6 +75,10 @@ class TestParse:
     def test_negative_exponent(self, ctx):
         assert zero_diff(ctx.parse("y1^-2"), 1 / ctx.fiber(1) ** 2)
 
+    def test_parenthesized_integer_exponent(self, ctx):
+        assert ctx.parse("y2^(-2)") == ctx.parse("y2^-2")
+        assert ctx.parse("y2^(3)") == ctx.parse("y2^3")
+
     def test_no_implicit_multiplication(self, ctx):
         with pytest.raises(ParseError):
             ctx.parse("2 y1")

@@ -62,6 +62,15 @@ class TestBuild:
         # warm hit returns the identical object
         assert a.metric() is a.metric()
 
+    def test_hv_curvatures_build_only_the_torsions_they_need(self):
+        # P:cartan reads the P-torsion but not R; with F = G the P-torsion
+        # is zero by definition, so P:hashiguchi reads neither
+        geom = build(make_structure("worked-3d"))
+        geom.curvature(ConnectionKind.HASHIGUCHI, "hv")
+        assert "Ptorsion" not in geom._cache
+        geom.curvature(ConnectionKind.CARTAN, "hv")
+        assert "Ptorsion" in geom._cache and "torsions" not in geom._cache
+
 
 def _closure(entries, closure_spec):
     gens = _transpositions([Symmetry(k, tuple(p)) for k, p in closure_spec])

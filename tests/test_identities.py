@@ -213,13 +213,13 @@ class TestNumericSpotChecks:
         n = geom.dim
         for p in points:
             coords = [float(v) for v in p.x] + [float(v) for v in p.y]
-            sc = num.curvature(ConnectionKind.CARTAN, "v", coords)
-            sh = num.curvature(ConnectionKind.HASHIGUCHI, "v", coords)
-            rc = num.curvature(ConnectionKind.CARTAN, "h", coords)
-            rch = num.curvature(ConnectionKind.CHERN, "h", coords)
-            cm = num.cartan_mixed(coords)
-            rt = num.r_torsion(coords)
-            hg = num.cov_derivative(num.g_mat, "dd", ConnectionKind.CARTAN, coords, True)
+            sc = num.object_table("S:cartan", coords)
+            sh = num.object_table("S:hashiguchi", coords)
+            rc = num.object_table("R:cartan", coords)
+            rch = num.object_table("R:chern", coords)
+            cm = num.object_table("Cmixed", coords)
+            rt = num.object_table("Rtorsion", coords)
+            hg = num.object_table("hcov:g:cartan", coords)
             for i in range(n):
                 for h in range(n):
                     for j in range(n):
@@ -236,13 +236,13 @@ class TestNumericSpotChecks:
         for p in points:
             coords = [float(v) for v in p.x] + [float(v) for v in p.y]
             y = coords[n:]
-            nm = num.n_mat(coords)
-            spray = num.spray(coords)
+            nm = num.object_table("N", coords)
+            spray = num.object_table("Gspray", coords)
             for i in range(n):
                 lhs = sum(nm[i][j] * y[j] for j in range(n))
                 assert abs(lhs - 2 * spray[i]) <= TOL * max(1.0, abs(2 * spray[i]))
-            h = num.h_mat(coords)
-            lup = num.l_up(coords)
+            h = num.object_table("h", coords)
+            lup = num.object_table("lup", coords)
             for i in range(n):
                 val = sum(h[i][j] * lup[j] for j in range(n))
                 assert abs(val) <= TOL

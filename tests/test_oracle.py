@@ -283,7 +283,7 @@ class TestJetSelfTest:
         point = {"x1": 1.3, "x2": 1.7, "y1": 1.1, "y2": 1.9}
         coords = [1.3, 1.7, 1.1, 1.9]
         g_sym = geom.metric()
-        g_num = num.g_mat(coords)
+        g_num = num.object_table("g", coords)
         for i in range(2):
             for j in range(2):
                 sym = g_sym[(i + 1, j + 1)].eval_at(point)
@@ -402,6 +402,22 @@ class TestVerify:
         assert a.summary() == b.summary()
         for idx in a.components:
             assert a.components[idx].max_abs_deviation == b.components[idx].max_abs_deviation
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # no deviation is ever > nan, so such a check could never fail
+            ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+            ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+            ({"box": (math.nan, 1.0)}, "box bounds must be finite, got (nan, 1.0)"),
+            ({"box": (1.0, math.inf)}, "box bounds must be finite, got (1.0, inf)"),
+        ],
+    )
+    def test_bad_tol_or_box_is_refused(self, worked3d, kwargs, message):
+        for check in (verify, lambda geom, oid, **kw: verify_many(geom, [oid], **kw)):
+            with pytest.raises(ValueError) as err:
+                check(worked3d, "g", n_points=2, **kwargs)
+            assert str(err.value) == message
 
     def test_corrupted_component_located(self, worked3d, monkeypatch):
         from finslercalc.tensor import Tensor
