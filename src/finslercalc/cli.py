@@ -314,7 +314,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run(config)
+    try:
+        status = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point it at devnull, so that
+        # the flush at exit fails no more, and end quietly with exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

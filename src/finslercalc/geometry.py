@@ -449,53 +449,53 @@ class Geometry:
     def curvature(self, kind: ConnectionKind, which: str) -> Tensor:
         """The h-, hv-, or v-curvature tensor of one fundamental
         connection, with the corrected hv index placement
-        P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk."""
+        P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk.  Chern and
+        Berwald build theirs from F; Cartan and Hashiguchi add C-terms to it."""
         if which not in ("h", "hv", "v"):
             raise ValueError("which must be one of h, hv, v")
         return self._get(("curv", kind, which), lambda: self._build_curvature(kind, which))
 
     def _build_curvature(self, kind: ConnectionKind, which: str) -> Tensor:
-        """One formula per curvature type over the triple (F, N, C); the
-        C-terms vanish with C and are skipped when it is zero, and so is
-        the C·P term when F = G, whose P-torsion is zero by definition."""
+        """Two layers.  With C = 0 (Chern, Berwald) the h-curvature is
+        delta_k F - delta_j F + F.F - F.F and the hv-curvature (dot d)_k F.  With
+        C (Cartan, Hashiguchi) it is the C = 0 one of the same F plus, by component,
+        C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk (the P-torsion is 0 if F = G)."""
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)
         sig = (UP, DOWN, DOWN, DOWN)
         triple = self.connection(kind)
         F, C = triple.f_coeffs, triple.c_coeffs
-        with_c = not C.is_zero_tensor()
-        if which == "h":
-            r_tor = self.torsions()[0] if with_c else None
+        if kind.has_c and which != "v":
+            sibling = ConnectionKind.CHERN if kind.uses_gamma else ConnectionKind.BERWALD
+            c_free = self.curvature(sibling, which)
+            if which == "h":
+                hc, tor = None, self.torsions()[0]
+            else:
+                hc = self.h_cov_derivative(C, triple)
+                tor = self._p_torsion() if kind.uses_gamma else None
 
+            def gen(idx):
+                i, h, j, k = idx
+                val = c_free[idx] if hc is None else c_free[idx] - hc[(i, h, k, j)]
+                if tor is not None:
+                    val = val + _dot(ctx, ((C[(i, h, m)], tor[(m, j, k)]) for m in ms))
+                return val
+
+            return define(c_free.name, ctx, n, sig, gen, c_free.symmetries)
+        if which == "h":
             def r_gen(idx):
                 i, h, j, k = idx
-                val = (
+                return (
                     self.horizontal_derivative(F[(i, h, j)], k)
                     - self.horizontal_derivative(F[(i, h, k)], j)
                     + _dot(ctx, ((F[(m, h, j)], F[(i, m, k)]) for m in ms))
                     - _dot(ctx, ((F[(m, h, k)], F[(i, m, j)]) for m in ms))
                 )
-                if with_c:
-                    val = val + _dot(ctx, ((C[(i, h, m)], r_tor[(m, j, k)]) for m in ms))
-                return val
 
             return define("R", ctx, n, sig, r_gen, (antisymmetric(3, 4),))
         if which == "hv":
-            if with_c:
-                hc = self.h_cov_derivative(C, triple)
-                p_tor = self._p_torsion() if kind.uses_gamma else None
-
-            def p_gen(idx):
-                i, h, j, k = idx
-                val = F[(i, h, j)].diff(Var("y", k))
-                if with_c:
-                    val = val - hc[(i, h, k, j)]
-                    if p_tor is not None:
-                        val = val + _dot(ctx, ((C[(i, h, m)], p_tor[(m, j, k)]) for m in ms))
-                return val
-
-            return define("P", ctx, n, sig, p_gen)
+            return define("P", ctx, n, sig, lambda idx: F[idx[:3]].diff(Var("y", idx[3])))
 
         def build_s():  # the v-curvature depends on C alone
             def s_gen(idx):

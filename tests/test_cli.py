@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from finslercalc import Classification, FinslerStructure
+from finslercalc import Classification, FinslerStructure, registry
 from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, build_config, emit, main, run
 from finslercalc.expr import draw_points
 
@@ -472,6 +472,34 @@ class TestDeterminism:
         monkeypatch.setenv("FINSLER_SEED", "99")
         _, out = run_cli(argv)
         assert "seed 99" in out
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_closed_stdout_ends_quietly(seed):
+    # the reader stops early, as `| head -c 300` does; the 25 documents
+    # outgrow the pipe, so a write fails once the read end is closed
+    argv = [
+        "--dim", "2",
+        "--coords", "x1,x2",
+        "--fibers", "y1,y2",
+        "--metric-function", "y1^2 + y2^2 + x1*y1^3/y2",
+        "--constraints", "y2!=0",
+        "--objects", ",".join(registry.base_object_ids()),
+        "--format", "json",
+    ]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "finslercalc.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONHASHSEED=seed),
+    )
+    head = proc.stdout.read(300)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert head.startswith(b"{")
+    assert stderr == ""  # no Traceback, no "Exception ignored" at exit
 
 
 def test_console_entry_point():

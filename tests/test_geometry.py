@@ -64,12 +64,18 @@ class TestBuild:
 
     def test_hv_curvatures_build_only_the_torsions_they_need(self):
         # P:cartan reads the P-torsion but not R; with F = G the P-torsion
-        # is zero by definition, so P:hashiguchi reads neither
+        # is zero by definition, so P:hashiguchi reads neither.  A curvature
+        # with C adds its C-terms to the cached one of its C = 0 sibling
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.HASHIGUCHI, "hv")
+        assert ("curv", ConnectionKind.BERWALD, "hv") in geom._cache
         assert "Ptorsion" not in geom._cache
         geom.curvature(ConnectionKind.CARTAN, "hv")
+        assert ("curv", ConnectionKind.CHERN, "hv") in geom._cache
         assert "Ptorsion" in geom._cache and "torsions" not in geom._cache
+        geom = build(make_structure("worked-3d"))
+        geom.curvature(ConnectionKind.CARTAN, "h")
+        assert ("curv", ConnectionKind.CHERN, "h") in geom._cache
 
 
 def _closure(entries, closure_spec):

@@ -180,6 +180,13 @@ class TestConnectionCoincidences:
         rhs = tensor_add(geom.curvature(ConnectionKind.BERWALD, "h"), cr)
         assert lhs.equals(rhs)
 
+    def test_berwald_h_is_fiber_derivative_of_r_torsion(self, geom):
+        # R^i_hjk of the Berwald connection is dot-d_h R^i_jk, sign included
+        r_tor = geom.torsions()[0]
+        for idx, e in geom.curvature(ConnectionKind.BERWALD, "h").components():
+            i, h, j, k = idx
+            assert e == r_tor[(i, j, k)].diff(Var("y", h)), idx
+
     def test_cartan_p_torsion_from_cov_derivative(self, geom):
         # P^i_jk = C^i_jk|h y^h under the Cartan connection
         ctx = geom.ctx

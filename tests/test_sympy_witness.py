@@ -23,7 +23,10 @@ from conftest import _structure_specs, geometry_for
 sympy = pytest.importorskip("sympy")
 
 STRUCTURES = ("worked-3d", "polar-flat-2d")
-OBJECT_IDS = ("g", "ginv", "gamma", "Gspray", "N", "Gberwald", "Gamma", "R:berwald", "P:cartan")
+OBJECT_IDS = (
+    "g", "ginv", "gamma", "Gspray", "N", "Gberwald", "Gamma",
+    "R:cartan", "R:berwald", "R:hashiguchi", "P:cartan", "P:hashiguchi",
+)
 
 
 class Textbook:
@@ -54,41 +57,57 @@ class Textbook:
             (i, j, k): cancel(sympy.diff(N[i, j], ys[k])) for i in ns for j in ns for k in ns
         }
         Gamma = self._christoffel(self.delta)
-        R = {
-            (i, h, j, k): cancel(
-                self.delta(Gb[i, h, j], k) - self.delta(Gb[i, h, k], j)
-                + sum(Gb[m, h, j] * Gb[i, m, k] - Gb[m, h, k] * Gb[i, m, j] for m in ns)
-            )
-            for i, h, j, k in product(ns, repeat=4)
-        }
-        # P^i_hjk = dot-d_k Gamma^i_hj - C^i_hk|j + C^i_hm P^m_jk, with the
-        # h-covariant derivative of the Cartan connection
         C = {
             (i, h, k): cancel(sum(ginv[i, r] * sympy.diff(g[r, h], ys[k]) for r in ns) / 2)
             for i, h, k in product(ns, repeat=3)
+        }
+        r_tor = {
+            (m, j, k): self.delta(N[m, j], k) - self.delta(N[m, k], j)
+            for m, j, k in product(ns, repeat=3)
         }
         p_tor = {
             (m, j, k): sympy.diff(N[m, j], ys[k]) - Gamma[m, j, k]
             for m, j, k in product(ns, repeat=3)
         }
 
-        def c_bar(i, h, k, j):
-            return self.delta(C[i, h, k], j) + sum(
-                C[r, h, k] * Gamma[i, r, j] - C[i, r, k] * Gamma[r, h, j]
-                - C[i, h, r] * Gamma[r, k, j]
-                for r in ns
-            )
+        def h_curvature(F, c_terms):
+            # R^i_hjk = delta_k F^i_hj - delta_j F^i_hk + F^m_hj F^i_mk
+            # - F^m_hk F^i_mj (+ C^i_hm R^m_jk), each from its full formula
+            return {
+                (i, h, j, k): cancel(
+                    self.delta(F[i, h, j], k) - self.delta(F[i, h, k], j)
+                    + sum(F[m, h, j] * F[i, m, k] - F[m, h, k] * F[i, m, j]
+                          + (C[i, h, m] * r_tor[m, j, k] if c_terms else 0)
+                          for m in ns)
+                )
+                for i, h, j, k in product(ns, repeat=4)
+            }
 
-        P = {
-            (i, h, j, k): cancel(
-                sympy.diff(Gamma[i, h, j], ys[k]) - c_bar(i, h, k, j)
-                + sum(C[i, h, m] * p_tor[m, j, k] for m in ns)
-            )
-            for i, h, j, k in product(ns, repeat=4)
-        }
+        def hv_curvature(F, tor):
+            # P^i_hjk = dot-d_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk, with the
+            # h-covariant derivative of the connection whose F is given
+            def c_bar(i, h, k, j):
+                return self.delta(C[i, h, k], j) + sum(
+                    C[r, h, k] * F[i, r, j] - C[i, r, k] * F[r, h, j]
+                    - C[i, h, r] * F[r, k, j]
+                    for r in ns
+                )
+
+            return {
+                (i, h, j, k): cancel(
+                    sympy.diff(F[i, h, j], ys[k]) - c_bar(i, h, k, j)
+                    + sum(C[i, h, m] * tor[m, j, k] for m in ns)
+                )
+                for i, h, j, k in product(ns, repeat=4)
+            }
+
+        zero = {key: 0 for key in p_tor}
         self.tables = {
             "g": g, "ginv": ginv, "gamma": gamma, "Gspray": {(i,): spray[i] for i in ns},
-            "N": N, "Gberwald": Gb, "Gamma": Gamma, "R:berwald": R, "P:cartan": P,
+            "N": N, "Gberwald": Gb, "Gamma": Gamma,
+            "R:cartan": h_curvature(Gamma, True), "R:berwald": h_curvature(Gb, False),
+            "R:hashiguchi": h_curvature(Gb, True),
+            "P:cartan": hv_curvature(Gamma, p_tor), "P:hashiguchi": hv_curvature(Gb, zero),
         }
 
     def delta(self, e, j):
