@@ -25,10 +25,13 @@ equal expressions canonicalizes to the zero constant.
 Numerator and denominator stay expanded.  The gcds that keep them coprime
 run against the context's factor base (``poly.FactorBase``): every
 non-monomial denominator is a monomial times powers of small squarefree,
-pairwise coprime polynomials, so the gcd of two denominators is exponent
-arithmetic and the gcd of a numerator with a denominator is a sequence of
-gcds against those factors.  Both return exactly what ``poly_gcd`` would;
-the factorizations are derived data, outside equality and hashing.
+pairwise coprime polynomials, so the common multiple of denominators is
+exponent arithmetic and the gcd of a numerator with a denominator is a
+sequence of gcds against those factors.  A sum of any number of terms
+(``Context.sum``; ``a + b`` is the two-term case) goes over one common
+denominator, with one gcd against the factors two or more terms share.
+The gcds return exactly what ``poly_gcd`` would; the factorizations are
+derived data, outside equality and hashing.
 
 Numeric evaluation reads every symbol through one table per point,
 ``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
@@ -218,6 +221,46 @@ class Context:
 
         return parse(text, self)
 
+    def sum(self, terms: Iterable["Expr"]) -> "Expr":
+        """The sum of ``terms`` over one common denominator (Knuth, TAOCP
+        vol. 2, 4.5.1), the package's one addition: ``a + b`` is the sum of
+        two terms.  Each numerator is scaled by its share of the common
+        content and by its cofactor (``FactorBase.common_denominator``),
+        the numerators are added once, and one gcd, against the factors of
+        the denominator that two or more terms share, keeps the result
+        coprime.  Sums never grow atom exponents, so nothing is reduced."""
+        terms = [t for t in terms if t.content]
+        if len(terms) < 2:
+            return terms[0] if terms else self.zero
+        first, *rest = terms
+        c, den = first.content, first.den
+        scales = None
+        if any(t.content != c for t in rest):
+            top = gcd(*(t.content.numerator for t in terms))
+            low = lcm(*(t.content.denominator for t in terms))
+            c = Fraction(top, low)
+            scales = [t.content.numerator // top * (low // t.content.denominator) for t in terms]
+        if all(t.den == den for t in rest):
+            nums, shared = [t.num for t in terms], None  # the gcd runs against all of den
+        else:
+            dens: dict[Poly, int] = {}
+            for t in terms:
+                dens[t.den] = dens.get(t.den, 0) + 1
+            den, cofactors, shared = self.factors.common_denominator(dens)
+            nums = [t.num * cofactors[t.den] for t in terms]
+        if scales is not None:
+            nums = [p.scale(s) for p, s in zip(nums, scales)]
+        num = sum(nums, Poly.zero())
+        if num.is_zero():
+            return self.zero
+        c, num = _primitive(c, num)
+        if not _is_one(den) and (shared is None or shared[0] or shared[1]):
+            g, num_g = self.factors.gcd_num_den(num, den, shared)
+            if not _is_one(g):
+                c, num = _signed(c, num_g)
+                den = div_exact(den, g)
+        return Expr(self, num, den, c, _normalized=True)
+
     # -- radical atoms ------------------------------------------------------
 
     def root(self, e: "Expr", q: int) -> "Expr":
@@ -367,53 +410,7 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        if not self.content:
-            return o
-        if not o.content:
-            return self
-        # self + o = c * (ia * N_a / D_a + ib * N_b / D_b) for coprime ints ia, ib
-        a, b = self.content, o.content
-        if a == b:
-            c, a_num, b_num = a, self.num, o.num
-        else:
-            g_num = gcd(a.numerator, b.numerator)
-            den = lcm(a.denominator, b.denominator)
-            c = Fraction(g_num, den)
-            a_num = self.num.scale(a.numerator // g_num * (den // a.denominator))
-            b_num = o.num.scale(b.numerator // g_num * (den // b.denominator))
-        # cross-cancellation keeps every gcd call small (Knuth 4.5.1);
-        # sums never grow atom exponents, so no re-reduction is needed
-        if self.den == o.den:
-            num = a_num + b_num
-            if num.is_zero():
-                return ctx.zero
-            c, num = _primitive(c, num)
-            if _is_one(self.den):
-                return Expr(ctx, num, self.den, c, _normalized=True)
-            g, num_g = ctx.factors.gcd_num_den(num, self.den)
-            if _is_one(g):
-                return Expr(ctx, num, self.den, c, _normalized=True)
-            c, num_g = _signed(c, num_g)
-            return Expr(ctx, num_g, div_exact(self.den, g), c, _normalized=True)
-        g = ctx.factors.gcd_dens(self.den, o.den)
-        if _is_one(g):
-            num = a_num * o.den + b_num * self.den
-            if num.is_zero():
-                return ctx.zero
-            c, num = _primitive(c, num)
-            return Expr(ctx, num, self.den * o.den, c, _normalized=True)
-        bq = div_exact(self.den, g)
-        dq = div_exact(o.den, g)
-        t = a_num * dq + b_num * bq
-        if t.is_zero():
-            return ctx.zero
-        c, t = _primitive(c, t)
-        g2, t_g2 = ctx.factors.gcd_num_den(t, g)
-        if _is_one(g2):
-            return Expr(ctx, t, bq * o.den, c, _normalized=True)
-        c, t_g2 = _signed(c, t_g2)
-        return Expr(ctx, t_g2, div_exact(self.den, g2) * dq, c, _normalized=True)
+        return self.ctx.sum((self, o))
 
     __radd__ = __add__
 
@@ -856,13 +853,9 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
 
 def _poly_total_diff(ctx: Context, p: Poly, sym: int) -> Expr:
     """d/d(sym) of a polynomial, with chain rule through radical atoms."""
-    result = Expr(ctx, p.diff(sym), Poly.one())
-    for s in p.symbols():
-        if ctx.is_atom_sym(s):
-            datom = ctx._atom_derivative(s, sym)
-            if not datom.is_zero_expr():
-                result = result + Expr(ctx, p.diff(s), Poly.one()) * datom
-    return result
+    datoms = ((s, ctx._atom_derivative(s, sym)) for s in p.symbols() if ctx.is_atom_sym(s))
+    terms = [Expr(ctx, p.diff(s), Poly.one()) * d for s, d in datoms if not d.is_zero_expr()]
+    return ctx.sum([Expr(ctx, p.diff(sym), Poly.one()), *terms])
 
 
 def _invert_atom_poly(ctx: Context, p: Poly) -> Expr:
@@ -877,11 +870,8 @@ def _invert_atom_poly(ctx: Context, p: Poly) -> Expr:
     deg = max(parts)
     u = [Expr(ctx, parts.get(i, Poly.zero()), Poly.one()) for i in range(deg + 1)]
     inv_coeffs = _ext_inverse(ctx, u, atom.q, atom.radicand)
-    result = ctx.zero
-    for i, c in enumerate(inv_coeffs):
-        if not c.is_zero_expr():
-            result = result + c * Expr(ctx, Poly.monomial((0,) * s + (i,)), Poly.one())
-    return result
+    t = Expr(ctx, Poly.variable(s), Poly.one())
+    return ctx.sum(c * t**i for i, c in enumerate(inv_coeffs) if not c.is_zero_expr())
 
 
 def _ext_inverse(ctx: Context, u: list[Expr], q: int, radicand: Expr) -> list[Expr]:

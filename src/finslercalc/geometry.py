@@ -324,10 +324,12 @@ class Geometry:
 
     def horizontal_derivative(self, e: Expr, k: int) -> Expr:
         """delta_k e = d_k e - N^r_k * (dot d)_r e."""
+        return _dot(self.ctx, (), self._n_pairs(e, k), (e.diff(Var("x", k)),))
+
+    def _n_pairs(self, e: Expr, k: int) -> list:
+        """The pairs (N^r_k, (dot d)_r e) that delta_k e subtracts."""
         N = self.nonlinear_connection()
-        return e.diff(Var("x", k)) - _dot(
-            self.ctx, ((N[(r, k)], e.diff(Var("y", r))) for r in range(1, self.dim + 1))
-        )
+        return [(N[(r, k)], e.diff(Var("y", r))) for r in range(1, self.dim + 1)]
 
     def cartan_coefficients(self) -> Tensor:
         """Christoffel symbols of g with respect to the horizontal derivatives."""
@@ -355,7 +357,8 @@ class Geometry:
         def gen(idx):
             i, j, k = idx
             return _dot(self.ctx, (
-                (ginv[(i, r)], dg(j, k, r) + dg(k, j, r) - dg(r, j, k)) for r in range(1, n + 1)
+                (ginv[(i, r)], self.ctx.sum((dg(j, k, r), dg(k, j, r), -dg(r, j, k))))
+                for r in range(1, n + 1)
             )).scale(half)
 
         return define(name, self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
@@ -428,18 +431,16 @@ class Geometry:
         def gen(idx):
             base, k = idx[:-1], idx[-1]
             e = t[base]
-            val = self.horizontal_derivative(e, k) if horizontal else e.diff(Var("y", k))
-            if coeffs_zero:
-                return val
-            for slot, variance in enumerate(t.sig):
+            plus, minus = [], self._n_pairs(e, k) if horizontal else []
+            for slot, variance in enumerate(() if coeffs_zero else t.sig):
                 a = base[slot]
-                term = _dot(ctx, (
-                    (t[base[:slot] + (r,) + base[slot + 1 :]],
-                     coeffs[(a, r, k)] if variance is UP else coeffs[(r, a, k)])
-                    for r in range(1, n + 1)
-                ))
-                val = val + term if variance is UP else val - term
-            return val
+                for r in range(1, n + 1):
+                    other = t[base[:slot] + (r,) + base[slot + 1 :]]
+                    if variance is UP:
+                        plus.append((other, coeffs[(a, r, k)]))
+                    else:
+                        minus.append((other, coeffs[(r, a, k)]))
+            return _dot(ctx, plus, minus, (e.diff(Var("x" if horizontal else "y", k)),))
 
         sig = t.sig + (DOWN,)
         return define(t.name + ("|" if horizontal else "|v"), ctx, n, sig, gen, t.symmetries)
@@ -477,21 +478,18 @@ class Geometry:
 
             def gen(idx):
                 i, h, j, k = idx
-                val = c_free[idx] if hc is None else c_free[idx] - hc[(i, h, k, j)]
-                if tor is not None:
-                    val = val + _dot(ctx, ((C[(i, h, m)], tor[(m, j, k)]) for m in ms))
-                return val
+                pairs = () if tor is None else ((C[(i, h, m)], tor[(m, j, k)]) for m in ms)
+                terms = (c_free[idx],) if hc is None else (c_free[idx], -hc[(i, h, k, j)])
+                return _dot(ctx, pairs, (), terms)
 
             return define(c_free.name, ctx, n, sig, gen, c_free.symmetries)
         if which == "h":
             def r_gen(idx):
                 i, h, j, k = idx
-                return (
-                    self.horizontal_derivative(F[(i, h, j)], k)
-                    - self.horizontal_derivative(F[(i, h, k)], j)
-                    + _dot(ctx, ((F[(m, h, j)], F[(i, m, k)]) for m in ms))
-                    - _dot(ctx, ((F[(m, h, k)], F[(i, m, j)]) for m in ms))
-                )
+                fj, fk = F[(i, h, j)], F[(i, h, k)]
+                plus = self._n_pairs(fk, j) + [(F[(m, h, j)], F[(i, m, k)]) for m in ms]
+                minus = self._n_pairs(fj, k) + [(F[(m, h, k)], F[(i, m, j)]) for m in ms]
+                return _dot(ctx, plus, minus, (fj.diff(Var("x", k)), -fk.diff(Var("x", j))))
 
             return define("R", ctx, n, sig, r_gen, (antisymmetric(3, 4),))
         if which == "hv":
@@ -500,8 +498,10 @@ class Geometry:
         def build_s():  # the v-curvature depends on C alone
             def s_gen(idx):
                 i, h, j, k = idx
-                return _dot(ctx, ((C[(m, h, k)], C[(i, m, j)]) for m in ms)) - _dot(
-                    ctx, ((C[(m, h, j)], C[(i, m, k)]) for m in ms)
+                return _dot(
+                    ctx,
+                    ((C[(m, h, k)], C[(i, m, j)]) for m in ms),
+                    ((C[(m, h, j)], C[(i, m, k)]) for m in ms),
                 )
 
             return define("S", ctx, n, sig, s_gen, (antisymmetric(3, 4),))
@@ -531,13 +531,14 @@ class Geometry:
         return self._get("classify", build_classification)
 
 
-def _dot(ctx: Context, pairs) -> Expr:
-    """The sum of a * b over the (a, b) pairs, skipping pairs with a zero factor."""
-    acc = ctx.zero
-    for a, b in pairs:
-        if not (a.is_zero_expr() or b.is_zero_expr()):
-            acc = acc + a * b
-    return acc
+def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:
+    """The sum of ``terms`` and of a * b over the (a, b) pairs, minus a * b
+    over the ``minus`` pairs, skipping pairs with a zero factor.  It is one
+    ``Context.sum``: a component that is a sum of products is normalized
+    once, not once per product."""
+    out = [*terms, *(a * b for a, b in pairs if not (a.is_zero_expr() or b.is_zero_expr()))]
+    out += [-(a * b) for a, b in minus if not (a.is_zero_expr() or b.is_zero_expr())]
+    return ctx.sum(out)
 
 
 # -- symbolic determinants ---------------------------------------------------------
@@ -567,15 +568,13 @@ def _det_minor(geom: Geometry, g: Tensor, rows: tuple, cols: tuple) -> Expr:
     if not rows:
         result = ctx.one
     else:
-        result = ctx.zero
-        r = rows[0]
-        rest = rows[1:]
+        r, rest = rows[0], rows[1:]
+        plus, minus = [], []
         for pos, c in enumerate(cols):
             e = g[(r, c)]
-            if e.is_zero_expr():
-                continue
-            sub = _det_minor(geom, g, rest, cols[:pos] + cols[pos + 1 :])
-            term = e * sub
-            result = result + term if pos % 2 == 0 else result - term
+            if not e.is_zero_expr():
+                sub = _det_minor(geom, g, rest, cols[:pos] + cols[pos + 1 :])
+                (minus if pos % 2 else plus).append((e, sub))
+        result = _dot(ctx, plus, minus)
     cache[key] = result
     return result

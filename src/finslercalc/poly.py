@@ -528,9 +528,9 @@ def _eval_sym(p: Poly, sym: int, value: int) -> Poly:
     return Poly(out)
 
 
-def _interpolate(h: Poly, sym: int, xi: int) -> Poly:
+def _interpolate(h: Poly, sym: int, xi: int, degree: int) -> Poly | None:
     """Recover a polynomial in ``sym`` from its value at xi, digit by
-    digit in the balanced base xi."""
+    digit in the balanced base xi; None if it would pass ``degree``."""
     result = Poly.zero()
     power = 0
     half = xi // 2
@@ -550,8 +550,8 @@ def _interpolate(h: Poly, sym: int, xi: int) -> Poly:
             result = result + Poly(digits).mul_monomial(power << (_BITS * sym))
         h = Poly(rest)
         power += 1
-        if power > 4000:  # pragma: no cover - guards runaway reconstruction
-            raise ArithmeticError("heuristic gcd reconstruction diverged")
+        if h and power > degree:
+            return None
     return result
 
 
@@ -581,8 +581,9 @@ def _heugcd(f: Poly, g: Poly, syms: list[int]) -> Poly | None:
             rest = sorted(ff.symbols() | gg.symbols(), reverse=True)
             h = _heugcd(ff, gg, rest)
             if h is not None:
-                candidate = _interpolate(h, sym, xi)
-                if not candidate.is_zero():
+                # the gcd has at most the lesser degree of the two in sym
+                candidate = _interpolate(h, sym, xi, min(f.degree_in(sym), g.degree_in(sym)))
+                if candidate:
                     candidate = make_primitive(candidate)[1]
                     if div_exact(f, candidate) is not None and div_exact(g, candidate) is not None:
                         return candidate.scale(content)
@@ -769,11 +770,12 @@ class FactorBase:
     The elements are non-monomial, primitive with positive leading
     coefficient, squarefree and pairwise coprime; none is divisible by a
     symbol.  A denominator (primitive with positive leading coefficient)
-    factors as a monomial times a product of element powers, so the gcd of
-    two denominators is exponent arithmetic, and the gcd of a numerator
-    with a denominator needs gcds against the elements only: a trial
-    division, then a modular certificate of coprimality, and ``poly_gcd``
-    only when both fail.  Both gcds equal what ``poly_gcd`` returns.
+    factors as a monomial times a product of element powers, so the least
+    common multiple of denominators is exponent arithmetic, and the gcd of
+    a numerator with a denominator needs gcds against the elements only: a
+    trial division, then a modular certificate of coprimality, and
+    ``poly_gcd`` only when both fail.  That gcd equals what ``poly_gcd``
+    returns.
 
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
@@ -840,31 +842,64 @@ class FactorBase:
         self._factored.clear()
         self._refinements += 1
 
-    def _factor_pair(self, a: Poly, b: Poly):
+    def _factor_all(self, dens: list[Poly]) -> list[tuple[int, dict[int, int]]]:
+        """``factor`` of each, again until no refinement renames an index."""
         while True:
             seen = self._refinements
-            fa = self.factor(a)
-            fb = self.factor(b)
+            got = [self.factor(d) for d in dens]
             if self._refinements == seen:
-                return fa, fb
+                return got
 
-    def gcd_dens(self, a: Poly, b: Poly) -> Poly:
-        """``poly_gcd(a, b)`` of two denominators (primitive, positive
-        leading coefficient): the least exponent of every factor."""
-        if len(a.terms) == 1 or len(b.terms) == 1:
-            return poly_gcd(a, b)
-        if a == b:
-            return a
-        (mono_a, fa), (mono_b, fb) = self._factor_pair(a, b)
-        result = Poly({_mono_min(mono_a, mono_b): 1})
-        for i, e in fa.items():
-            if i in fb:
-                result = result * self.elements[i] ** min(e, fb[i])
-        return result
+    def common_denominator(self, dens: dict[Poly, int]):
+        """(l, {d: l / d}, (key, {element: exponent})) for denominators d,
+        each with the number of terms over it.  l is their least common
+        multiple: each symbol and element at its greatest exponent.  The
+        pair factors a part of l that holds the gcd of l with any sum of the
+        terms: a factor at an exponent that one term alone reaches divides
+        the cofactor of every other term, not that term's own, so not the
+        sum.  A non-monomial d is factored only if another d is not a
+        monomial either, or two terms share d."""
+        polys = [d for d in dens if len(d.terms) > 1]
+        elements = self.elements
+        if len(polys) == 1 and dens[polys[0]] == 1:
+            # none of its factors is shared, so one name for the rest will do
+            (d,) = polys
+            mono = monomial_gcd((d,))
+            elements = [d if mono.is_const() else div_exact(d, mono)]
+            factored = {d: (next(iter(mono.terms)), {0: 1})}
+        else:
+            factored = dict(zip(polys, self._factor_all(polys)))
+        factored.update((d, (next(iter(d.terms)), {})) for d in dens if len(d.terms) == 1)
+        top = shared_key = 0  # per symbol, the greatest exponent and the second
+        for d, (key, _) in factored.items():
+            for _ in range(min(dens[d], 2)):
+                low = _mono_min(top, key)  # max(a, b) is a + b - min(a, b)
+                shared_key += low - _mono_min(shared_key, low)
+                top += key - low
+        exps: dict[int, list[int]] = {}  # element: [exponent in l, terms at it]
+        for d, (_, d_exps) in factored.items():
+            for i, e in d_exps.items():
+                got = exps.get(i)
+                if got is None or e > got[0]:
+                    exps[i] = [e, dens[d]]
+                elif e == got[0]:
+                    got[1] += dens[d]
+        cofactors = {}
+        for d, (key, d_exps) in factored.items():
+            cofactor = Poly({top - key: 1})
+            for i, (e, _) in exps.items():
+                if e > d_exps.get(i, 0):
+                    cofactor = cofactor * elements[i] ** (e - d_exps.get(i, 0))
+            cofactors[d] = cofactor
+        d = max(dens, key=lambda d: len(d.terms))
+        shared = {i: e for i, (e, n) in exps.items() if n > 1}
+        return d * cofactors[d], cofactors, (shared_key, shared)
 
-    def gcd_num_den(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    def gcd_num_den(self, num: Poly, den: Poly, factored=None) -> tuple[Poly, Poly]:
         """``(g, num / g)`` with ``g = poly_gcd(num, den)``, for a
         denominator ``den`` (primitive, positive leading coefficient).
+        ``factored`` may name, as ``factor`` does, a divisor of den that g
+        is known to divide; by default it is den's own factorization.
 
         g is the monomial gcd times, for each factor f of den, the gcds of
         num with f, divided out while they divide num.  Each gcd with an
@@ -875,7 +910,7 @@ class FactorBase:
         if len(num.terms) <= 1 or len(den.terms) == 1:
             g = poly_gcd(num, den)
             return g, (num if g.is_const() else div_exact(num, g))
-        mono_den, factors = self.factor(den)
+        mono_den, factors = factored or self.factor(den)
         result = monomial_gcd((num, Poly({mono_den: 1}))) if mono_den else _ONE
         rest = num if result.is_const() else div_exact(num, result)
         for i, e in factors.items():

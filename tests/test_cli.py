@@ -247,6 +247,21 @@ class TestValidation:
         assert status == 1
         assert capsys.readouterr().err.startswith("error: exponent beyond the limit 32767")
 
+    def test_high_degree_denominator_ends_cleanly(self, capsys):
+        # the common denominator factors (x1^1000+1)^13, whose squarefree
+        # decomposition takes a gcd of degree 12000 in x1
+        status, _ = run_cli(
+            [
+                "--dim", "2",
+                "--coords", "x1,x2",
+                "--fibers", "y1,y2",
+                "--metric-function", "y1^2 + y2^2 + y1^2/(x1^1000+1)^13 + y2^2/(x1+2)",
+                "--objects", "g",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert status == 0 or (status == 1 and err.startswith("error: "))
+
     BAD_CHECKS = {
         "points=0": "points must be at least 1, got 0",
         "points=101": "points must be at most 100, got 101",

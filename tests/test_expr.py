@@ -1,10 +1,12 @@
 import math
+import operator
 import time
 import warnings
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finslercalc import (
@@ -20,7 +22,7 @@ from finslercalc import (
 
 from finslercalc import registry
 from finslercalc.expr import Expr, _point_coord_values
-from finslercalc.poly import Poly, int_primitive
+from finslercalc.poly import FactorBase, Poly, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 
@@ -247,6 +249,107 @@ class TestCanonical:
         c = ctx.parse("sqrt(y1/2)")
         d = ctx.parse("sqrt(2*y1)/2")
         assert c == d
+
+
+# terms of a sum: numerators and denominators that share factors or none,
+# monomial denominators, a radical atom, and x1^2 - 1 before x1 - 1, which
+# splits a factor-base element while the sum factors its denominators (a
+# monomial numerator leaves its denominator unfactored until then)
+_SUM_NUMS = [
+    "1", "y1*y2", "x1 + 1", "x2 + y1", "y1*y2 - x1", "x1 - 1",
+    "sqrt(y1^2 + y2^2)", "y1 + sqrt(y1^2 + y2^2)",
+]
+_SUM_DENS = [
+    "1", "y1", "x1^2*y2", "x1^2 - 1", "x1 - 1", "(x1 - 1)^2", "x1 + 1",
+    "x2 + y1", "(x2 + y1)^2*(x1 - 1)",
+]
+_SUM_TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(_SUM_NUMS),
+        st.sampled_from(_SUM_DENS),
+        st.fractions(-4, 4, max_denominator=6).filter(bool),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _sum_context():
+    return Context(2, ["x1", "x2"], ["y1", "y2"])
+
+
+class TestSum:
+    @given(_SUM_TERMS, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example([("1", "x1^2 - 1", Fraction(1)), ("1", "x1 - 1", Fraction(2))], False)
+    @example([("x1 + 1", "(x1 - 1)^2", Fraction(1)), ("y1*y2", "x1 + 1", Fraction(-1, 2))], True)
+    @example([("1", "y1", Fraction(1, 3)), ("x1 + 1", "x1 - 1", Fraction(3, 2))], True)
+    def test_sum_equals_the_folds(self, specs, cancel):
+        """``Context.sum`` equals the left and the right fold of ``+``, is
+        canonical, and has the value of the terms' sum; with ``cancel`` the
+        first term comes again negated, so a one-term draw sums to zero."""
+        ctx = _sum_context()
+        terms = [ctx.parse(n).scale(c) / ctx.parse(d) for n, d, c in specs]
+        if cancel:
+            terms.append(-terms[0])
+        total = ctx.sum(terms)
+        assert_canonical(total)
+        assert total == reduce(operator.add, terms)
+        assert total == reduce(lambda acc, t: t + acc, reversed(terms))
+        if cancel and len(specs) == 1:
+            assert total.is_zero_expr()
+        values = [t.eval_at(_POINT) for t in terms]
+        scale = max(map(abs, values))
+        assert math.isclose(total.eval_at(_POINT), math.fsum(values), abs_tol=1e-12 * scale)
+
+    def test_one_gcd_per_sum(self, monkeypatch):
+        ctx = _sum_context()
+        terms = [
+            ctx.parse(text)
+            for text in (
+                "(x1 + 1)/(x1 - 1)^2",
+                "y1/((x1 - 1)*(x2 + y1))",
+                "x2/(x2 + y1)^2",
+                "(x1 - 1)/(x1 + 1)",
+                "y2/x1^2",
+                "(y1 - x2)/(x1 - 1)^2",
+            )
+        ]
+        calls = []
+        gcd_num_den = FactorBase.gcd_num_den
+
+        def counted(self, *args):
+            calls.append(args)
+            return gcd_num_den(self, *args)
+
+        monkeypatch.setattr(FactorBase, "gcd_num_den", counted)
+        total = ctx.sum(terms)
+        assert len(calls) <= 1
+        monkeypatch.undo()
+        assert total == reduce(operator.add, terms)
+
+    def test_monomial_denominators_factor_nothing(self, monkeypatch):
+        """With monomial denominators and one other, the common
+        denominator is that one times a monomial: nothing is factored."""
+        ctx = _sum_context()
+        terms = [
+            ctx.parse(text)
+            for text in ("(x1 + y1)/y1", "x2/(x1^2*y2)", "y1 + y2", "(x2 + y1)/(x1 + 1)")
+        ]
+        factored = []
+        factor = FactorBase.factor
+        monkeypatch.setattr(
+            FactorBase, "factor", lambda self, p: factored.append(p) or factor(self, p)
+        )
+        total = ctx.sum(terms)
+        assert factored == []
+        monkeypatch.undo()
+        assert total == reduce(operator.add, terms)
+
+    def test_add_is_the_two_term_sum(self, ctx):
+        a, b = ctx.parse("x1/(x2 + y1)"), ctx.parse("y2/(x2 + y1)^2")
+        assert a + b == ctx.sum([a, b]) == ctx.sum([ctx.zero, a, ctx.zero, b])
+        assert ctx.sum([]) == ctx.zero and ctx.sum([a]) is a
 
 
 class TestSubstitute:

@@ -69,7 +69,7 @@ class TestFactorBase:
         assert fb.elements == [x + y, x + one, y + one]
         assert fb._refinements == 1
         assert (unpack(mono), exps) == ((0, 0, 1), {0: 2, 2: 1})
-        assert fb.gcd_dens((x + y) * (x + one), (x + y) ** 2) == x + y
+        assert_common_denominator(fb, (x + y) * (x + one), (x + y) ** 2)
         check_factor_base(fb)
 
     def test_num_den_proper_factor(self):
@@ -100,8 +100,8 @@ class TestFactorBase:
         a = make_primitive(m1 * f1**a1 * f2**a2)[1]
         b = make_primitive(m2 * f1**b1 * f3**b3)[1]
         nums = [m2 * num_factor * f1**n1, f3 * f2**n1 + m1, reducible]
-        assert fb.gcd_dens(a, b) == poly_gcd(a, b)
-        assert fb.gcd_dens(b, reducible) == poly_gcd(b, reducible)
+        assert_common_denominator(fb, a, b)
+        assert_common_denominator(fb, b, reducible)
         for num in nums:
             for den in (a, b, reducible):
                 assert_num_den_gcd(fb, num, den)
@@ -128,6 +128,16 @@ class TestFactorBase:
                 )
             for num in nums:
                 assert_num_den_gcd(fb, num, den)
+
+
+def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
+    """The common denominator of a and b is a * b / ``poly_gcd(a, b)``,
+    and each cofactor times its denominator is that."""
+    dens = {a: 1}
+    dens[b] = dens.get(b, 0) + 1
+    common, cofactors, _ = fb.common_denominator(dens)
+    assert common == div_exact(a * b, poly_gcd(a, b))
+    assert all(cofactors[d] * d == common for d in dens)
 
 
 def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:

@@ -19,6 +19,7 @@ from finslercalc.poly import (
     power_free_extract,
     squarefree_decomposition,
     unpack,
+    _interpolate,
 )
 
 
@@ -201,6 +202,17 @@ class TestGcd:
         assert div_exact(a * c, g) is not None
         assert div_exact(b * c, g) is not None
         assert div_exact(g, make_primitive(c)[1]) is not None
+
+    def test_high_degree_gcd(self):
+        # the heuristic gcd reconstructs (x^1000 + 1)^4 from 4001 digits
+        p = (x**1000 + one) ** 5
+        assert poly_gcd(p, p.diff(0)) == (x**1000 + one) ** 4
+
+    def test_reconstruction_stops_past_the_degree(self):
+        xi = 101
+        h = Poly.const(1 + xi + xi**2 + xi**3)
+        assert _interpolate(h, 0, xi, 3) == one + x + x**2 + x**3
+        assert _interpolate(h, 0, xi, 2) is None
 
 
 class TestSquarefree:
