@@ -33,6 +33,13 @@ denominator, with one gcd against the factors two or more terms share.
 The gcds return exactly what ``poly_gcd`` would; the factorizations are
 derived data, outside equality and hashing.
 
+A derivative (``Expr.diff``) works over the factored denominator too.
+With R the product of the parts of D that move with the variable s (s
+itself and each factor f with f' = df/ds != 0) and T = D' * R / D,
+d(N/D) = (N'*R - N*T) / (D*R), so D is never squared.  Modulo a moving f
+that is primitive in s the numerator is a product of parts coprime to f
+(see ``Expr._diff_sym``), so its one gcd skips s and those factors.
+
 Numeric evaluation reads every symbol through one table per point,
 ``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
 Taylor jets go through ``Poly.eval``.  ``Expr.eval_at`` and the oracle's
@@ -54,6 +61,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .poly import (
     FactorBase,
     Poly,
+    content_wrt,
     div_exact,
     int_power_extract,
     int_primitive,
@@ -515,20 +523,65 @@ class Expr:
         return self._diff_sym(self.ctx.sym_of(v))
 
     def _diff_sym(self, sym: int) -> "Expr":
+        """d/ds over the factored denominator (Bronstein, Symbolic
+        Integration I, 2.2).  With ``factor``, D = s**a * M * prod f**e_f
+        for s = ``sym``, elements f and a monomial M free of s.  R is the
+        product of the parts of D that move with s: s if a > 0, and each f
+        with f' = df/ds != 0.  With T = a*R/s + sum e_f * f' * R/f, D' is
+        D*T/R, so
+
+            d(N/D)/ds = (N'*R - N*T) / (D*R),
+
+        over D*R, not D**2.  If N' has no denominator, the numerator Q is
+        -e_f * N * f' * R/f modulo a moving f, and -a * N * R/s modulo s.
+        N is coprime to D; R/f is s and elements, all coprime to f; and if
+        f is primitive in s, each irreducible factor h of the squarefree f
+        involves s, so h does not divide h', and h | f' = h'*f/h + h*(f/h)'
+        would give h | f/h.  So neither s nor such an f divides Q, and the
+        one gcd runs against the rest of D*R: the other symbols of M, the
+        elements that do not move, and the moving ones that are not
+        primitive in s, each at its exponent in D*R.  If N' has a
+        denominator (a radicand's, which may share a factor with D), the
+        same quotient takes the full gcd."""
         ctx = self.ctx
         got = ctx._diff_cache.get((self, sym))
         if got is not None:
             return got
+        # N' first: its atom derivatives may refine the factor base, which
+        # renames the element indices of the factorization below
         dnum = _poly_total_diff(ctx, self.num, sym)
-        dden = _poly_total_diff(ctx, self.den, sym)
-        sign, den_num = _signed(_ONE, self.den)
-        den_e = Expr(ctx, den_num, Poly.one(), sign, _normalized=True)
-        if dden.is_zero_expr():
-            result = dnum / den_e
+        mono, exps = ctx.factors.factor(self.den)
+        a = Poly({mono: 1}).degree_in(sym)
+        r, t = (Poly.variable(sym), Poly.const(a)) if a else (Poly.one(), Poly.zero())
+        hint: dict[int, int] = {}
+        for i, e in exps.items():
+            f = ctx.factors.elements[i]
+            df = f.diff(sym)
+            if df.is_zero():
+                hint[i] = e
+                continue
+            r, t = r * f, t * f + (df * r).scale(e)  # T/R gains e*f'/f
+            if not content_wrt(f, sym).is_const():
+                hint[i] = e + 1
+        den = self.den * r
+        if _is_one(dnum.den):
+            p, q = dnum.content.numerator, dnum.content.denominator
+            num = (dnum.num * r).scale(p) + (self.num * t).scale(-q)
+            if num.is_zero():
+                result = ctx.zero
+            else:
+                c, num = _primitive(self.content / q, num)
+                hint_key = mono - pack((0,) * sym + (a,))
+                if hint or hint_key:
+                    g, num_g = ctx.factors.gcd_num_den(num, den, (hint_key, hint))
+                    if not _is_one(g):
+                        c, num = _signed(c, num_g)
+                        den = div_exact(den, g)
+                result = Expr(ctx, num, den, c, _normalized=True)
         else:
-            num_e = Expr(ctx, self.num, Poly.one(), _ONE, _normalized=True)
-            result = (dnum * den_e - num_e * dden) / (den_e * den_e)
-        result = result.scale(self.content)
+            n_t = Expr(ctx, self.num * t, Poly.one())
+            top = ctx.sum((dnum * Expr(ctx, r, Poly.one()), -n_t))
+            result = (top * Expr(ctx, Poly.one(), den, _ONE, _normalized=True)).scale(self.content)
         ctx._diff_cache[(self, sym)] = result
         return result
 

@@ -501,7 +501,8 @@ def _prem(f: Poly, g: Poly, sym: int) -> Poly:
     return r
 
 
-def _content_wrt(p: Poly, sym: int) -> Poly:
+def content_wrt(p: Poly, sym: int) -> Poly:
+    """The gcd of p's coefficients as a polynomial in ``sym``."""
     cont: Poly | None = None
     for part in p.split_by_symbol(sym).values():
         cont = part if cont is None else poly_gcd(cont, part)
@@ -629,8 +630,8 @@ def _nonmonomial_gcd(a: Poly, b: Poly, common: set) -> Poly:
         return heur
     # subresultant PRS fallback
     sym = max(common)
-    ca = _content_wrt(a, sym)
-    cb = _content_wrt(b, sym)
+    ca = content_wrt(a, sym)
+    cb = content_wrt(b, sym)
     cont = poly_gcd(ca, cb)
     pa = div_exact(a, ca)
     pb = div_exact(b, cb)
@@ -656,7 +657,7 @@ def _nonmonomial_gcd(a: Poly, b: Poly, common: set) -> Poly:
             assert h is not None
     if pb.degree_in(sym) == 0:
         return make_primitive(cont)[1]
-    result = div_exact(pb, _content_wrt(pb, sym))
+    result = div_exact(pb, content_wrt(pb, sym))
     assert result is not None
     return make_primitive(cont * result)[1]
 
@@ -963,7 +964,7 @@ class FactorBase:
         primitive and whose leading coefficient keeps its degree, or None."""
         for x in sorted(f.symbols()):
             lc = f.coeff_of(x, f.degree_in(x))
-            if not lc.is_const() and not _content_wrt(f, x).is_const():
+            if not lc.is_const() and not content_wrt(f, x).is_const():
                 continue
             image = self._image(f, x)
             if len(image) == f.degree_in(x) + 1:

@@ -21,7 +21,7 @@ from finslercalc import (
 )
 
 from finslercalc import registry
-from finslercalc.expr import Expr, _point_coord_values
+from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
 from finslercalc.poly import FactorBase, Poly, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
@@ -350,6 +350,85 @@ class TestSum:
         a, b = ctx.parse("x1/(x2 + y1)"), ctx.parse("y2/(x2 + y1)^2")
         assert a + b == ctx.sum([a, b]) == ctx.sum([ctx.zero, a, ctx.zero, b])
         assert ctx.sum([]) == ctx.zero and ctx.sum([a]) is a
+
+
+# a quotient to differentiate: numerators with and without a radical atom
+# (sqrt(x1 + 1) gives N' the denominator x1 + 1 under d/dx1); denominators
+# that are a monomial in the variable, free of it, a repeated element, and
+# (x1 + 1)*(y1^2 + y2^2) expanded, which is squarefree but not primitive in
+# y1 and splits when x1 + 1 arrives in the factor base
+_DIFF_NUMS = [
+    "1", "y1*y2 - x1", "x1 + 1", "x2 + y1", "y1^2 + y2^2",
+    "sqrt(y1^2 + y2^2)", "y1 + sqrt(x1 + 1)", "x2*sqrt(y1^2 + y2^2) + y1",
+]
+_DIFF_DENS = [
+    "1", "y1^2", "x1*y1", "x1 - 1", "(y1^2 + y2^2)^3", "(x2 + y1)^2*(x1 - 1)",
+    "x1*y1^2 + x1*y2^2 + y1^2 + y2^2", "x1 + 1", "y1*(x1 + 1)^2*(y1^2 + y2^2)",
+]
+
+
+def _textbook_diff(e, sym):
+    """(N'*D - N*D') / (D*D), from ``Context.sum`` and ``*``."""
+    ctx = e.ctx
+    num, den = Expr(ctx, e.num, Poly.one()), Expr(ctx, e.den, Poly.one())
+    top = ctx.sum([_poly_total_diff(ctx, e.num, sym) * den,
+                   -(num * _poly_total_diff(ctx, e.den, sym))])
+    return (top / (den * den)).scale(e.content)
+
+
+class TestQuotientDerivative:
+    @given(
+        st.sampled_from(_DIFF_NUMS), st.sampled_from(_DIFF_DENS),
+        st.fractions(-4, 4, max_denominator=6).filter(bool),
+        st.sampled_from(["x1", "y1", "y2"]), st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example("x1 + 1", "x1 - 1", Fraction(1), "y1", False)  # the derivative is 0
+    @example("y1 + sqrt(x1 + 1)", "x1*y1^2 + x1*y2^2 + y1^2 + y2^2", Fraction(1), "x1", False)
+    @example("y1*y2 - x1", "x1*y1^2 + x1*y2^2 + y1^2 + y2^2", Fraction(-2, 3), "y1", True)
+    @example("x2*sqrt(y1^2 + y2^2) + y1", "(y1^2 + y2^2)^3", Fraction(1), "y1", False)
+    def test_equals_the_textbook_quotient_rule(self, num, den, c, name, x1_first):
+        """``diff`` over the factored denominator equals the quotient rule
+        over D**2 and is canonical.  With ``x1_first``, x1 + 1 is a
+        factor-base element before the quotient is built; without it, the
+        expanded (x1 + 1)*(y1^2 + y2^2) enters whole and splits when a
+        derivative meets x1 + 1 (the atom sqrt(x1 + 1) under d/dx1)."""
+        ctx = _sum_context()
+        if x1_first:
+            ctx.factors.factor(ctx.parse("x1 + 1").num)
+        e = ctx.parse(num).scale(c) / ctx.parse(den)
+        v = ctx.var_named(name)
+        got = e.diff(v)
+        assert_canonical(got)
+        assert got == _textbook_diff(e, ctx.sym_of(v))
+
+    def test_no_square_and_no_gcd_against_a_moving_factor(self, monkeypatch):
+        """d/dy1 of x1/(y1^2 + y2^2)^6 forms no product of degree 24 =
+        deg D**2, and names y1^2 + y2^2 in no gcd: it moves with y1 and is
+        primitive in y1, so it cannot divide the new numerator."""
+        ctx = _sum_context()
+        e = ctx.parse("x1/(y1^2 + y2^2)^6")
+        element = ctx.parse("y1^2 + y2^2").num
+        degrees, named = [], []
+        mul, gcd_num_den = Poly.__mul__, FactorBase.gcd_num_den
+
+        def recorded_mul(a, b):
+            product = mul(a, b)
+            degrees.append(product.total_degree())
+            return product
+
+        def recorded_gcd(fb, num, den, factored=None):
+            _, exps = factored or fb.factor(den)
+            named.extend(fb.elements[i] for i in exps)
+            return gcd_num_den(fb, num, den, factored)
+
+        monkeypatch.setattr(Poly, "__mul__", recorded_mul)
+        monkeypatch.setattr(FactorBase, "gcd_num_den", recorded_gcd)
+        got = e.diff(Var("y", 1))
+        monkeypatch.undo()
+        assert degrees and max(degrees) < 24
+        assert element not in named
+        assert got == ctx.parse("-12*x1*y1/(y1^2 + y2^2)^7")
 
 
 class TestSubstitute:

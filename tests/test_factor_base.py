@@ -130,6 +130,51 @@ class TestFactorBase:
                 assert_num_den_gcd(fb, num, den)
 
 
+class TestPartialHint:
+    """``gcd_num_den`` with a ``factored`` hint that names a part of den,
+    as a derivative passes it: when g divides the named part, the result
+    is ``poly_gcd``'s."""
+
+    def test_named_part_only(self):
+        fb = FactorBase()
+        den = x * (x + y) ** 2 * (y + z) ** 3
+        num = (x + y) * (x * z + one)  # shares x + y with den, nothing else
+        mono, exps = fb.factor(den)
+        i = fb.elements.index(x + y)
+        hint = (0, {i: exps[i]})
+        assert fb.gcd_num_den(num, den, hint) == (x + y, x * z + one) == (
+            poly_gcd(num, den), div_exact(num, x + y)
+        )
+
+    @given(
+        factors(), factors(), factors(), factors(), monomials(), monomials(),
+        st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        st.lists(st.booleans(), min_size=4, max_size=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    @example(
+        f1=x + y, f2=y + z, f3=x * z + one, num_factor=x * y + z, m1=x, m2=y * z,
+        powers=[2, 3, 1], named=[True, False, True, True],
+    )
+    def test_equals_poly_gcd(self, f1, f2, f3, num_factor, m1, m2, powers, named):
+        """den = m1 * f1**a * f2**b * f3**c; the hint names its monomial
+        (or not) and the factor-base elements the draw picks, at their
+        exponents, and the numerator's gcd with den lies in that part."""
+        fb = FactorBase()
+        den = make_primitive(m1 * f1 ** powers[0] * f2 ** powers[1] * f3 ** powers[2])[1]
+        mono, exps = fb.factor(den)
+        picked = {i: e for k, (i, e) in enumerate(exps.items()) if named[1 + k % 3]}
+        hint = (mono if named[0] else 0, picked)
+        part = Poly({hint[0]: 1})
+        for i, e in picked.items():
+            part = part * fb.elements[i] ** e
+        for num in (num_factor * m2 * part, num_factor * f1 * m1, num_factor + m2):
+            g = poly_gcd(num, den)
+            if num.is_zero() or div_exact(part, g) is None:
+                continue  # g is not known to divide the named part
+            assert fb.gcd_num_den(num, den, hint) == (g, div_exact(num, g))
+
+
 def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
     """The common denominator of a and b is a * b / ``poly_gcd(a, b)``,
     and each cofactor times its denominator is that."""

@@ -5,8 +5,10 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finslercalc import poly
+from finslercalc import Context, poly
+from finslercalc.expr import Expr
 from finslercalc.poly import (
     Poly,
     div_exact,
@@ -122,3 +124,26 @@ class TestAgainstSympy:
             for fac, mult in theirs:
                 expected *= fac ** (mult // q)
             assert same_up_to_sign(root, expected)
+
+
+class TestDerivativeAgainstSympy:
+    @given(
+        small_polys(max_terms=3),
+        st.lists(small_polys(max_terms=2).filter(bool), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), min_size=3, max_size=3),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_diff_of_a_quotient(self, num, factors, powers, k):
+        """N/D with D a product of small polynomials at powers 1-3: ``diff``
+        equals ``sympy.cancel`` of sympy's derivative, parsed back.  sympy
+        gets D as the product, which it cancels faster than D expanded."""
+        ctx = Context(2, ["x1", "x2"], ["y1", "y2"])
+        names = dict(zip(SYMS, sympy.symbols("x1 x2 y1")))  # the context's symbols 0-2
+        den, theirs = Poly.one(), to_sympy(num).as_expr()
+        for f, p in zip(factors, powers):
+            den = den * f**p
+            theirs = theirs / to_sympy(f).as_expr() ** p
+        ours = Expr(ctx, num, den).diff(ctx.var_named(str(names[SYMS[k]])))
+        theirs = sympy.cancel(sympy.diff(theirs.subs(names), names[SYMS[k]]))
+        assert ours == ctx.parse(str(theirs).replace("**", "^"))
