@@ -448,16 +448,13 @@ class Expr:
         c = b if a == 1 else a if b == 1 else a * b
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
+        # cross-cancel each numerator against the other denominator (Knuth,
+        # TAOCP vol. 2, 4.5.1); products repeat the same pairs, so the
+        # factor base memoizes each pair's gcd
         if not _is_one(b_den):
-            g, num_g = ctx.factors.gcd_num_den(a_num, b_den)
-            if not _is_one(g):
-                a_num = num_g
-                b_den = div_exact(b_den, g)
+            a_num, b_den = ctx.factors.cancel(a_num, b_den)
         if not _is_one(a_den):
-            g, num_g = ctx.factors.gcd_num_den(b_num, a_den)
-            if not _is_one(g):
-                b_num = num_g
-                a_den = div_exact(a_den, g)
+            b_num, a_den = ctx.factors.cancel(b_num, a_den)
         num = a_num * b_num
         den = a_den * b_den
         reduced, extra = _reduce_atoms(ctx, num)

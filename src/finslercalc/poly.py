@@ -781,14 +781,26 @@ class FactorBase:
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
     The element order is the order factors arrive in.
+
+    ``cancel`` memoizes, per (numerator, denominator) pair, the gcd and the
+    denominator's cofactor: products multiply the same few component
+    numerators by the same few denominators again and again.  Both divide
+    the denominator, so they are small; the numerator's cofactor is
+    recomputed by one exact division instead of kept.  A gcd names no
+    element index, so a refinement leaves the memo valid, and it is never
+    cleared.
     """
 
-    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_values", "_rng")
+    __slots__ = (
+        "elements", "_factored", "_refinements", "_cancelled",
+        "_images", "_point", "_values", "_rng",
+    )
 
     def __init__(self):
         self.elements: list[Poly] = []
         self._factored: dict[Poly, tuple[int, dict[int, int]]] = {}
         self._refinements = 0
+        self._cancelled: dict[tuple[Poly, Poly], tuple[Poly, Poly]] = {}
         # for _divide_or_certify: per element, its main symbol and image
         # (or None); the evaluation point, drawn symbol by symbol in index
         # order; and the values of monomials at it modulo _P, by key
@@ -935,6 +947,20 @@ class FactorBase:
                 if g.is_const():
                     break
         return result, rest
+
+    def cancel(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
+        """``(num / g, den / g)`` with ``g = gcd(num, den)``, as
+        ``gcd_num_den`` finds it, for a denominator ``den`` (primitive,
+        positive leading coefficient).  g and den / g are memoized per
+        pair; an input that g does not reduce is returned as it is."""
+        key = (num, den)
+        got = self._cancelled.get(key)
+        if got is None:
+            g, num_g = self.gcd_num_den(num, den)
+            got = self._cancelled[key] = (g, den if g.is_const() else div_exact(den, g))
+            return num_g, got[1]
+        g, den_g = got
+        return (num if g.is_const() else div_exact(num, g)), den_g
 
     def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
         """(a / f or None, True only if gcd(a, f) = 1) for an element f.

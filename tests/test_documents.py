@@ -4,14 +4,15 @@ and ``--format latex`` documents on worked-3d and berwald-4d.  The JSON
 digests were taken before ``Poly`` switched to packed exponent keys, the
 text and LaTeX digests before the two printers shared their term joining;
 a change meant to leave the canonical form and its printing alone must
-leave them unchanged."""
+leave them unchanged.  The JSON documents must not depend on the order in
+which the ids are built either."""
 
 import hashlib
 
 import pytest
 
-from conftest import geometry_for
-from finslercalc import cli, registry
+from conftest import geometry_for, make_structure
+from finslercalc import build, cli, registry
 
 DIGESTS = {
     "worked-3d": {
@@ -266,3 +267,20 @@ PRINTED = {"text": TEXT_DIGESTS, "latex": LATEX_DIGESTS}
 def test_printed_documents_unchanged(fmt, name):
     changed = changed_documents(name, fmt, PRINTED[fmt][name])
     assert not changed, f"{fmt} documents changed on {name}: {changed}"
+
+
+@pytest.mark.parametrize("name", ["perturbed-flat-2d", "berwald-4d"])
+def test_json_documents_independent_of_build_order(name):
+    """Building the ids in reverse order fills the per-Context caches (the
+    factor base, its gcd memo, the derivative cache) in another order; no
+    document may show it."""
+    ids = registry.base_object_ids()
+    docs = []
+    for order in (ids, ids[::-1]):
+        geom = build(make_structure(name))
+        docs.append({})
+        for object_id in order:
+            tensor = registry.resolve(geom, object_id)
+            docs[-1][object_id] = cli.emit(tensor, "json", geom.structure, object_id)
+    forward, backward = docs
+    assert [i for i in ids if forward[i] != backward[i]] == []

@@ -278,6 +278,19 @@ def _sum_context():
     return Context(2, ["x1", "x2"], ["y1", "y2"])
 
 
+def _count_gcds(monkeypatch) -> list:
+    """The argument tuples of every ``FactorBase.gcd_num_den`` call from now on."""
+    calls = []
+    gcd_num_den = FactorBase.gcd_num_den
+
+    def counted(self, *args):
+        calls.append(args)
+        return gcd_num_den(self, *args)
+
+    monkeypatch.setattr(FactorBase, "gcd_num_den", counted)
+    return calls
+
+
 class TestSum:
     @given(_SUM_TERMS, st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -315,14 +328,7 @@ class TestSum:
                 "(y1 - x2)/(x1 - 1)^2",
             )
         ]
-        calls = []
-        gcd_num_den = FactorBase.gcd_num_den
-
-        def counted(self, *args):
-            calls.append(args)
-            return gcd_num_den(self, *args)
-
-        monkeypatch.setattr(FactorBase, "gcd_num_den", counted)
+        calls = _count_gcds(monkeypatch)
         total = ctx.sum(terms)
         assert len(calls) <= 1
         monkeypatch.undo()
@@ -350,6 +356,41 @@ class TestSum:
         a, b = ctx.parse("x1/(x2 + y1)"), ctx.parse("y2/(x2 + y1)^2")
         assert a + b == ctx.sum([a, b]) == ctx.sum([ctx.zero, a, ctx.zero, b])
         assert ctx.sum([]) == ctx.zero and ctx.sum([a]) is a
+
+
+class TestCancelMemo:
+    """A product's cross-cancellations read ``FactorBase.cancel``, which
+    memoizes each pair's gcd; sums and the normalizing constructor call
+    ``gcd_num_den`` directly and leave the memo alone."""
+
+    def test_repeated_product_tests_no_pair_again(self, monkeypatch):
+        ctx = _sum_context()
+        texts = ("(x1 + y1)*y2/((x2 + y2)*(x1 - 1))", "(x2 + y2)*(x1 - 1)^2/((x1 + y1)^2*y1)")
+        a, b = map(ctx.parse, texts)
+        a2, b2 = map(ctx.parse, texts)  # equal, but other objects
+        calls = _count_gcds(monkeypatch)
+        first = a * b
+        assert len(calls) == 2  # both cross-cancellations reduce
+        del calls[:]
+        again = [a * b, a2 * b2]
+        assert calls == []
+        monkeypatch.undo()
+        assert again == [first, first]
+        assert first == ctx.parse("(x1 - 1)*y2/((x1 + y1)*y1)")
+        assert_canonical(first)
+
+    def test_sums_and_constructors_leave_the_memo_empty(self, monkeypatch):
+        ctx = _sum_context()
+        f, g, h, y1 = (ctx.parse(t).num for t in ("x1 + y1", "y2", "x1 + y1 + y2", "y1"))
+        calls = _count_gcds(monkeypatch)
+        # 1/(f*g) - 1/(f*h) = (h - g)/(f*g*h) = 1/(g*h): the sum's gcd is f
+        terms = [Expr(ctx, Poly.one(), f * g), -Expr(ctx, Poly.one(), f * h)]
+        total = ctx.sum(terms)
+        reduced = Expr(ctx, f * y1, f * g)
+        assert calls
+        assert ctx.factors._cancelled == {}
+        assert (total.num, total.den) == (Poly.one(), g * h)
+        assert (reduced.num, reduced.den) == (y1, g)
 
 
 # a quotient to differentiate: numerators with and without a radical atom

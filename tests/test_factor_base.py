@@ -175,6 +175,58 @@ class TestPartialHint:
             assert fb.gcd_num_den(num, den, hint) == (g, div_exact(num, g))
 
 
+class TestCancel:
+    """``cancel`` memoizes each pair's gcd and denominator cofactor: its
+    answer equals ``poly_gcd`` and two exact divisions, again on a second
+    call, and after a refinement has renamed element indices."""
+
+    @given(
+        factors(), factors(), factors(), monomials(), monomials(),
+        st.integers(0, 2), st.integers(1, 3),
+    )
+    @settings(max_examples=25, deadline=None)
+    @example(f1=x + y, f2=x + one, f3=y + z, m1=x, m2=y * z, n=1, e=2)
+    def test_equals_poly_gcd(self, f1, f2, f3, m1, m2, n, e):
+        fb = FactorBase()
+        # f1 * f2 enters as one element (when squarefree); a later
+        # denominator holding f1 alone splits it
+        den = make_primitive(m1 * (f1 * f2) ** e)[1]
+        nums = [m2 * f1**n * f3, f2 * m1 + f3, make_primitive(f1 * f2)[1]]
+        for num in nums:
+            assert_cancel(fb, num, den)
+        calls = []
+        gcd_num_den = FactorBase.gcd_num_den
+        with mock.patch.object(
+            FactorBase, "gcd_num_den", lambda self, *a: calls.append(a) or gcd_num_den(self, *a)
+        ):
+            for num in nums:
+                assert_cancel(fb, num, den)
+        assert calls == []
+        fb.factor(make_primitive(m2 * f1 * f3)[1])
+        for num in nums:
+            assert_cancel(fb, num, den)
+        assert_cancel(fb, f3 * f1**e, den)
+        check_factor_base(fb)
+
+    def test_refinement_keeps_the_memo(self):
+        fb = FactorBase()
+        den = x * ((x + y) * (x + one)) ** 2
+        num = y * (x + y) ** 3
+        assert_cancel(fb, num, den)
+        assert fb.elements == [(x + y) * (x + one)]
+        fb.factor((x + y) * (y + z))
+        assert fb.elements == [x + y, x + one, y + z] and fb._refinements == 1
+        assert fb._cancelled[(num, den)] == ((x + y) ** 2, x * (x + one) ** 2)
+        assert_cancel(fb, num, den)
+
+
+def assert_cancel(fb: FactorBase, num: Poly, den: Poly) -> None:
+    g = poly_gcd(num, den)
+    expected = (num, den) if g.is_const() else (div_exact(num, g), div_exact(den, g))
+    assert fb.cancel(num, den) == expected
+    assert fb._cancelled[(num, den)] == (g, expected[1])
+
+
 def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
     """The common denominator of a and b is a * b / ``poly_gcd(a, b)``,
     and each cofactor times its denominator is that."""
