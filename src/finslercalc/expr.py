@@ -261,12 +261,7 @@ class Context:
         num = sum(nums, Poly.zero())
         if num.is_zero():
             return self.zero
-        c, num = _primitive(c, num)
-        if not _is_one(den) and (shared is None or shared[0] or shared[1]):
-            g, num_g = self.factors.gcd_num_den(num, den, shared)
-            if not _is_one(g):
-                c, num = _signed(c, num_g)
-                den = div_exact(den, g)
+        c, num, den = _cancelled(self, c, num, den, shared)
         return Expr(self, num, den, c, _normalized=True)
 
     # -- radical atoms ------------------------------------------------------
@@ -567,13 +562,8 @@ class Expr:
             if num.is_zero():
                 result = ctx.zero
             else:
-                c, num = _primitive(self.content / q, num)
                 hint_key = mono - pack((0,) * sym + (a,))
-                if hint or hint_key:
-                    g, num_g = ctx.factors.gcd_num_den(num, den, (hint_key, hint))
-                    if not _is_one(g):
-                        c, num = _signed(c, num_g)
-                        den = div_exact(den, g)
+                c, num, den = _cancelled(ctx, self.content / q, num, den, (hint_key, hint))
                 result = Expr(ctx, num, den, c, _normalized=True)
         else:
             n_t = Expr(ctx, self.num * t, Poly.one())
@@ -858,8 +848,21 @@ def _normalize(ctx: Context, c: Fraction, num: Poly, den: Poly) -> tuple[Fractio
     if num.is_zero() or not c:
         return _ZERO, Poly.zero(), Poly.one()
     k, den = make_primitive(den)
-    c, num = _primitive(c / k, num)
-    g, num_g = ctx.factors.gcd_num_den(num, den)
+    return _cancelled(ctx, c / k, num, den)
+
+
+def _cancelled(
+    ctx: Context, c: Fraction, num: Poly, den: Poly, factored=None
+) -> tuple[Fraction, Poly, Poly]:
+    """``c * num / den`` for a nonzero num and a canonical den, as (content,
+    numerator, denominator) in canonical form: num made primitive, then
+    num and den divided by their gcd.  ``factored`` is the hint of
+    ``FactorBase.gcd_num_den``; an empty one says that no factor of den
+    can divide num, and skips the gcd."""
+    c, num = _primitive(c, num)
+    if _is_one(den) or (factored is not None and not (factored[0] or factored[1])):
+        return c, num, den
+    g, num_g = ctx.factors.gcd_num_den(num, den, factored)
     if not _is_one(g):
         c, num = _signed(c, num_g)
         den = div_exact(den, g)

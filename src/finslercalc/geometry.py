@@ -4,13 +4,18 @@ Everything is derived from F**2: the metric g_ij = (1/2) d²F²/dy_i dy_j,
 its inverse, the supporting element and angular metric, the Cartan
 tensor, geodesic spray, nonlinear connection, Berwald and Cartan
 connection coefficients, the torsion tensors, and the h-/hv-/v-curvature
-tensors of the four fundamental connection triples.  Results are cached;
-a cache hit returns the identical tensor a fresh computation would.
+tensors of the four fundamental connection triples.
+
+Each object is built once.  Every method that builds one, the
+determinant minors of g included, is a ``_memo`` method: its result is
+kept in the geometry's ``_cache`` under ``(method name, *arguments)``, and
+a later call returns that identical object.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -147,6 +152,23 @@ def build(structure: FinslerStructure) -> "Geometry":
     return Geometry(structure)
 
 
+def _memo(method):
+    """``method(self, *args)`` built once per owner: the result is kept in
+    the owner's ``_cache`` dict under ``(method.__name__, *args)``, so a
+    later call returns the identical object after one dict lookup."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoized(self, *args):
+        key = (name, *args)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = method(self, *args)
+        return got
+
+    return memoized
+
+
 class Geometry:
     """Lazily computed geometric objects of one Finsler structure."""
 
@@ -156,14 +178,6 @@ class Geometry:
         self.dim = structure.dim
         self._cache: dict = {}
         self._validate()
-
-    # -- caching -----------------------------------------------------------
-
-    def _get(self, key, builder):
-        got = self._cache.get(key)
-        if got is None:
-            got = self._cache[key] = builder()
-        return got
 
     # -- validation ---------------------------------------------------------
 
@@ -175,150 +189,149 @@ class Geometry:
             raise NotHomogeneous(
                 "F**2 is not positively homogeneous of degree 2 in the fiber variables"
             )
-        self.metric()  # raises DegenerateMetric on det(g) == 0
+        every = tuple(range(1, self.dim + 1))
+        if self._minor(every, every).is_zero_expr():
+            raise DegenerateMetric("det(g) is identically zero")
 
     # -- fundamental tensors ----------------------------------------------
 
+    @_memo
     def metric(self) -> Tensor:
-        def build_g():
-            f2 = self.structure.f_squared
-            half = Fraction(1, 2)
+        f2 = self.structure.f_squared
+        half = Fraction(1, 2)
 
-            def gen(idx):
-                i, j = idx
-                return f2.diff(Var("y", i)).diff(Var("y", j)).scale(half)
+        def gen(idx):
+            i, j = idx
+            return f2.diff(Var("y", i)).diff(Var("y", j)).scale(half)
 
-            g = define("g", self.ctx, self.dim, (DOWN, DOWN), gen, (symmetric(1, 2),))
-            det = _det(self, g)
-            if det.is_zero_expr():
-                raise DegenerateMetric("det(g) is identically zero")
-            self._cache["detg"] = det
-            return g
+        return define("g", self.ctx, self.dim, (DOWN, DOWN), gen, (symmetric(1, 2),))
 
-        return self._get("g", build_g)
+    @_memo
+    def _minor(self, rows: tuple, cols: tuple) -> Expr:
+        """The determinant of g restricted to ``rows`` and ``cols``, by
+        expansion along the first row."""
+        if not rows:
+            return self.ctx.one
+        g = self.metric()
+        r, rest = rows[0], rows[1:]
+        plus, minus = [], []
+        for pos, c in enumerate(cols):
+            e = g[(r, c)]
+            if not e.is_zero_expr():
+                sub = self._minor(rest, cols[:pos] + cols[pos + 1 :])
+                (minus if pos % 2 else plus).append((e, sub))
+        return _dot(self.ctx, plus, minus)
 
+    @_memo
     def inverse_metric(self) -> Tensor:
-        def build_ginv():
-            g = self.metric()
-            det = self._cache["detg"]
-            n = self.dim
+        every = tuple(range(1, self.dim + 1))
+        det = self._minor(every, every)
 
-            def gen(idx):
-                i, j = idx
-                return _cofactor(self, g, j, i) / det
+        def gen(idx):
+            i, j = idx  # the (j, i) cofactor over det(g)
+            rows = tuple(r for r in every if r != j)
+            cols = tuple(c for c in every if c != i)
+            minor = self._minor(rows, cols)
+            return (minor if (i + j) % 2 == 0 else -minor) / det
 
-            return define("ginv", self.ctx, n, (UP, UP), gen, (symmetric(1, 2),))
+        return define("ginv", self.ctx, self.dim, (UP, UP), gen, (symmetric(1, 2),))
 
-        return self._get("ginv", build_ginv)
-
+    @_memo
     def finsler_function(self) -> Expr:
-        return self._get("F", lambda: self.ctx.sqrt(self.structure.f_squared))
+        return self.ctx.sqrt(self.structure.f_squared)
 
+    @_memo
     def supporting_and_angular(self) -> tuple[Tensor, Tensor, Tensor]:
         """(l_i, l^i, h_ij): normalized supporting element, its raised
         form y/F, and the angular metric g_ij - l_i l_j."""
+        ctx = self.ctx
+        F = self.finsler_function()
+        g = self.metric()
 
-        def build_all():
-            ctx = self.ctx
-            F = self.finsler_function()
-            g = self.metric()
+        def lup_gen(idx):
+            return ctx.fiber(idx[0]) / F
 
-            def lup_gen(idx):
-                return ctx.fiber(idx[0]) / F
+        lup = define("l", ctx, self.dim, (UP,), lup_gen)
 
-            lup = define("l", ctx, self.dim, (UP,), lup_gen)
+        def ldown_gen(idx):
+            rs = range(1, self.dim + 1)
+            return _dot(ctx, ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
 
-            def ldown_gen(idx):
-                rs = range(1, self.dim + 1)
-                return _dot(ctx, ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
+        ldown = define("l", ctx, self.dim, (DOWN,), ldown_gen)
 
-            ldown = define("l", ctx, self.dim, (DOWN,), ldown_gen)
+        def h_gen(idx):
+            i, j = idx
+            return g[(i, j)] - ldown[(i,)] * ldown[(j,)]
 
-            def h_gen(idx):
-                i, j = idx
-                return g[(i, j)] - ldown[(i,)] * ldown[(j,)]
+        h = define("h", ctx, self.dim, (DOWN, DOWN), h_gen, (symmetric(1, 2),))
+        return ldown, lup, h
 
-            h = define("h", ctx, self.dim, (DOWN, DOWN), h_gen, (symmetric(1, 2),))
-            return ldown, lup, h
-
-        return self._get("l_h", build_all)
-
+    @_memo
     def cartan_tensor(self) -> tuple[Tensor, Tensor]:
         """(C_ijk, C^i_jk): the Cartan tensor and the (h)hv-torsion."""
+        g = self.metric()
+        half = Fraction(1, 2)
 
-        def build_c():
-            g = self.metric()
-            half = Fraction(1, 2)
+        def gen(idx):
+            i, j, k = idx
+            return g[(i, j)].diff(Var("y", k)).scale(half)
 
-            def gen(idx):
-                i, j, k = idx
-                return g[(i, j)].diff(Var("y", k)).scale(half)
+        c_down = define(
+            "C", self.ctx, self.dim, (DOWN, DOWN, DOWN), gen, (symmetric(1, 2, 3),)
+        )
+        ginv = self.inverse_metric()
 
-            c_down = define(
-                "C", self.ctx, self.dim, (DOWN, DOWN, DOWN), gen, (symmetric(1, 2, 3),)
-            )
-            ginv = self.inverse_metric()
+        def mixed_gen(idx):
+            i, j, k = idx
+            rs = range(1, self.dim + 1)
+            return _dot(self.ctx, ((ginv[(i, r)], c_down[(r, j, k)]) for r in rs))
 
-            def mixed_gen(idx):
-                i, j, k = idx
-                rs = range(1, self.dim + 1)
-                return _dot(self.ctx, ((ginv[(i, r)], c_down[(r, j, k)]) for r in rs))
+        c_mixed = define(
+            "C", self.ctx, self.dim, (UP, DOWN, DOWN), mixed_gen, (symmetric(2, 3),)
+        )
+        return c_down, c_mixed
 
-            c_mixed = define(
-                "C", self.ctx, self.dim, (UP, DOWN, DOWN), mixed_gen, (symmetric(2, 3),)
-            )
-            return c_down, c_mixed
-
-        return self._get("cartan", build_c)
-
+    @_memo
     def christoffel_gamma(self) -> Tensor:
         """Christoffel symbols of g with respect to the base derivatives."""
-        return self._get(
-            "gamma", lambda: self._christoffel("gamma", lambda e, j: e.diff(Var("x", j)))
-        )
+        return self._christoffel("gamma", lambda e, j: e.diff(Var("x", j)))
 
+    @_memo
     def spray(self) -> Tensor:
-        def build_spray():
-            gamma = self.christoffel_gamma()
-            ctx = self.ctx
-            half = Fraction(1, 2)
+        gamma = self.christoffel_gamma()
+        ctx = self.ctx
+        half = Fraction(1, 2)
 
-            def gen(idx):
-                return _dot(ctx, (
-                    (gamma[(idx[0], j, k)], ctx.fiber(j) * ctx.fiber(k))
-                    for j in range(1, self.dim + 1)
-                    for k in range(1, self.dim + 1)
-                )).scale(half)
+        def gen(idx):
+            return _dot(ctx, (
+                (gamma[(idx[0], j, k)], ctx.fiber(j) * ctx.fiber(k))
+                for j in range(1, self.dim + 1)
+                for k in range(1, self.dim + 1)
+            )).scale(half)
 
-            return define("G", ctx, self.dim, (UP,), gen)
+        return define("G", ctx, self.dim, (UP,), gen)
 
-        return self._get("G", build_spray)
-
+    @_memo
     def nonlinear_connection(self) -> Tensor:
-        def build_n():
-            G = self.spray()
+        G = self.spray()
 
-            def gen(idx):
-                i, j = idx
-                return G[(i,)].diff(Var("y", j))
+        def gen(idx):
+            i, j = idx
+            return G[(i,)].diff(Var("y", j))
 
-            return define("N", self.ctx, self.dim, (UP, DOWN), gen)
+        return define("N", self.ctx, self.dim, (UP, DOWN), gen)
 
-        return self._get("N", build_n)
-
+    @_memo
     def berwald_coefficients(self) -> Tensor:
-        def build_gjk():
-            N = self.nonlinear_connection()
+        N = self.nonlinear_connection()
 
-            def gen(idx):
-                i, j, k = idx
-                return N[(i, j)].diff(Var("y", k))
+        def gen(idx):
+            i, j, k = idx
+            return N[(i, j)].diff(Var("y", k))
 
-            return define(
-                "G", self.ctx, self.dim, (UP, DOWN, DOWN), gen, (symmetric(2, 3),)
-            )
-
-        return self._get("Gjk", build_gjk)
+        return define(
+            "G", self.ctx, self.dim, (UP, DOWN, DOWN), gen, (symmetric(2, 3),)
+        )
 
     # -- horizontal calculus --------------------------------------------------
 
@@ -331,11 +344,10 @@ class Geometry:
         N = self.nonlinear_connection()
         return [(N[(r, k)], e.diff(Var("y", r))) for r in range(1, self.dim + 1)]
 
+    @_memo
     def cartan_coefficients(self) -> Tensor:
         """Christoffel symbols of g with respect to the horizontal derivatives."""
-        return self._get(
-            "Gamma", lambda: self._christoffel("Gamma", self.horizontal_derivative)
-        )
+        return self._christoffel("Gamma", self.horizontal_derivative)
 
     def _christoffel(self, name: str, derivative: Callable[[Expr, int], Expr]) -> Tensor:
         """(1/2) g^ir (d_j g_kr + d_k g_jr - d_r g_jk) for the derivative
@@ -363,54 +375,46 @@ class Geometry:
 
         return define(name, self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
 
+    @_memo
     def torsions(self) -> tuple[Tensor, Tensor]:
         """(R^i_jk, P^i_jk): the (v)h- and (v)hv-torsions of the Cartan
         connection (the (h)hv-torsion is the mixed Cartan tensor)."""
+        N = self.nonlinear_connection()
 
-        def build_torsions():
-            N = self.nonlinear_connection()
-
-            def r_gen(idx):
-                i, j, k = idx
-                return self.horizontal_derivative(N[(i, j)], k) - self.horizontal_derivative(
-                    N[(i, k)], j
-                )
-
-            r_tor = define(
-                "R", self.ctx, self.dim, (UP, DOWN, DOWN), r_gen, (antisymmetric(2, 3),)
+        def r_gen(idx):
+            i, j, k = idx
+            return self.horizontal_derivative(N[(i, j)], k) - self.horizontal_derivative(
+                N[(i, k)], j
             )
-            return r_tor, self._p_torsion()
 
-        return self._get("torsions", build_torsions)
+        r_tor = define(
+            "R", self.ctx, self.dim, (UP, DOWN, DOWN), r_gen, (antisymmetric(2, 3),)
+        )
+        return r_tor, self._p_torsion()
 
+    @_memo
     def _p_torsion(self) -> Tensor:
         """P^i_jk = (dot d)_k N^i_j - Gamma^i_jk, the (v)hv-torsion of the
         connections with F = Gamma; built apart from R so that the
         hv-curvatures need no R.  With F = G it is zero by definition."""
+        N, F = self.nonlinear_connection(), self.cartan_coefficients()
 
-        def build_p():
-            N, F = self.nonlinear_connection(), self.cartan_coefficients()
+        def gen(idx):
+            i, j, k = idx
+            return N[(i, j)].diff(Var("y", k)) - F[(i, j, k)]
 
-            def gen(idx):
-                i, j, k = idx
-                return N[(i, j)].diff(Var("y", k)) - F[(i, j, k)]
-
-            return define("P", self.ctx, self.dim, (UP, DOWN, DOWN), gen)
-
-        return self._get("Ptorsion", build_p)
+        return define("P", self.ctx, self.dim, (UP, DOWN, DOWN), gen)
 
     # -- connections ------------------------------------------------------------
 
+    @_memo
     def connection(self, kind: ConnectionKind) -> ConnectionTriple:
-        def build_triple():
-            f_coeffs = self.cartan_coefficients() if kind.uses_gamma else self.berwald_coefficients()
-            if kind.has_c:
-                c_coeffs = self.cartan_tensor()[1]
-            else:
-                c_coeffs = zero_tensor("C", self.ctx, self.dim, (UP, DOWN, DOWN))
-            return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), c_coeffs)
-
-        return self._get(("triple", kind), build_triple)
+        f_coeffs = self.cartan_coefficients() if kind.uses_gamma else self.berwald_coefficients()
+        if kind.has_c:
+            c_coeffs = self.cartan_tensor()[1]
+        else:
+            c_coeffs = zero_tensor("C", self.ctx, self.dim, (UP, DOWN, DOWN))
+        return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), c_coeffs)
 
     # -- covariant derivatives -----------------------------------------------------
 
@@ -447,20 +451,23 @@ class Geometry:
 
     # -- curvatures -----------------------------------------------------------------
 
+    @_memo
     def curvature(self, kind: ConnectionKind, which: str) -> Tensor:
         """The h-, hv-, or v-curvature tensor of one fundamental
         connection, with the corrected hv index placement
-        P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk.  Chern and
-        Berwald build theirs from F; Cartan and Hashiguchi add C-terms to it."""
-        if which not in ("h", "hv", "v"):
-            raise ValueError("which must be one of h, hv, v")
-        return self._get(("curv", kind, which), lambda: self._build_curvature(kind, which))
+        P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk.
 
-    def _build_curvature(self, kind: ConnectionKind, which: str) -> Tensor:
-        """Two layers.  With C = 0 (Chern, Berwald) the h-curvature is
+        Two layers.  With C = 0 (Chern, Berwald) the h-curvature is
         delta_k F - delta_j F + F.F - F.F and the hv-curvature (dot d)_k F.  With
         C (Cartan, Hashiguchi) it is the C = 0 one of the same F plus, by component,
-        C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk (the P-torsion is 0 if F = G)."""
+        C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk (the P-torsion is 0 if F = G).
+        The v-curvature depends on C alone, so the kinds with the same C share one."""
+        if which not in ("h", "hv", "v"):
+            raise ValueError("which must be one of h, hv, v")
+        if which == "v":  # one per C, built with the F = G connection, which needs no Gamma
+            same_c = ConnectionKind.HASHIGUCHI if kind.has_c else ConnectionKind.BERWALD
+            if kind is not same_c:
+                return self.curvature(same_c, which)
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)
@@ -495,40 +502,35 @@ class Geometry:
         if which == "hv":
             return define("P", ctx, n, sig, lambda idx: F[idx[:3]].diff(Var("y", idx[3])))
 
-        def build_s():  # the v-curvature depends on C alone
-            def s_gen(idx):
-                i, h, j, k = idx
-                return _dot(
-                    ctx,
-                    ((C[(m, h, k)], C[(i, m, j)]) for m in ms),
-                    ((C[(m, h, j)], C[(i, m, k)]) for m in ms),
-                )
+        def s_gen(idx):
+            i, h, j, k = idx
+            return _dot(
+                ctx,
+                ((C[(m, h, k)], C[(i, m, j)]) for m in ms),
+                ((C[(m, h, j)], C[(i, m, k)]) for m in ms),
+            )
 
-            return define("S", ctx, n, sig, s_gen, (antisymmetric(3, 4),))
-
-        return self._get(("S", kind.has_c), build_s)
+        return define("S", ctx, n, sig, s_gen, (antisymmetric(3, 4),))
 
     # -- classification ------------------------------------------------------------
 
+    @_memo
     def classify(self) -> Classification:
-        def build_classification():
-            c_down = self.cartan_tensor()[0]
-            riemannian = c_down.is_zero_tensor()
-            gjk = self.berwald_coefficients()
-            berwaldian = True
-            for idx in iter_indices(self.dim, 3):
-                e = gjk[idx]
-                if e.is_zero_expr():
-                    continue
-                for m in range(1, self.dim + 1):
-                    if not e.diff(Var("y", m)).is_zero_expr():
-                        berwaldian = False
-                        break
-                if not berwaldian:
+        c_down = self.cartan_tensor()[0]
+        riemannian = c_down.is_zero_tensor()
+        gjk = self.berwald_coefficients()
+        berwaldian = True
+        for idx in iter_indices(self.dim, 3):
+            e = gjk[idx]
+            if e.is_zero_expr():
+                continue
+            for m in range(1, self.dim + 1):
+                if not e.diff(Var("y", m)).is_zero_expr():
+                    berwaldian = False
                     break
-            return Classification(riemannian=riemannian, berwaldian=berwaldian)
-
-        return self._get("classify", build_classification)
+            if not berwaldian:
+                break
+        return Classification(riemannian=riemannian, berwaldian=berwaldian)
 
 
 def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:
@@ -539,42 +541,3 @@ def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:
     out = [*terms, *(a * b for a, b in pairs if not (a.is_zero_expr() or b.is_zero_expr()))]
     out += [-(a * b) for a, b in minus if not (a.is_zero_expr() or b.is_zero_expr())]
     return ctx.sum(out)
-
-
-# -- symbolic determinants ---------------------------------------------------------
-
-
-def _det(geom: Geometry, g: Tensor) -> Expr:
-    n = geom.dim
-    rows = tuple(range(1, n + 1))
-    return _det_minor(geom, g, rows, rows)
-
-
-def _cofactor(geom: Geometry, g: Tensor, i: int, j: int) -> Expr:
-    n = geom.dim
-    rows = tuple(r for r in range(1, n + 1) if r != i)
-    cols = tuple(c for c in range(1, n + 1) if c != j)
-    minor = _det_minor(geom, g, rows, cols)
-    return minor if (i + j) % 2 == 0 else -minor
-
-
-def _det_minor(geom: Geometry, g: Tensor, rows: tuple, cols: tuple) -> Expr:
-    cache = geom._cache.setdefault("minors", {})
-    key = (rows, cols)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    ctx = geom.ctx
-    if not rows:
-        result = ctx.one
-    else:
-        r, rest = rows[0], rows[1:]
-        plus, minus = [], []
-        for pos, c in enumerate(cols):
-            e = g[(r, c)]
-            if not e.is_zero_expr():
-                sub = _det_minor(geom, g, rest, cols[:pos] + cols[pos + 1 :])
-                (minus if pos % 2 else plus).append((e, sub))
-        result = _dot(ctx, plus, minus)
-    cache[key] = result
-    return result

@@ -28,7 +28,7 @@ from operator import add, mul, sub
 from typing import NamedTuple
 
 from .expr import DomainError, NumericPoint, check_tol_and_box, draw_points, real_root
-from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry
+from .geometry import Classification, ConnectionKind, FinslerStructure, Geometry, _memo
 from . import registry
 
 # The deepest chain in the registry takes five derivatives of F**2: the
@@ -247,12 +247,15 @@ def _sparse_product(basis: _Basis, order: int, a: list, b: list, b_sparse: bool)
 
 
 def mat_inv(m):
-    """Gauss-Jordan inverse over floats or jets (pivot on the constant term)."""
+    """Gauss-Jordan inverse over floats or jets (pivot on the constant term).
+    A pivot counts as zero when it is at most 1e-12 times the largest
+    magnitude in its column of ``m``, so the test does not depend on scale."""
     n = len(m)
     a = [list(row) + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
+    scale = [max(abs(float(row[col])) for row in m) for col in range(n)]
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(float(a[r][col])))
-        if abs(float(a[pivot][col])) < 1e-12:
+        if abs(float(a[pivot][col])) <= 1e-12 * scale[col]:
             raise ZeroDivisionError("singular matrix")
         a[col], a[pivot] = a[pivot], a[col]
         inv = 1.0 / a[col][col]
@@ -300,50 +303,42 @@ def _christoffel(ginv, dg, n):
 class _PointJets:
     """The objects at one point: a jet table per plain object id, named by
     the id and built on first use, and ``table``, the order-0 component
-    tree of any object id."""
+    tree of any object id.  ``table``, ``derivative`` and ``delta`` are
+    ``_memo`` methods, built once per point and arguments."""
 
     def __init__(self, numgeom: "NumericGeometry", coords):
         n = self.n = numgeom.n
         self.y = Jet.variables(coords, JET_ORDER)[n:]
         self.f2 = numgeom.f2(coords)
-        self._derived: dict = {}
-        self._tables: dict = {}
+        self._cache: dict = {}
 
+    @_memo
     def table(self, object_id: str):
         """The order-0 component tree (nested lists of floats) of a registry
         object id, kept per id and shared by every caller."""
-        got = self._tables.get(object_id)
-        if got is None:
-            op, *rest = registry.parse(object_id)
-            if op == "classify":
-                raise ValueError("classify is not a tensor")
-            if op == "base":
-                got = _values(getattr(self, object_id))
-            elif op == "curvature":
-                got = self._curvature(*rest)
-            else:
-                entry, kind = rest
-                got = self._cov_derivative(object_id.split(":")[1], entry.sig, kind, op == "hcov")
-            self._tables[object_id] = got
-        return got
+        op, *rest = registry.parse(object_id)
+        if op == "classify":
+            raise ValueError("classify is not a tensor")
+        if op == "base":
+            return _values(getattr(self, object_id))
+        if op == "curvature":
+            return self._curvature(*rest)
+        entry, kind = rest
+        return self._cov_derivative(object_id.split(":")[1], entry.sig, kind, op == "hcov")
 
+    @_memo
     def derivative(self, object_id: str, v: int):
         """d/dx_v (v < n) or d/dy_{v-n} of an object's jet table."""
-        key = (object_id, v)
-        if key not in self._derived:
-            self._derived[key] = _map(lambda e: e.diff(v), getattr(self, object_id))
-        return self._derived[key]
+        return _map(lambda e: e.diff(v), getattr(self, object_id))
 
+    @_memo
     def delta(self, object_id: str, k: int):
         """delta_k = d/dx_k - N^r_k d/dy_r of an object's jet table."""
-        key = (object_id, "delta", k)
-        if key not in self._derived:
-            out = self.derivative(object_id, k)
-            for r in range(self.n):
-                nrk = self.N[r][k]
-                out = _map(lambda a, b: a - nrk * b, out, self.derivative(object_id, self.n + r))
-            self._derived[key] = out
-        return self._derived[key]
+        out = self.derivative(object_id, k)
+        for r in range(self.n):
+            nrk = self.N[r][k]
+            out = _map(lambda a, b: a - nrk * b, out, self.derivative(object_id, self.n + r))
+        return out
 
     # jet tables, one per plain object id -----------------------------------------
 
@@ -569,14 +564,23 @@ def numeric_object(geom: Geometry, object_id: str, point: NumericPoint):
     """Registry object computed from F**2 jets only, at one point."""
     if not geom.structure.point_ok(point):
         raise DomainError(f"point violates the structure's domain constraints: {point}")
-    num = NumericGeometry(geom.structure)
+    return _point_table(NumericGeometry(geom.structure), point, object_id)
+
+
+def _point_table(numgeom: NumericGeometry, point: NumericPoint, object_id: str):
+    """The component tree of ``object_id`` at a sample point: the one way
+    into a point's jets.  g is inverted first.  A point where F is not
+    defined raises a DomainError and one where g is numerically singular a
+    SingularMetricAt, each naming the point."""
     coords = [float(v) for v in point.x] + [float(v) for v in point.y]
-    pt = num._at(coords)
     try:
-        pt.ginv
-    except ZeroDivisionError:
-        raise SingularMetricAt(point) from None
-    return pt.table(object_id)
+        try:
+            numgeom._at(coords).ginv
+        except ZeroDivisionError:
+            raise SingularMetricAt(point) from None
+        return numgeom.object_table(object_id, coords)
+    except DomainError as exc:
+        raise DomainError(f"F is not defined at the sample point {point}: {exc}") from None
 
 
 # -- sampling and verification ---------------------------------------------------
@@ -688,26 +692,22 @@ def verify_many(
     check_tol_and_box(tol, box)
     points = sample_points(geom.structure, n_points, seed, box)
     numgeom = NumericGeometry(geom.structure)
-    coord_lists = [[*p.x, *p.y] for p in points]
-    exact_tables = [geom.ctx.point_values(p) for p in points]
+    exact_values = [geom.ctx.point_values(p) for p in points]
     out: dict[str, VerificationReport] = {}
     for object_id in object_ids:
         report = VerificationReport(object_id, seed, tol, points)
         if object_id == "classify":
-            out[object_id] = _verify_classification(geom, report, numgeom, coord_lists)
+            out[object_id] = _verify_classification(geom, report, numgeom)
             continue
         tensor = registry.resolve(geom, object_id)
-        tables = [
-            _at_point(p, numgeom.object_table, object_id, coords)
-            for p, coords in zip(points, coord_lists)
-        ]
+        tables = [_point_table(numgeom, p, object_id) for p in points]
         for idx, expr in tensor.components():
             zero = expr.is_zero_expr()  # canonically zero: no evaluation
             max_abs = 0.0
             max_rel = 0.0
             worst = None
             ok = True
-            for p, table, exact in zip(points, tables, exact_tables):
+            for p, table, exact in zip(points, tables, exact_values):
                 ref = table
                 for i in idx:
                     ref = ref[i - 1]
@@ -725,32 +725,23 @@ def verify_many(
 
 
 def _verify_classification(
-    geom: Geometry, report: VerificationReport, numgeom: NumericGeometry, coord_lists
+    geom: Geometry, report: VerificationReport, numgeom: NumericGeometry
 ) -> VerificationReport:
     """Check the classification flags against numeric magnitudes at the
     report's points: the Cartan tensor for Riemannian, fiber derivatives
-    of the Berwald coefficients for Berwaldian.  Components (1,) and (2,)
+    of the Berwald coefficients for Berwaldian (their vertical derivative
+    in the Berwald connection, whose C is zero).  Components (1,) and (2,)
     hold the two flag checks."""
     cls = report.classification = geom.classify()
-    n = geom.dim
     max_c, max_dg = [], []
-    for p, coords in zip(report.points, coord_lists):
-        pt = _at_point(p, numgeom._at, coords)
-        max_c.append(max(map(abs, _flat(pt.table("C")))))
-        dg = [_values(pt.derivative("Gberwald", n + m)) for m in range(n)]
+    for p in report.points:
+        max_c.append(max(map(abs, _flat(_point_table(numgeom, p, "C")))))
+        dg = _point_table(numgeom, p, "vcov:Gberwald:berwald")
         max_dg.append(max(map(abs, _flat(dg))))
     tol = report.tolerance
     report.components[(1,)] = _flag_check((1,), max_c, cls.riemannian, tol, report.points)
     report.components[(2,)] = _flag_check((2,), max_dg, cls.berwaldian, tol, report.points)
     return report
-
-
-def _at_point(point: NumericPoint, fn, *args):
-    """``fn(*args)``, with a ``DomainError`` reraised naming the sample point."""
-    try:
-        return fn(*args)
-    except DomainError as exc:
-        raise DomainError(f"F is not defined at the sample point {point}: {exc}") from None
 
 
 def _flat(tree) -> list[float]:

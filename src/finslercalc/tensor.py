@@ -134,10 +134,6 @@ class Tensor:
     def components(self):
         return self._comp.items()
 
-    def map(self, fn: Callable[[tuple[int, ...], Expr], Expr], name: str | None = None) -> "Tensor":
-        comp = {idx: fn(idx, e) for idx, e in self._comp.items()}
-        return Tensor(name or self.name, self.ctx, self.dim, self.sig, comp)
-
     def is_zero_tensor(self) -> bool:
         return all(e.is_zero_expr() for e in self._comp.values())
 

@@ -8,8 +8,8 @@ from finslercalc import (
     FinslerStructure,
     build,
     contract_product,
+    define,
     move_index,
-    zero_tensor,
 )
 from finslercalc import tensor
 
@@ -87,16 +87,18 @@ def lowered_cartan_curvatures(name: str):
         geom = geometry_for(name)
         c_down, c_mixed = geom.cartan_tensor()
         cc = contract_product(c_down, c_mixed, [(2, 1)])  # C_imj C^m_hk at (i, j, h, k)
-        s = zero_tensor("S", geom.ctx, geom.dim, (DOWN,) * 4).map(
-            lambda idx, _: cc[(idx[0], idx[2], idx[1], idx[3])]
-            - cc[(idx[0], idx[3], idx[1], idx[2])]
+        s = define(
+            "S", geom.ctx, geom.dim, (DOWN,) * 4,
+            lambda idx: cc[(idx[0], idx[2], idx[1], idx[3])]
+            - cc[(idx[0], idx[3], idx[1], idx[2])],
         )
         g, ginv = geom.metric(), geom.inverse_metric()
         dgamma = move_index(geom.curvature(ConnectionKind.CHERN, "hv"), 1, g, ginv)
         c_h = geom.h_cov_derivative(c_down, geom.connection(ConnectionKind.CARTAN))  # at (i, h, k, j)
         cp = contract_product(c_down, geom.torsions()[1], [(3, 1)])  # C_ihm P^m_jk
-        p = dgamma.map(
-            lambda idx, e: e - c_h[(idx[0], idx[1], idx[3], idx[2])] + cp[idx], name="P"
+        p = define(
+            "P", geom.ctx, geom.dim, dgamma.sig,
+            lambda idx: dgamma[idx] - c_h[(idx[0], idx[1], idx[3], idx[2])] + cp[idx],
         )
         _LOWERED[name] = (s, p)
     return _LOWERED[name]

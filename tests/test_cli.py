@@ -7,8 +7,9 @@ import time
 
 import pytest
 
-from finslercalc import Classification, FinslerStructure, registry
+from finslercalc import Classification, FinslerStructure, build, oracle, registry
 from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, build_config, emit, main, run
+from finslercalc.oracle import SingularMetricAt, sample_points, verify_many
 from finslercalc.expr import draw_points
 
 WORKED = [
@@ -17,6 +18,15 @@ WORKED = [
     "--fibers", "y1,y2,y3",
     "--metric-function", "x3*y1^3/y2 + y3^2",
     "--constraints", "x3!=0,y2!=0",
+]
+
+
+# g = diag(1, 1e-14): far from singular, but with a pivot below 1e-12
+NEAR_SINGULAR = [
+    "--dim", "2",
+    "--coords", "x1,x2",
+    "--fibers", "y1,y2",
+    "--metric-function", "y1^2 + y2^2/100000000000000",
 ]
 
 
@@ -363,6 +373,30 @@ class TestValidation:
             f"error: F is not defined at the sample point {first!r}: "
             "negative radicand under an even root\n"
         )
+
+    def test_near_singular_metric_checks(self):
+        # g = diag(1, 1e-14) is exactly invertible: each pivot of the
+        # oracle's inverse is compared with its column, not with 1e-12
+        status, out = run_cli(NEAR_SINGULAR + ["--objects", "ginv,Gamma", "--check", "points=2"])
+        assert status == 0
+        assert "check ginv: pass" in out
+        assert "check Gamma: pass" in out
+
+    @pytest.mark.parametrize("objects", ["ginv", "classify"])
+    def test_singular_metric_at_a_sample_point_is_exit_1(self, objects, monkeypatch, capsys):
+        def singular(m):
+            raise ZeroDivisionError("singular matrix")
+
+        monkeypatch.setattr(oracle, "mat_inv", singular)
+        geom = build(FinslerStructure(2, ["x1", "x2"], ["y1", "y2"], NEAR_SINGULAR[-1]))
+        first = sample_points(geom.structure, 2, seed=0)[0]
+        with pytest.raises(SingularMetricAt) as info:
+            verify_many(geom, [objects], n_points=2)
+        assert info.value.point == first
+        assert main(NEAR_SINGULAR + ["--objects", objects, "--check", "points=2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"# {objects}\n")
+        assert captured.err == f"error: metric is numerically singular at {first}\n"
 
     def test_verification_failure_is_exit_2(self):
         status, out = run_cli(

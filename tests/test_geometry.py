@@ -61,6 +61,14 @@ class TestBuild:
                 assert str(e) == str(tb[idx])
         # warm hit returns the identical object
         assert a.metric() is a.metric()
+        # and so does every object: a second resolve builds nothing
+        for name in ("worked-3d", "berwald-4d"):
+            geom = build(make_structure(name))
+            for oid in registry.base_object_ids():
+                first = registry.resolve(geom, oid)
+                cached = len(geom._cache)
+                assert registry.resolve(geom, oid) is first, (name, oid)
+                assert len(geom._cache) == cached, (name, oid)
 
     def test_hv_curvatures_build_only_the_torsions_they_need(self):
         # P:cartan reads the P-torsion but not R; with F = G the P-torsion
@@ -68,14 +76,24 @@ class TestBuild:
         # with C adds its C-terms to the cached one of its C = 0 sibling
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.HASHIGUCHI, "hv")
-        assert ("curv", ConnectionKind.BERWALD, "hv") in geom._cache
-        assert "Ptorsion" not in geom._cache
+        assert ("curvature", ConnectionKind.BERWALD, "hv") in geom._cache
+        assert ("_p_torsion",) not in geom._cache
         geom.curvature(ConnectionKind.CARTAN, "hv")
-        assert ("curv", ConnectionKind.CHERN, "hv") in geom._cache
-        assert "Ptorsion" in geom._cache and "torsions" not in geom._cache
+        assert ("curvature", ConnectionKind.CHERN, "hv") in geom._cache
+        assert ("_p_torsion",) in geom._cache and ("torsions",) not in geom._cache
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.CARTAN, "h")
-        assert ("curv", ConnectionKind.CHERN, "h") in geom._cache
+        assert ("curvature", ConnectionKind.CHERN, "h") in geom._cache
+
+    def test_v_curvature_is_one_per_c(self):
+        # S depends on C alone; it is built with the F = G connection of
+        # the same C, so it needs no Gamma
+        geom = build(make_structure("worked-3d"))
+        s = geom.curvature(ConnectionKind.CARTAN, "v")
+        assert geom.curvature(ConnectionKind.HASHIGUCHI, "v") is s
+        assert ("cartan_coefficients",) not in geom._cache
+        zero = geom.curvature(ConnectionKind.CHERN, "v")
+        assert geom.curvature(ConnectionKind.BERWALD, "v") is zero and zero.is_zero_tensor()
 
 
 def _closure(entries, closure_spec):

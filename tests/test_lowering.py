@@ -8,7 +8,7 @@ tensor again must give the direct one back.
 
 import pytest
 
-from finslercalc import DOWN, ConnectionKind, Var, contract_product, move_index, zero_tensor
+from finslercalc import DOWN, ConnectionKind, Var, contract_product, define, move_index
 
 from conftest import geometry_for, lowered_cartan_curvatures
 
@@ -82,8 +82,9 @@ class TestRemarkGuard:
         g, ginv = geom.metric(), geom.inverse_metric()
         whole = move_index(geom.curvature(ConnectionKind.CHERN, "hv"), 1, g, ginv)
         gamma_low = move_index(geom.cartan_coefficients(), 1, g, ginv)
-        pushed = zero_tensor("P", geom.ctx, geom.dim, (DOWN,) * 4).map(
-            lambda idx, _: gamma_low[idx[:3]].diff(Var("y", idx[3]))
+        pushed = define(
+            "P", geom.ctx, geom.dim, (DOWN,) * 4,
+            lambda idx: gamma_low[idx[:3]].diff(Var("y", idx[3])),
         )
         assert not pushed.equals(whole)
         c_gamma = contract_product(geom.cartan_tensor()[0], geom.cartan_coefficients(), [(2, 1)])

@@ -155,6 +155,14 @@ class TestJets:
                 assert prod.coeffs == pytest.approx([float(i == j)] + [0.0] * 14, abs=1e-12)
         assert mat_inv([[2.0, 0.0], [0.0, 4.0]]) == [[0.5, 0.0], [0.0, 0.25]]
 
+    def test_mat_inv_pivot_is_relative_to_its_column(self):
+        # diag(1, 1e-14) is exactly invertible; a rank-1 matrix is singular
+        # at any scale
+        assert mat_inv([[1.0, 0.0], [0.0, 1e-14]]) == [[1.0, 0.0], [0.0, 1e14]]
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(ZeroDivisionError):
+                mat_inv([[scale, 2 * scale], [2 * scale, 4 * scale]])
+
     def test_order_zero_jet_has_no_derivative(self):
         x, _ = self.variables(order=1)
         assert x.diff(0).order == 0
