@@ -266,18 +266,21 @@ def run(config: argparse.Namespace, out=None) -> int:
                 config.constraints,
             )
         geom = build(structure)
-        documents = []
-        for object_id in config.objects:
+        for n, object_id in enumerate(config.objects):
             obj = registry.resolve(geom, object_id)
-            documents.append(
-                emit(obj, config.format, structure, object_id,
-                     full_table=config.full_table, seed=config.seed)
-            )
+            document = emit(obj, config.format, structure, object_id,
+                            full_table=config.full_table, seed=config.seed)
+            # each document as soon as it is built, one blank line apart: a
+            # failure leaves the documents of the ids before it, as a run
+            # of those ids alone prints them
+            out.write(("\n" if n else "") + document + "\n")
+            out.flush()
+    except BrokenPipeError:
+        raise  # a closed stdout is no bad input: ``main`` ends it quietly
     except (ValueError, ExprError, GeometryError, registry.UnknownObjectError,
             ExponentLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n\n".join(documents), file=out)
     if config.check is None:
         return 0
     from .oracle import SingularMetricAt, verify_many

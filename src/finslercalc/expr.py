@@ -54,7 +54,6 @@ import enum
 import random
 import warnings
 from fractions import Fraction
-from itertools import islice
 from math import gcd, isfinite, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -136,7 +135,8 @@ class Context:
     """Symbol table for one (dimension, coordinate names) universe.
 
     Expressions are tied to the context that created them.  The context
-    also memoizes derivatives and holds the denominator factor base.  It
+    also memoizes derivatives, holds the denominator factor base, and keeps
+    the printers' monomial texts and the zero tests' sample points.  It
     is single-threaded: radical atoms are numbered, and factor-base
     elements ordered, in the order they first arrive, so both depend on a
     deterministic order of operations (the canonical form itself does not
@@ -161,6 +161,8 @@ class Context:
         self._diff_cache: dict[tuple["Expr", int], "Expr"] = {}
         self._atom_diff_cache: dict[tuple[int, int], "Expr"] = {}
         self.factors = FactorBase()
+        self.printed: dict = {}  # what the printers keep (``parsing``)
+        self._zero_test_points: dict[tuple, _ZeroTestPoints] = {}
         self.zero = Expr(self, Poly.zero(), Poly.one(), _ZERO, _normalized=True)
         self.one = Expr(self, Poly.one(), Poly.one(), _ONE, _normalized=True)
 
@@ -619,7 +621,9 @@ class Expr:
         ``NON_ZERO`` at the first point where
         ``|value| > ZERO_TEST_TOL * max(1, max |term| / |den|)``, else
         ``NUMERICALLY_ZERO`` with a warning.  If no point could be drawn
-        or evaluated, it is ``NON_ZERO`` with a warning.
+        or evaluated, it is ``NON_ZERO`` with a warning.  The context
+        draws the points of one ``(constraints, seed)``, and their value
+        tables, once for all its zero tests (``_ZeroTestPoints``).
         """
         if not self.content:
             return ZeroStatus.ZERO
@@ -627,9 +631,12 @@ class Expr:
         if not ctx.has_atoms(self.num):
             return ZeroStatus.NON_ZERO
         evaluated = 0
+        key = (tuple(constraints), seed)
+        points = ctx._zero_test_points.get(key)
+        if points is None:
+            points = ctx._zero_test_points[key] = _ZeroTestPoints(ctx, *key)
         try:
-            for p in islice(draw_points(ctx.dim, constraints, seed), ZERO_TEST_POINTS):
-                values = ctx.values_at([*p.x, *p.y])
+            for values in points:
                 den_val = self.den.eval(values) / self.content
                 if den_val == 0:
                     continue
@@ -717,6 +724,31 @@ def real_root(v, q: int):
 
 
 # -- internals -------------------------------------------------------------------
+
+
+class _ZeroTestPoints:
+    """The value tables of the first ``ZERO_TEST_POINTS`` points that
+    ``draw_points`` gives for one (constraints, seed), drawn when first read
+    and kept for every later zero test in the context.  A
+    ``SamplingExhausted`` is kept at its position and raised there again."""
+
+    def __init__(self, ctx: Context, constraints: tuple, seed: int):
+        self._ctx = ctx
+        self._draws = draw_points(ctx.dim, constraints, seed)
+        self._tables: list = []
+
+    def __iter__(self) -> Iterator["_SymbolValues"]:
+        tables = self._tables
+        for i in range(ZERO_TEST_POINTS):
+            if i == len(tables):
+                try:
+                    p = next(self._draws)
+                    tables.append(self._ctx.values_at([*p.x, *p.y]))
+                except SamplingExhausted as exc:
+                    tables.append(exc)
+            if isinstance(tables[i], SamplingExhausted):
+                raise tables[i].with_traceback(None)
+            yield tables[i]
 
 
 class _SymbolValues(dict):

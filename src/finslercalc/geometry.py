@@ -7,9 +7,10 @@ connection coefficients, the torsion tensors, and the h-/hv-/v-curvature
 tensors of the four fundamental connection triples.
 
 Each object is built once.  Every method that builds one, the
-determinant minors of g included, is a ``_memo`` method: its result is
-kept in the geometry's ``_cache`` under ``(method name, *arguments)``, and
-a later call returns that identical object.
+determinant minors of g and the covariant derivatives included, is a
+``_memo`` method: its result is kept in the geometry's ``_cache`` under
+``(method name, *arguments)``, and a later call returns that identical
+object.  Tensors and connection triples key the cache by identity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .expr import Context, DomainError, Expr, Var
-from .poly import iter_indices
 from .tensor import DOWN, UP, Tensor, antisymmetric, define, symmetric, zero_tensor
 
 
@@ -418,11 +418,12 @@ class Geometry:
 
     # -- covariant derivatives -----------------------------------------------------
 
+    @_memo
     def h_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
         """Horizontal covariant derivative; the new slot comes last."""
-        F = triple.f_coeffs
-        return self._cov_derivative(t, F, horizontal=True)
+        return self._cov_derivative(t, triple.f_coeffs, horizontal=True)
 
+    @_memo
     def v_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
         """Vertical covariant derivative; the new slot comes last."""
         return self._cov_derivative(t, triple.c_coeffs, horizontal=False)
@@ -516,21 +517,11 @@ class Geometry:
 
     @_memo
     def classify(self) -> Classification:
-        c_down = self.cartan_tensor()[0]
-        riemannian = c_down.is_zero_tensor()
-        gjk = self.berwald_coefficients()
-        berwaldian = True
-        for idx in iter_indices(self.dim, 3):
-            e = gjk[idx]
-            if e.is_zero_expr():
-                continue
-            for m in range(1, self.dim + 1):
-                if not e.diff(Var("y", m)).is_zero_expr():
-                    berwaldian = False
-                    break
-            if not berwaldian:
-                break
-        return Classification(riemannian=riemannian, berwaldian=berwaldian)
+        """Riemannian: C = 0.  Berwaldian: G^i_jk free of y, that is P:berwald = 0."""
+        return Classification(
+            riemannian=self.cartan_tensor()[0].is_zero_tensor(),
+            berwaldian=self.curvature(ConnectionKind.BERWALD, "hv").is_zero_tensor(),
+        )
 
 
 def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:

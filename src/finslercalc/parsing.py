@@ -288,74 +288,90 @@ def parse(text: str, ctx: Context) -> Expr:
 
 
 # -- printing ---------------------------------------------------------------
+#
+# What repeats across components is printed once per Context: the
+# context's ``printed`` dict keeps, under ``(printer, key)``, a monomial
+# key's grlex order key and its text without the coefficient, and under
+# ``(printer, symbol)`` an atom's radicand.
 
 
-def _sym_text(ctx: Context, sym: int) -> str:
-    if not ctx.is_atom_sym(sym):
-        return ctx.sym_name(sym)
-    atom = ctx.atom_at(sym)
-    inner = to_text(atom.radicand)
-    if atom.q == 2:
-        return f"sqrt({inner})"
-    return f"({inner})^(1/{atom.q})"
+def _printed(ctx: Context, printer, arg):
+    """``printer(ctx, arg)``, computed once per Context."""
+    got = ctx.printed.get((printer, arg))
+    if got is None:
+        got = ctx.printed[printer, arg] = printer(ctx, arg)
+    return got
 
 
-def _monomial_text(ctx: Context, exps: tuple[int, ...], mag: int) -> str:
+def _radicand_text(ctx: Context, sym: int) -> str:
+    return to_text(ctx.atom_at(sym).radicand)
+
+
+def _monomial_text(ctx: Context, key: int) -> tuple[tuple, str]:
+    """(grlex order key, text without the coefficient) of a monomial."""
+    exps = unpack(key)
     factors = []
     for i, e in enumerate(exps):
         if not e:
             continue
-        base = _sym_text(ctx, i)
+        if not ctx.is_atom_sym(i):
+            factors.append(ctx.sym_name(i) if e == 1 else f"{ctx.sym_name(i)}^{e}")
+            continue
+        q = ctx.atom_at(i).q
+        inner = _printed(ctx, _radicand_text, i)
+        base = f"sqrt({inner})" if q == 2 else f"({inner})^(1/{q})"
         if e == 1:
             factors.append(base)
-        elif ctx.is_atom_sym(i) and ctx.atom_at(i).q != 2:
+        elif q != 2:
             # keep p/q exponents unreduced on parse-back
             factors.append(f"({base})^{e}")
         else:
             factors.append(f"{base}^{e}")
-    if not factors:
-        return str(mag)
-    if mag != 1:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+    return (sum(exps), exps), "*".join(factors)
 
 
-def _poly_form(ctx: Context, p: Poly, monomial) -> str:
-    """Terms in printing order, joined with signs; ``monomial`` prints
-    one term from its exponents and the magnitude of its coefficient."""
+def _poly_form(ctx: Context, p: Poly, monomial, scale: int, times: str) -> str:
+    """The terms of ``scale * p`` in printing order, joined with signs;
+    ``monomial`` is the printer of one monomial key, and ``times`` joins a
+    magnitude other than 1 to its text."""
     if p.is_zero():
         return "0"
-    parts = []
-    for exps, coeff in p.sorted_terms():
-        text = monomial(ctx, exps, abs(coeff))
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + text)
+    rows = [(_printed(ctx, monomial, key), coeff) for key, coeff in p.terms.items()]
+    rows.sort(key=lambda row: row[0][0], reverse=True)  # by the kept order keys
+    out = []
+    for (_, body), coeff in rows:
+        coeff *= scale
+        if coeff < 0:
+            out.append(" - ")
+            coeff = -coeff
         else:
-            parts.append(("- " if coeff < 0 else "+ ") + text)
-    return " ".join(parts)
+            out.append(" + ")
+        out.append((f"{coeff}{times}{body}" if coeff != 1 else body) if body else str(coeff))
+    out[0] = "-" if out[0] == " - " else ""  # the first term takes no "+" and no spaces
+    return "".join(out)
 
 
-def _den_needs_parens(p: Poly) -> bool:
-    if len(p.terms) != 1:
+def _den_needs_parens(den: Poly, scale: int) -> bool:
+    """Whether ``scale * den`` is more than one symbol or one number."""
+    if len(den.terms) != 1:
         return True
-    key, coeff = next(iter(p.terms.items()))
-    exps = unpack(key)
-    factor_count = sum(1 for e in exps if e) + (coeff != 1)
-    return factor_count > 1 or any(e > 1 for e in exps)
+    ((key, coeff),) = den.terms.items()
+    degree = sum(unpack(key))
+    return degree > 1 or (degree == 1 and coeff * scale != 1)
 
 
 def to_text(e: Expr) -> str:
     """Canonical text form ``(a*N)/(b*D)`` for content a/b; parses back
     to the same expression."""
-    ctx = e.ctx
-    num, den = e.num.scale(e.content.numerator), e.den.scale(e.content.denominator)
-    num_text = _poly_form(ctx, num, _monomial_text)
-    if den.is_const() and den.const_value() == 1:
+    ctx, num, den = e.ctx, e.num, e.den
+    a, b = e.content.numerator, e.content.denominator
+    num_text = _poly_form(ctx, num, _monomial_text, a, "*")
+    if b == 1 and den.is_const():
         return num_text
     if len(num.terms) > 1:
         num_text = f"({num_text})"
-    den_text = _poly_form(ctx, den, _monomial_text)
-    if _den_needs_parens(den):
+    den_text = _poly_form(ctx, den, _monomial_text, b, "*")
+    if _den_needs_parens(den, b):
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"
 
@@ -363,48 +379,37 @@ def to_text(e: Expr) -> str:
 # -- LaTeX -------------------------------------------------------------------
 
 
-def _sym_latex(ctx: Context, sym: int) -> str:
-    if not ctx.is_atom_sym(sym):
-        return ctx.sym_name(sym)
-    atom = ctx.atom_at(sym)
-    inner = to_latex(atom.radicand)
-    if atom.q == 2:
-        return rf"\sqrt{{{inner}}}"
-    return rf"\left({inner}\right)^{{1/{atom.q}}}"
+def _radicand_latex(ctx: Context, sym: int) -> str:
+    return to_latex(ctx.atom_at(sym).radicand)
 
 
-def _monomial_latex(ctx: Context, exps: tuple[int, ...], mag: int) -> str:
+def _monomial_latex(ctx: Context, key: int) -> tuple[tuple, str]:
+    exps = unpack(key)
     factors = []
     for i, e in enumerate(exps):
         if not e:
             continue
-        if e != 1 and ctx.is_atom_sym(i):
-            atom = ctx.atom_at(i)
-            inner = to_latex(atom.radicand)
-            factors.append(rf"\left({inner}\right)^{{{e}/{atom.q}}}")
+        if not ctx.is_atom_sym(i):
+            factors.append(ctx.sym_name(i) if e == 1 else f"{ctx.sym_name(i)}^{{{e}}}")
             continue
-        base = _sym_latex(ctx, i)
-        factors.append(base if e == 1 else f"{base}^{{{e}}}")
-    body = " ".join(factors)
-    if not factors:
-        return str(mag)
-    if mag != 1:
-        return f"{mag} {body}"
-    return body
+        q = ctx.atom_at(i).q
+        inner = _printed(ctx, _radicand_latex, i)
+        if e == 1 and q == 2:
+            factors.append(rf"\sqrt{{{inner}}}")
+        else:
+            factors.append(rf"\left({inner}\right)^{{{e}/{q}}}")
+    return (sum(exps), exps), " ".join(factors)
 
 
 def to_latex(e: Expr) -> str:
-    ctx = e.ctx
-    num, den = e.num.scale(e.content.numerator), e.den.scale(e.content.denominator)
-    if den.is_const() and den.const_value() == 1:
-        return _poly_form(ctx, num, _monomial_latex)
+    ctx, num, den = e.ctx, e.num, e.den
+    a, b = e.content.numerator, e.content.denominator
+    if b == 1 and den.is_const():
+        return _poly_form(ctx, num, _monomial_latex, a, " ")
     # single-term numerators carry their sign outside the fraction
     sign = ""
-    if len(num.terms) == 1:
-        (coeff,) = num.terms.values()
-        if coeff < 0:
-            sign = "-"
-            num = num.scale(-1)
-    num_latex = _poly_form(ctx, num, _monomial_latex)
-    den_latex = _poly_form(ctx, den, _monomial_latex)
+    if len(num.terms) == 1 and next(iter(num.terms.values())) * a < 0:
+        sign, a = "-", -a
+    num_latex = _poly_form(ctx, num, _monomial_latex, a, " ")
+    den_latex = _poly_form(ctx, den, _monomial_latex, b, " ")
     return rf"{sign}\frac{{{num_latex}}}{{{den_latex}}}"

@@ -20,8 +20,9 @@ plain int key: lexicographic with the highest symbol most significant,
 which is a monomial order, so the quotient (or the refusal) is the same as
 under any other.  The canonical order is graded lexicographic (total
 degree first, then lexicographic with the lower symbol index more
-significant): it fixes the sign in ``make_primitive`` and the term order of
-``sorted_terms``, the tuple view the printers read.
+significant): it fixes the sign in ``make_primitive``, the term order of
+``sorted_terms`` and the printed term order (the printers keep each key's
+order key per context, in ``parsing``).
 
 Coefficients are nonzero ints: a ``Poly`` is an element of Z[x].  Exact
 division means division in Z[x] (``div_exact`` refuses a quotient that is

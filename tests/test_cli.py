@@ -8,6 +8,7 @@ import time
 import pytest
 
 from finslercalc import Classification, FinslerStructure, build, oracle, registry
+from finslercalc.geometry import GeometryError
 from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, build_config, emit, main, run
 from finslercalc.oracle import SingularMetricAt, sample_points, verify_many
 from finslercalc.expr import draw_points
@@ -521,6 +522,51 @@ class TestDeterminism:
         monkeypatch.setenv("FINSLER_SEED", "99")
         _, out = run_cli(argv)
         assert "seed 99" in out
+
+
+class TestStreaming:
+    """Each document is written as soon as it is built."""
+
+    IDS = ["g", "N", "classify"]
+
+    def test_stdout_is_the_joined_documents(self):
+        status, out = run_cli(WORKED + ["--objects", ",".join(self.IDS), "--format", "latex"])
+        structure = FinslerStructure(3, ["x1", "x2", "x3"], ["y1", "y2", "y3"],
+                                     "x3*y1^3/y2 + y3^2", ["x3!=0", "y2!=0"])
+        geom = build(structure)
+        docs = [emit(registry.resolve(geom, i), "latex", structure, i) for i in self.IDS]
+        assert status == 0
+        assert out == "\n\n".join(docs) + "\n"
+
+    def test_each_document_is_flushed_before_the_next_is_built(self, monkeypatch):
+        seen = []
+        resolve = registry.resolve
+
+        def watched(geom, object_id):
+            seen.append(out.getvalue())
+            return resolve(geom, object_id)
+
+        monkeypatch.setattr(registry, "resolve", watched)
+        out = io.StringIO()
+        assert run(build_config(WORKED + ["--objects", ",".join(self.IDS)]), out=out) == 0
+        assert seen[0] == ""
+        assert seen[1].startswith("# g\n") and seen[1].endswith("\n")
+        assert seen[2].endswith("\n") and "# N\n" in seen[2]
+
+    def test_failure_in_the_middle_keeps_the_documents_before_it(self, monkeypatch, capsys):
+        resolve = registry.resolve
+
+        def failing(geom, object_id):
+            if object_id == "N":
+                raise GeometryError("N could not be built")
+            return resolve(geom, object_id)
+
+        _, first_alone = run_cli(WORKED + ["--objects", "g"])
+        monkeypatch.setattr(registry, "resolve", failing)
+        status, out = run_cli(WORKED + ["--objects", ",".join(self.IDS)])
+        assert status == 1
+        assert out == first_alone  # the documents before the failing id, as a run of them prints
+        assert capsys.readouterr().err == "error: N could not be built\n"
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])

@@ -20,7 +20,7 @@ from finslercalc import (
     ZeroStatus,
 )
 
-from finslercalc import registry
+from finslercalc import DOWN, build, define, expr, nonzero_components, registry
 from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
 from finslercalc.poly import FactorBase, Poly, int_primitive
 
@@ -587,6 +587,89 @@ class TestIsZero:
         with pytest.warns(UserWarning, match="retry cap exhausted"):
             status = e.is_zero()
         assert status is ZeroStatus.NON_ZERO
+
+
+class TestSharedZeroTestPoints:
+    """A context draws the zero-test points of one (constraints, seed), and
+    their value tables, once for every ``is_zero``; each status and
+    warning is the one a fresh context gives."""
+
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
+        calls = []
+        draw_points = expr.draw_points
+
+        def counted(*args):
+            calls.append(args)
+            return draw_points(*args)
+
+        monkeypatch.setattr(expr, "draw_points", counted)
+        return calls
+
+    @staticmethod
+    def _fresh_is_zero(text: str, constraints: list[str], seed: int):
+        """(status, warning messages) of ``text`` in a context of its own."""
+        fresh = Context(3, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
+        cons = [Constraint.parse(c, fresh) for c in constraints]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = fresh.parse(text).is_zero(constraints=cons, seed=seed)
+        return status, [str(w.message) for w in caught]
+
+    def test_one_draw_per_constraints_and_seed_on_berwald_4d(self, monkeypatch):
+        geom = build(make_structure("berwald-4d"))
+        constraints = geom.structure.constraints
+        tensors = [registry.resolve(geom, oid) for oid in registry.verifiable_object_ids()]
+        draws = self._count_draws(monkeypatch)
+        radical = []
+        for seed in (0, 1):
+            for t in tensors:
+                entries = nonzero_components(t, constraints=constraints, seed=seed)
+                radical += [(seed, e) for e in entries if geom.ctx.has_atoms(e.expr.num)]
+        assert len(draws) == 2  # one per seed, not one per radical component
+        assert len(radical) > 50
+        for seed, entry in radical:
+            fresh = make_structure("berwald-4d")
+            e = fresh.ctx.parse(str(entry.expr))
+            assert e.is_zero(constraints=fresh.constraints, seed=seed) is entry.status
+
+    def test_statuses_and_warnings_equal_fresh_contexts(self, monkeypatch):
+        texts = ["sqrt(y1)*sqrt(y2) - sqrt(y1*y2)", "sqrt(y1^2 + y2^2) - y3", "y1 - y2",
+                 "sqrt(y1*y3)*sqrt(y2) - sqrt(y1*y2*y3)", "sqrt(y1^2 + y3^2)/x1"]
+        expected = [self._fresh_is_zero(text, ["x1 != 0"], 7) for text in texts]
+        draws = self._count_draws(monkeypatch)
+        ctx = Context(3, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
+        values = [ctx.parse(t) for t in texts]
+        t = define("T", ctx, len(texts), (DOWN,), lambda idx: values[idx[0] - 1])
+        constraints = [Constraint.parse("x1 != 0", ctx)]
+        for _ in range(2):  # the second pass reads only kept tables
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                entries = nonzero_components(t, constraints=constraints, seed=7)
+            assert [e.status for e in entries] == [status for status, _ in expected]
+            assert [str(w.message) for w in caught] == [m for _, ms in expected for m in ms]
+        statuses = [e.status for e in entries]
+        assert statuses.count(ZeroStatus.NUMERICALLY_ZERO) == 2
+        assert len(draws) == 1
+
+    def test_sampling_exhausted_is_kept(self, monkeypatch):
+        draws = self._count_draws(monkeypatch)
+        ctx = Context(3, ["x1", "x2", "x3"], ["y1", "y2", "y3"])
+        values = [ctx.parse("sqrt(y1^2 + y2^2) - y3"), ctx.parse("sqrt(y1*y2)*x2")]
+        t = define("T", ctx, 2, (DOWN,), lambda idx: values[idx[0] - 1])
+        never = [Constraint.parse("x1 > 3", ctx)]
+        checks = []
+        holds_at = Constraint.holds_at
+        monkeypatch.setattr(Constraint, "holds_at", lambda c, p: checks.append(p) or holds_at(c, p))
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="retry cap exhausted") as caught:
+                entries = nonzero_components(t, constraints=never, seed=0)
+            assert [e.status for e in entries] == [ZeroStatus.NON_ZERO] * 2
+            assert len(caught) == 2
+        assert len(draws) == 1
+        assert len(checks) == expr.RETRY_CAP  # the rejections run once, not per component
+        fresh = self._fresh_is_zero("sqrt(y1*y2)*x2", ["x1 > 3"], 0)
+        assert fresh == (ZeroStatus.NON_ZERO, ["is_zero: sampling retry cap exhausted; reporting NonZero"])
 
 
 class TestRecords:

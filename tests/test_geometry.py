@@ -6,13 +6,14 @@ from finslercalc import (
     DegenerateMetric,
     FinslerStructure,
     NotHomogeneous,
+    Var,
     build,
     registry,
 )
 from finslercalc.poly import iter_indices
 from finslercalc.tensor import Symmetry, _orbit, _transpositions
 
-from conftest import geometry_for, make_structure
+from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 from golden_worked_example import MISPRINTS, TABLES
 
 
@@ -165,6 +166,17 @@ class TestClassify:
     def test_riemannian_surface(self, polar2d):
         assert polar2d.classify() == Classification(riemannian=True, berwaldian=True)
 
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_flags_from_their_definitions(self, name):
+        """Riemannian: C_ijk = 0.  Berwaldian: every G^i_jk is free of y,
+        each derivative taken by hand, in a geometry of its own."""
+        geom = build(make_structure(name))
+        gjk = geom.berwald_coefficients()
+        ys = [Var("y", m) for m in range(1, geom.dim + 1)]
+        berwaldian = all(e.diff(y).is_zero_expr() for _, e in gjk.components() for y in ys)
+        riemannian = geom.cartan_tensor()[0].is_zero_tensor()
+        assert geometry_for(name).classify() == Classification(riemannian, berwaldian)
+
 
 class TestRiemannianReduction:
     def test_gamma_equals_christoffel(self, polar2d):
@@ -183,6 +195,22 @@ class TestRiemannianReduction:
 
 
 class TestCovariantDerivatives:
+    def test_built_once(self):
+        """P:cartan reuses the C^i_hk|j that hcov:Cmixed:cartan built."""
+        geom = build(make_structure("worked-3d"))
+
+        def cov_entries():
+            return [k for k in geom._cache if k[0] in ("h_cov_derivative", "v_cov_derivative")]
+
+        hcov = registry.resolve(geom, "hcov:Cmixed:cartan")
+        assert len(cov_entries()) == 1
+        registry.resolve(geom, "P:cartan")
+        assert len(cov_entries()) == 1
+        assert registry.resolve(geom, "hcov:Cmixed:cartan") is hcov
+        vcov = registry.resolve(geom, "vcov:g:berwald")
+        assert len(cov_entries()) == 2
+        assert registry.resolve(geom, "vcov:g:berwald") is vcov
+
     def test_scalar_h_cov_is_horizontal_gradient(self, worked3d):
         from finslercalc.tensor import define
 
