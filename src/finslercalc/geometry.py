@@ -10,7 +10,14 @@ Each object is built once.  Every method that builds one, the
 determinant minors of g and the covariant derivatives included, is a
 ``_memo`` method: its result is kept in the geometry's ``_cache`` under
 ``(method name, *arguments)``, and a later call returns that identical
-object.  Tensors and connection triples key the cache by identity.
+object.  Tensors and connection triples key the cache by identity; a
+covariant derivative is kept per (tensor, coefficient tensor it reads).
+
+Connections that coincide share their objects.  On a Berwald space
+(G^i_jk free of y, tested on G's canonical form by ``_berwald_space``)
+Gamma = G, so Chern is Berwald and Cartan is Hashiguchi: the Gamma kinds
+take G as F, and each curvature and h-derivative is built once per (F, C)
+and returned for both kinds of a pair.
 """
 
 from __future__ import annotations
@@ -152,18 +159,22 @@ def build(structure: FinslerStructure) -> "Geometry":
     return Geometry(structure)
 
 
-def _memo(method):
+def _memo(method=None, *, key=None):
     """``method(self, *args)`` built once per owner: the result is kept in
     the owner's ``_cache`` dict under ``(method.__name__, *args)``, so a
-    later call returns the identical object after one dict lookup."""
+    later call returns the identical object after one dict lookup.  With
+    ``@_memo(key=f)`` it is kept under ``(method.__name__, *f(*args))``
+    instead, for a method whose result depends on part of its arguments."""
+    if method is None:
+        return functools.partial(_memo, key=key)
     name = method.__name__
 
     @functools.wraps(method)
     def memoized(self, *args):
-        key = (name, *args)
-        got = self._cache.get(key)
+        k = (name, *(args if key is None else key(*args)))
+        got = self._cache.get(k)
         if got is None:
-            got = self._cache[key] = method(self, *args)
+            got = self._cache[k] = method(self, *args)
         return got
 
     return memoized
@@ -345,8 +356,27 @@ class Geometry:
         return [(N[(r, k)], e.diff(Var("y", r))) for r in range(1, self.dim + 1)]
 
     @_memo
+    def _berwald_space(self) -> bool:
+        """Whether G^i_jk is free of y, read off its canonical form: no
+        component has a fiber symbol or a radical atom in its numerator or
+        denominator.  This is exact for a rational F**2, whose y-free
+        components have a y-free canonical form; with radicals a y-free G
+        that keeps an atom reads as False, which only takes the general
+        route."""
+        n = self.dim
+        return all(
+            e.num.max_symbol() < n and e.den.max_symbol() < n
+            for _, e in self.berwald_coefficients().components()
+        )
+
+    @_memo
     def cartan_coefficients(self) -> Tensor:
-        """Christoffel symbols of g with respect to the horizontal derivatives."""
+        """Christoffel symbols of g with respect to the horizontal
+        derivatives.  On a Berwald space (``_berwald_space``) they are the
+        Berwald G^i_jk, so the tensor holds G's components."""
+        if self._berwald_space():
+            G = self.berwald_coefficients()
+            return Tensor("Gamma", self.ctx, self.dim, G.sig, dict(G.components()), G.symmetries)
         return self._christoffel("Gamma", self.horizontal_derivative)
 
     def _christoffel(self, name: str, derivative: Callable[[Expr, int], Expr]) -> Tensor:
@@ -409,23 +439,34 @@ class Geometry:
 
     @_memo
     def connection(self, kind: ConnectionKind) -> ConnectionTriple:
-        f_coeffs = self.cartan_coefficients() if kind.uses_gamma else self.berwald_coefficients()
-        if kind.has_c:
-            c_coeffs = self.cartan_tensor()[1]
+        """The triple of ``kind``.  On a Berwald space the kinds with F = Gamma
+        take the Berwald G itself as F, and the two kinds with C = 0 share
+        one zero C, so two kinds with the same coefficients hold the
+        identical tensors."""
+        if kind.uses_gamma and not self._berwald_space():
+            f_coeffs = self.cartan_coefficients()
         else:
-            c_coeffs = zero_tensor("C", self.ctx, self.dim, (UP, DOWN, DOWN))
+            f_coeffs = self.berwald_coefficients()
+        c_coeffs = self.cartan_tensor()[1] if kind.has_c else self._zero_c()
         return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), c_coeffs)
+
+    @_memo
+    def _zero_c(self) -> Tensor:
+        return zero_tensor("C", self.ctx, self.dim, (UP, DOWN, DOWN))
 
     # -- covariant derivatives -----------------------------------------------------
 
-    @_memo
+    @_memo(key=lambda t, triple: (t, triple.f_coeffs))
     def h_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
-        """Horizontal covariant derivative; the new slot comes last."""
+        """Horizontal covariant derivative; the new slot comes last.  It
+        reads F and N alone, and N is one for every kind, so it is kept
+        per (t, F)."""
         return self._cov_derivative(t, triple.f_coeffs, horizontal=True)
 
-    @_memo
+    @_memo(key=lambda t, triple: (t, triple.c_coeffs))
     def v_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
-        """Vertical covariant derivative; the new slot comes last."""
+        """Vertical covariant derivative; the new slot comes last.  It reads
+        C alone, so it is kept per (t, C)."""
         return self._cov_derivative(t, triple.c_coeffs, horizontal=False)
 
     def _cov_derivative(self, t: Tensor, coeffs: Tensor, horizontal: bool) -> Tensor:
@@ -462,13 +503,17 @@ class Geometry:
         delta_k F - delta_j F + F.F - F.F and the hv-curvature (dot d)_k F.  With
         C (Cartan, Hashiguchi) it is the C = 0 one of the same F plus, by component,
         C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk (the P-torsion is 0 if F = G).
-        The v-curvature depends on C alone, so the kinds with the same C share one."""
+        The v-curvature depends on C alone, so the kinds with the same C share one.
+        On a Berwald space (``_berwald_space``) Gamma = G, so Chern is Berwald
+        and Cartan is Hashiguchi: every curvature of a kind with F = Gamma is
+        the identical object of its twin with F = G and the same C."""
         if which not in ("h", "hv", "v"):
             raise ValueError("which must be one of h, hv, v")
-        if which == "v":  # one per C, built with the F = G connection, which needs no Gamma
-            same_c = ConnectionKind.HASHIGUCHI if kind.has_c else ConnectionKind.BERWALD
-            if kind is not same_c:
-                return self.curvature(same_c, which)
+        if which == "v" or (kind.uses_gamma and self._berwald_space()):
+            # the twin with F = G needs no Gamma
+            twin = ConnectionKind.HASHIGUCHI if kind.has_c else ConnectionKind.BERWALD
+            if kind is not twin:
+                return self.curvature(twin, which)
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)

@@ -97,6 +97,44 @@ class TestBuild:
         assert geom.curvature(ConnectionKind.BERWALD, "v") is zero and zero.is_zero_tensor()
 
 
+BERWALD_SPACES = ("berwald-4d", "euclidean-3d", "polar-flat-2d", "quartic-riemannian-2d")
+NOT_BERWALD = ("worked-3d", "cuberoot-3d", "perturbed-flat-2d", "perturbed-flat-3d")
+# each Gamma kind's object beside its twin with F = G and the same C
+TWINS = (
+    ("R:chern", "R:berwald"),
+    ("P:chern", "P:berwald"),
+    ("R:cartan", "R:hashiguchi"),
+    ("P:cartan", "P:hashiguchi"),
+    ("hcov:Cmixed:cartan", "hcov:Cmixed:hashiguchi"),
+)
+
+
+class TestBerwaldSpaceTwins:
+    """On a Berwald space Gamma = G, so Chern is Berwald and Cartan is
+    Hashiguchi: each pair is one object.  Elsewhere each is built apart."""
+
+    @pytest.mark.parametrize("name", BERWALD_SPACES)
+    def test_twins_are_one_object(self, name):
+        geom = geometry_for(name)
+        for gamma_id, g_id in TWINS:
+            assert registry.resolve(geom, gamma_id) is registry.resolve(geom, g_id), gamma_id
+        gamma = registry.resolve(geom, "Gamma")
+        assert gamma.name == "Gamma"
+        assert dict(gamma.components()) == dict(registry.resolve(geom, "Gberwald").components())
+
+    @pytest.mark.parametrize("name", NOT_BERWALD)
+    def test_twins_are_apart_elsewhere(self, name):
+        geom = geometry_for(name)
+        for gamma_id, g_id in TWINS:
+            assert registry.resolve(geom, gamma_id) is not registry.resolve(geom, g_id), gamma_id
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_test_matches_classify(self, name):
+        geom = geometry_for(name)
+        assert geom._berwald_space() == geom.classify().berwaldian
+        assert geom._berwald_space() == (name in BERWALD_SPACES)
+
+
 def _closure(entries, closure_spec):
     gens = _transpositions([Symmetry(k, tuple(p)) for k, p in closure_spec])
     covered = set()
@@ -210,6 +248,22 @@ class TestCovariantDerivatives:
         vcov = registry.resolve(geom, "vcov:g:berwald")
         assert len(cov_entries()) == 2
         assert registry.resolve(geom, "vcov:g:berwald") is vcov
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("hcov:g:cartan", "hcov:g:chern"), ("vcov:g:berwald", "vcov:g:chern")],
+    )
+    def test_kept_per_coefficient_tensor(self, first, second):
+        """An h-derivative reads F alone and a v-derivative C alone, so two
+        kinds with the same F (Cartan, Chern) or the same zero C (Berwald,
+        Chern) share one derivative."""
+        geom = build(make_structure("worked-3d"))
+        # build the second triple first, so that the count sees the derivative alone
+        geom.connection(ConnectionKind(second.rsplit(":", 1)[1]))
+        built = registry.resolve(geom, first)
+        cached = len(geom._cache)
+        assert registry.resolve(geom, second) is built
+        assert len(geom._cache) == cached
 
     def test_scalar_h_cov_is_horizontal_gradient(self, worked3d):
         from finslercalc.tensor import define

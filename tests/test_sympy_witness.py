@@ -5,6 +5,10 @@ sympy computes each object from the textbook formula with ``diff``,
 spray comes from G^i = 1/4 g^ir (y^j d_j dot-d_r F^2 - d_r F^2), a formula
 ``geometry.py`` does not use.  sympy's result is parsed back and compared
 through canonical equality, so a match is exact, not within a tolerance.
+polar-flat-2d is Riemannian, so a Berwald space, where ``geometry.py``
+returns Berwald's and Hashiguchi's objects for Chern and Cartan; the
+textbook builds every kind from its own formula, so it witnesses that
+shared route, and worked-3d the general one.
 
 perturbed-flat-2d is left out: ``sympy.cancel`` alone takes over a minute
 on its curvatures.  Radical structures wait for canonical radicals, since
@@ -25,7 +29,8 @@ sympy = pytest.importorskip("sympy")
 STRUCTURES = ("worked-3d", "polar-flat-2d")
 OBJECT_IDS = (
     "g", "ginv", "gamma", "Gspray", "N", "Gberwald", "Gamma",
-    "R:cartan", "R:berwald", "R:hashiguchi", "P:cartan", "P:hashiguchi",
+    "Ptorsion", "R:cartan", "R:berwald", "R:chern", "R:hashiguchi",
+    "P:cartan", "P:chern", "P:hashiguchi",
 )
 
 
@@ -105,9 +110,15 @@ class Textbook:
         self.tables = {
             "g": g, "ginv": ginv, "gamma": gamma, "Gspray": {(i,): spray[i] for i in ns},
             "N": N, "Gberwald": Gb, "Gamma": Gamma,
+            "Ptorsion": {key: cancel(e) for key, e in p_tor.items()},
             "R:cartan": h_curvature(Gamma, True), "R:berwald": h_curvature(Gb, False),
-            "R:hashiguchi": h_curvature(Gb, True),
+            "R:chern": h_curvature(Gamma, False), "R:hashiguchi": h_curvature(Gb, True),
             "P:cartan": hv_curvature(Gamma, p_tor), "P:hashiguchi": hv_curvature(Gb, zero),
+            # the Chern connection has C = 0: its hv-curvature is dot-d_k Gamma^i_hj
+            "P:chern": {
+                (i, h, j, k): cancel(sympy.diff(Gamma[i, h, j], ys[k]))
+                for i, h, j, k in product(ns, repeat=4)
+            },
         }
 
     def delta(self, e, j):
