@@ -10,14 +10,15 @@ Each object is built once.  Every method that builds one, the
 determinant minors of g and the covariant derivatives included, is a
 ``_memo`` method: its result is kept in the geometry's ``_cache`` under
 ``(method name, *arguments)``, and a later call returns that identical
-object.  Tensors and connection triples key the cache by identity; a
-covariant derivative is kept per (tensor, coefficient tensor it reads).
+object.  Tensors and connection triples key the cache by identity.
 
-Connections that coincide share their objects.  On a Berwald space
-(G^i_jk free of y, tested on G's canonical form by ``_berwald_space``)
-Gamma = G, so Chern is Berwald and Cartan is Hashiguchi: the Gamma kinds
-take G as F, and each curvature and h-derivative is built once per (F, C)
-and returned for both kinds of a pair.
+Connections that coincide share their objects by one rule: each curvature
+and covariant derivative is built once per coefficient tensor it reads,
+(F, C) for an h- or hv-curvature, C for a v-curvature, F for an
+h-derivative and C for a v-derivative.  The two kinds with C = 0 share
+one zero C, and on a Berwald space (G^i_jk free of y, ``_berwald_space``)
+Gamma = G, so the kinds with F = Gamma take G itself as F: Chern is then
+Berwald and Cartan is Hashiguchi.
 """
 
 from __future__ import annotations
@@ -159,19 +160,15 @@ def build(structure: FinslerStructure) -> "Geometry":
     return Geometry(structure)
 
 
-def _memo(method=None, *, key=None):
+def _memo(method):
     """``method(self, *args)`` built once per owner: the result is kept in
     the owner's ``_cache`` dict under ``(method.__name__, *args)``, so a
-    later call returns the identical object after one dict lookup.  With
-    ``@_memo(key=f)`` it is kept under ``(method.__name__, *f(*args))``
-    instead, for a method whose result depends on part of its arguments."""
-    if method is None:
-        return functools.partial(_memo, key=key)
+    later call returns the identical object after one dict lookup."""
     name = method.__name__
 
     @functools.wraps(method)
     def memoized(self, *args):
-        k = (name, *(args if key is None else key(*args)))
+        k = (name, *args)
         got = self._cache.get(k)
         if got is None:
             got = self._cache[k] = method(self, *args)
@@ -357,16 +354,11 @@ class Geometry:
 
     @_memo
     def _berwald_space(self) -> bool:
-        """Whether G^i_jk is free of y, read off its canonical form: no
-        component has a fiber symbol or a radical atom in its numerator or
-        denominator.  This is exact for a rational F**2, whose y-free
-        components have a y-free canonical form; with radicals a y-free G
-        that keeps an atom reads as False, which only takes the general
-        route."""
-        n = self.dim
+        """Whether G^i_jk is free of y: every fiber derivative of every
+        component is zero, tested up to the first one that is not."""
+        ys = [Var("y", m) for m in range(1, self.dim + 1)]
         return all(
-            e.num.max_symbol() < n and e.den.max_symbol() < n
-            for _, e in self.berwald_coefficients().components()
+            e.diff(y).is_zero_expr() for _, e in self.berwald_coefficients().components() for y in ys
         )
 
     @_memo
@@ -447,8 +439,10 @@ class Geometry:
             f_coeffs = self.cartan_coefficients()
         else:
             f_coeffs = self.berwald_coefficients()
-        c_coeffs = self.cartan_tensor()[1] if kind.has_c else self._zero_c()
-        return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), c_coeffs)
+        return ConnectionTriple(kind, f_coeffs, self.nonlinear_connection(), self._c_coeffs(kind))
+
+    def _c_coeffs(self, kind: ConnectionKind) -> Tensor:
+        return self.cartan_tensor()[1] if kind.has_c else self._zero_c()
 
     @_memo
     def _zero_c(self) -> Tensor:
@@ -456,19 +450,17 @@ class Geometry:
 
     # -- covariant derivatives -----------------------------------------------------
 
-    @_memo(key=lambda t, triple: (t, triple.f_coeffs))
     def h_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
         """Horizontal covariant derivative; the new slot comes last.  It
-        reads F and N alone, and N is one for every kind, so it is kept
-        per (t, F)."""
-        return self._cov_derivative(t, triple.f_coeffs, horizontal=True)
+        reads F and N alone, and N is one for every kind."""
+        return self._cov_derivative(t, triple.f_coeffs, True)
 
-    @_memo(key=lambda t, triple: (t, triple.c_coeffs))
     def v_cov_derivative(self, t: Tensor, triple: ConnectionTriple) -> Tensor:
         """Vertical covariant derivative; the new slot comes last.  It reads
-        C alone, so it is kept per (t, C)."""
-        return self._cov_derivative(t, triple.c_coeffs, horizontal=False)
+        C alone."""
+        return self._cov_derivative(t, triple.c_coeffs, False)
 
+    @_memo
     def _cov_derivative(self, t: Tensor, coeffs: Tensor, horizontal: bool) -> Tensor:
         n = self.dim
         ctx = self.ctx
@@ -499,35 +491,36 @@ class Geometry:
         connection, with the corrected hv index placement
         P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk.
 
-        Two layers.  With C = 0 (Chern, Berwald) the h-curvature is
-        delta_k F - delta_j F + F.F - F.F and the hv-curvature (dot d)_k F.  With
-        C (Cartan, Hashiguchi) it is the C = 0 one of the same F plus, by component,
-        C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk (the P-torsion is 0 if F = G).
-        The v-curvature depends on C alone, so the kinds with the same C share one.
-        On a Berwald space (``_berwald_space``) Gamma = G, so Chern is Berwald
-        and Cartan is Hashiguchi: every curvature of a kind with F = Gamma is
-        the identical object of its twin with F = G and the same C."""
+        It is ``_curvature`` of the coefficient tensors it reads: F and C
+        of ``connection(kind)``, or C alone for the v-curvature, so S:cartan
+        builds no Gamma.  Kinds with identical coefficients (Chern and
+        Berwald share the zero C; on a Berwald space F = G for all four)
+        get the identical object."""
         if which not in ("h", "hv", "v"):
             raise ValueError("which must be one of h, hv, v")
-        if which == "v" or (kind.uses_gamma and self._berwald_space()):
-            # the twin with F = G needs no Gamma
-            twin = ConnectionKind.HASHIGUCHI if kind.has_c else ConnectionKind.BERWALD
-            if kind is not twin:
-                return self.curvature(twin, which)
+        if which == "v":
+            return self._curvature(which, None, self._c_coeffs(kind))
+        triple = self.connection(kind)
+        return self._curvature(which, triple.f_coeffs, triple.c_coeffs)
+
+    @_memo
+    def _curvature(self, which: str, F: "Tensor | None", C: Tensor) -> Tensor:
+        """The curvature of coefficients (F, C), in two layers.  With the
+        zero C the h-curvature is delta_k F - delta_j F + F.F - F.F and the
+        hv-curvature (dot d)_k F.  Otherwise it is the one of (F, 0) plus, by
+        component, C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk, where the
+        P-torsion is zero by definition if F = G."""
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)
         sig = (UP, DOWN, DOWN, DOWN)
-        triple = self.connection(kind)
-        F, C = triple.f_coeffs, triple.c_coeffs
-        if kind.has_c and which != "v":
-            sibling = ConnectionKind.CHERN if kind.uses_gamma else ConnectionKind.BERWALD
-            c_free = self.curvature(sibling, which)
+        if which != "v" and C is not self._zero_c():
+            c_free = self._curvature(which, F, self._zero_c())
             if which == "h":
                 hc, tor = None, self.torsions()[0]
             else:
-                hc = self.h_cov_derivative(C, triple)
-                tor = self._p_torsion() if kind.uses_gamma else None
+                hc = self._cov_derivative(C, F, True)
+                tor = None if F is self.berwald_coefficients() else self._p_torsion()
 
             def gen(idx):
                 i, h, j, k = idx
@@ -562,11 +555,8 @@ class Geometry:
 
     @_memo
     def classify(self) -> Classification:
-        """Riemannian: C = 0.  Berwaldian: G^i_jk free of y, that is P:berwald = 0."""
-        return Classification(
-            riemannian=self.cartan_tensor()[0].is_zero_tensor(),
-            berwaldian=self.curvature(ConnectionKind.BERWALD, "hv").is_zero_tensor(),
-        )
+        """Riemannian: C = 0.  Berwaldian: G^i_jk free of y."""
+        return Classification(self.cartan_tensor()[0].is_zero_tensor(), self._berwald_space())
 
 
 def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from finslercalc import (
@@ -9,6 +11,7 @@ from finslercalc import (
     Var,
     build,
     registry,
+    verify_many,
 )
 from finslercalc.poly import iter_indices
 from finslercalc.tensor import Symmetry, _orbit, _transpositions
@@ -77,14 +80,15 @@ class TestBuild:
         # with C adds its C-terms to the cached one of its C = 0 sibling
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.HASHIGUCHI, "hv")
-        assert ("curvature", ConnectionKind.BERWALD, "hv") in geom._cache
+        zero = geom._zero_c()
+        assert ("_curvature", "hv", geom.berwald_coefficients(), zero) in geom._cache
         assert ("_p_torsion",) not in geom._cache
         geom.curvature(ConnectionKind.CARTAN, "hv")
-        assert ("curvature", ConnectionKind.CHERN, "hv") in geom._cache
+        assert ("_curvature", "hv", geom.cartan_coefficients(), zero) in geom._cache
         assert ("_p_torsion",) in geom._cache and ("torsions",) not in geom._cache
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.CARTAN, "h")
-        assert ("curvature", ConnectionKind.CHERN, "h") in geom._cache
+        assert ("_curvature", "h", geom.cartan_coefficients(), geom._zero_c()) in geom._cache
 
     def test_v_curvature_is_one_per_c(self):
         # S depends on C alone; it is built with the F = G connection of
@@ -99,6 +103,23 @@ class TestBuild:
 
 BERWALD_SPACES = ("berwald-4d", "euclidean-3d", "polar-flat-2d", "quartic-riemannian-2d")
 NOT_BERWALD = ("worked-3d", "cuberoot-3d", "perturbed-flat-2d", "perturbed-flat-3d")
+# Riemannian, hence Berwald, with a radical of x alone left in G^i_jk
+RADICAL_BERWALD = {
+    "sqrt-x-2d": (2, "y1^2 + sqrt(x1)*y2^2", ("x1 > 0",)),
+    "sqrt-x-3d": (3, "y1^2 + sqrt(x1^2+x2)*y2^2 + y3^2", ("x1^2+x2 > 0",)),
+}
+_RADICAL_GEOMETRIES: dict = {}
+
+
+def radical_geometry(name: str):
+    if name not in _RADICAL_GEOMETRIES:
+        dim, f2, constraints = RADICAL_BERWALD[name]
+        coords = [f"x{i}" for i in range(1, dim + 1)]
+        fibers = [f"y{i}" for i in range(1, dim + 1)]
+        _RADICAL_GEOMETRIES[name] = build(FinslerStructure(dim, coords, fibers, f2, constraints))
+    return _RADICAL_GEOMETRIES[name]
+
+
 # each Gamma kind's object beside its twin with F = G and the same C
 TWINS = (
     ("R:chern", "R:berwald"),
@@ -130,9 +151,57 @@ class TestBerwaldSpaceTwins:
 
     @pytest.mark.parametrize("name", STRUCTURE_NAMES)
     def test_test_matches_classify(self, name):
+        """The test against its definition: every fiber derivative of every
+        G^i_jk, each taken by hand in a geometry of its own, is zero."""
+        fresh = build(make_structure(name))
+        ys = [Var("y", m) for m in range(1, fresh.dim + 1)]
+        by_hand = all(
+            e.diff(y).is_zero_expr() for _, e in fresh.berwald_coefficients().components() for y in ys
+        )
         geom = geometry_for(name)
-        assert geom._berwald_space() == geom.classify().berwaldian
-        assert geom._berwald_space() == (name in BERWALD_SPACES)
+        assert geom._berwald_space() == by_hand == (name in BERWALD_SPACES)
+        assert geom.classify().berwaldian == by_hand
+
+    @pytest.mark.parametrize("name", sorted(RADICAL_BERWALD))
+    def test_radical_of_x_is_a_berwald_space(self, name):
+        """A radical of x alone in G^i_jk is free of y: the test holds, the
+        twins are one object, and the oracle, which builds every kind from
+        its own formula, checks every object."""
+        geom = radical_geometry(name)
+        assert geom._berwald_space() and geom.classify().berwaldian
+        for gamma_id, g_id in TWINS:
+            assert registry.resolve(geom, gamma_id) is registry.resolve(geom, g_id), gamma_id
+        reports = verify_many(geom, registry.base_object_ids(), n_points=2, tol=1e-9, seed=0)
+        assert len(reports) == 25
+        for object_id, report in reports.items():
+            assert report.passed, (name, object_id, report.summary())
+
+    def test_classify_builds_no_curvature(self):
+        """Berwaldian is read off G^i_jk's derivatives, not off P:berwald."""
+        geom = build(make_structure("worked-3d"))
+        assert not geom.classify().berwaldian
+        assert not [k for k in geom._cache if k[0] in ("curvature", "_curvature")]
+
+
+class TestSharing:
+    """Each curvature and covariant derivative is built once per coefficient
+    tensor it reads: two kinds get the identical object exactly when those
+    tensors are identical."""
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES + sorted(RADICAL_BERWALD))
+    def test_one_object_per_coefficient_tensors(self, name):
+        geom = radical_geometry(name) if name in RADICAL_BERWALD else geometry_for(name)
+        g = geom.metric()
+        triples = {kind: geom.connection(kind) for kind in ConnectionKind}
+        for a, b in itertools.product(ConnectionKind, repeat=2):
+            ta, tb = triples[a], triples[b]
+            same_f, same_c = ta.f_coeffs is tb.f_coeffs, ta.c_coeffs is tb.c_coeffs
+            for which in ("h", "hv"):
+                shared = geom.curvature(a, which) is geom.curvature(b, which)
+                assert shared == (same_f and same_c), (name, a, b, which)
+            assert (geom.curvature(a, "v") is geom.curvature(b, "v")) == same_c, (name, a, b)
+            assert (geom.h_cov_derivative(g, ta) is geom.h_cov_derivative(g, tb)) == same_f
+            assert (geom.v_cov_derivative(g, ta) is geom.v_cov_derivative(g, tb)) == same_c
 
 
 def _closure(entries, closure_spec):
@@ -238,7 +307,7 @@ class TestCovariantDerivatives:
         geom = build(make_structure("worked-3d"))
 
         def cov_entries():
-            return [k for k in geom._cache if k[0] in ("h_cov_derivative", "v_cov_derivative")]
+            return [k for k in geom._cache if k[0] == "_cov_derivative"]
 
         hcov = registry.resolve(geom, "hcov:Cmixed:cartan")
         assert len(cov_entries()) == 1
