@@ -506,7 +506,8 @@ class Geometry:
     @_memo
     def _curvature(self, which: str, F: "Tensor | None", C: Tensor) -> Tensor:
         """The curvature of coefficients (F, C), in two layers.  With the
-        zero C the h-curvature is delta_k F - delta_j F + F.F - F.F and the
+        zero C the h-curvature is delta_k F - delta_j F + F.F - F.F (for
+        F = G, the equal (dot d)_h R^i_jk of the (v)h-torsion) and the
         hv-curvature (dot d)_k F.  Otherwise it is the one of (F, 0) plus, by
         component, C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk, where the
         P-torsion is zero by definition if F = G."""
@@ -529,6 +530,14 @@ class Geometry:
                 return _dot(ctx, pairs, (), terms)
 
             return define(c_free.name, ctx, n, sig, gen, c_free.symmetries)
+        if which == "h" and F is self.berwald_coefficients():
+            # the Berwald curvature is the fiber derivative of the (v)h-torsion,
+            # R^i_hjk = (dot d)_h R^i_jk: derivatives in place of G.G products
+            rt = self.torsions()[0]
+            return define(
+                "R", ctx, n, sig, lambda idx: rt[(idx[0], idx[2], idx[3])].diff(Var("y", idx[1])),
+                (antisymmetric(3, 4),),
+            )
         if which == "h":
             def r_gen(idx):
                 i, h, j, k = idx

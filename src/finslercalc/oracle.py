@@ -8,8 +8,14 @@ approximated by finite differences.  The same definitional chain is followed
 on jets: metric from fiber derivatives, inverse by Gaussian elimination,
 Christoffel symbols, spray, nonlinear connection, horizontal derivatives,
 connection coefficients and torsions.  Each derivative lowers a jet's
-order by one, and the order-0 parts give covariant derivatives and
-curvatures.  No symbolic derivative or simplification is involved.
+order by one.  A table's values and first partials at the point are its
+order-0 and order-1 coefficients, and covariant derivatives and curvatures
+read those alone (``slope``, ``delta_values``).  So each table is built only
+to the order that is read: the tables read only at the point and by one
+derivative (l, lup, h, Cmixed, gamma, Gamma) at order 1, through one factor
+truncated to order 1 before each product, and the tables deeper chains
+differentiate at the orders those need.  No symbolic derivative or
+simplification is involved.
 
 Each plain object id of ``registry`` names one jet table of a point, and
 every id, compound ones included, is read through ``registry.parse`` by
@@ -284,6 +290,12 @@ def _values(tree):
     return _map(float, tree)
 
 
+def _order_1(tree):
+    """A nested list of jets truncated to order 1: a factor of a leaf table,
+    whose products are read only at the point and by one derivative."""
+    return _map(lambda e: e.truncate(1), tree)
+
+
 def _christoffel(ginv, dg, n):
     """(1/2) g^{ir} (d_j g_kr + d_k g_jr - d_r g_jk) from the derivative
     tables ``dg[j] = d_j g``."""
@@ -303,8 +315,9 @@ def _christoffel(ginv, dg, n):
 class _PointJets:
     """The objects at one point: a jet table per plain object id, named by
     the id and built on first use, and ``table``, the order-0 component
-    tree of any object id.  ``table``, ``derivative`` and ``delta`` are
-    ``_memo`` methods, built once per point and arguments."""
+    tree of any object id.  ``table``, ``derivative``, ``delta``, ``slope``
+    and ``delta_values`` are ``_memo`` methods, built once per point and
+    arguments."""
 
     def __init__(self, numgeom: "NumericGeometry", coords):
         n = self.n = numgeom.n
@@ -333,11 +346,29 @@ class _PointJets:
 
     @_memo
     def delta(self, object_id: str, k: int):
-        """delta_k = d/dx_k - N^r_k d/dy_r of an object's jet table."""
-        out = self.derivative(object_id, k)
+        """delta_k = d/dx_k - N^r_k d/dy_r of an object's jet table, to
+        order 1: its callers, Gamma and Rtorsion, are leaf tables."""
+        out = _order_1(self.derivative(object_id, k))
         for r in range(self.n):
-            nrk = self.N[r][k]
-            out = _map(lambda a, b: a - nrk * b, out, self.derivative(object_id, self.n + r))
+            nrk, dy = self.N[r][k], _order_1(self.derivative(object_id, self.n + r))
+            out = _map(lambda a, b: a - nrk * b, out, dy)
+        return out
+
+    @_memo
+    def slope(self, object_id: str, v: int):
+        """The values of d/dx_v (v < n) or d/dy_{v-n} of an object's jet
+        table: the coefficients of the degree-1 monomial x_v."""
+        return _map(lambda e: e.coeffs[1 + v], getattr(self, object_id))
+
+    @_memo
+    def delta_values(self, object_id: str, k: int):
+        """The values of ``delta(object_id, k)``, from slopes and N's values,
+        subtracted in the order ``delta`` subtracts."""
+        out = self.slope(object_id, k)
+        n_values = self.table("N")
+        for r in range(self.n):
+            nrk = n_values[r][k]
+            out = _map(lambda a, b: a - nrk * b, out, self.slope(object_id, self.n + r))
         return out
 
     # jet tables, one per plain object id -----------------------------------------
@@ -358,12 +389,15 @@ class _PointJets:
 
     @cached_property
     def finsler(self):
-        return real_root(self.f2.truncate(JET_ORDER - 2), 2)  # l, lup and h need no more than g
+        return real_root(self.f2.truncate(1), 2)  # only the leaf tables l and lup read F
 
     @cached_property
     def l(self):
         g, y = self.g, self.y
-        return [sum(g[i][j] * y[j] for j in range(self.n)) / self.finsler for i in range(self.n)]
+        return [
+            sum(g[i][j].truncate(1) * y[j] for j in range(self.n)) / self.finsler
+            for i in range(self.n)
+        ]
 
     @cached_property
     def lup(self):
@@ -382,7 +416,7 @@ class _PointJets:
 
     @cached_property
     def Cmixed(self):
-        n, ginv, cd = self.n, self.ginv, self.C
+        n, ginv, cd = self.n, self.ginv, _order_1(self.C)
         return [
             [[sum(ginv[i][r] * cd[r][j][k] for r in range(n)) for k in range(n)] for j in range(n)]
             for i in range(n)
@@ -390,7 +424,8 @@ class _PointJets:
 
     @cached_property
     def gamma(self):
-        return _christoffel(self.ginv, [self.derivative("g", j) for j in range(self.n)], self.n)
+        dg = [_order_1(self.derivative("g", j)) for j in range(self.n)]
+        return _christoffel(self.ginv, dg, self.n)
 
     @cached_property
     def Gspray(self):
@@ -427,7 +462,7 @@ class _PointJets:
     def Ptorsion(self):
         return _map(sub, self.Gberwald, self.Gamma)
 
-    # covariant derivatives and curvatures, from order-0 tables -------------------
+    # covariant derivatives and curvatures, from values and slopes ----------------
 
     def _cov_derivative(self, object_id: str, sig: str, kind: ConnectionKind, horizontal: bool):
         """Covariant derivative of a plain object whose slots have the
@@ -435,10 +470,10 @@ class _PointJets:
         n = self.n
         if horizontal:
             coeffs = self.table(_f_id(kind))
-            deriv = [_values(self.delta(object_id, k)) for k in range(n)]
+            deriv = [self.delta_values(object_id, k) for k in range(n)]
         else:
             coeffs = self.table("Cmixed") if kind.has_c else None
-            deriv = [_values(self.derivative(object_id, n + k)) for k in range(n)]
+            deriv = [self.slope(object_id, n + k) for k in range(n)]
         base = self.table(object_id) if coeffs is not None else None
 
         def component(idx):
@@ -464,7 +499,7 @@ class _PointJets:
         cm = self.table("Cmixed") if kind.has_c else None
         if which == "h":
             f = self.table(f_id)
-            df = [_values(self.delta(f_id, k)) for k in range(n)]
+            df = [self.delta_values(f_id, k) for k in range(n)]
             rt = self.table("Rtorsion") if cm is not None else None
 
             def component(idx):
@@ -478,7 +513,7 @@ class _PointJets:
                 return val
 
         elif which == "hv":
-            dfy = [_values(self.derivative(f_id, n + k)) for k in range(n)]
+            dfy = [self.slope(f_id, n + k) for k in range(n)]
             if cm is not None:
                 hc = self.table(f"hcov:Cmixed:{kind.value}")
                 # the P-torsion of F = G is zero by definition

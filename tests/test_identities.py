@@ -6,7 +6,7 @@ import pytest
 from finslercalc import ConnectionKind, Var, contract_product, tensor_add
 from finslercalc.oracle import NumericGeometry, sample_points
 
-from conftest import geometry_for
+from conftest import STRUCTURE_NAMES, geometry_for
 
 # structures kept symbolically light enough to sweep every identity
 IDENTITY_STRUCTURES = [
@@ -199,6 +199,22 @@ class TestConnectionCoincidences:
             for m in range(1, geom.dim + 1):
                 acc = acc + hcov_c[(i, j, k, m)] * ctx.fiber(m)
             assert (acc - e).is_zero_expr()
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_berwald_h_curvature_is_the_delta_formula(name):
+    # R:berwald is built as dot-d_h R^i_jk; the definition by delta-derivatives,
+    # delta_k G^i_hj - delta_j G^i_hk + G^m_hj G^i_mk - G^m_hk G^i_mj, is
+    # written out here
+    geom = geometry_for(name)
+    G = geom.berwald_coefficients()
+    delta = geom.horizontal_derivative
+    for idx, e in geom.curvature(ConnectionKind.BERWALD, "h").components():
+        i, h, j, k = idx
+        want = delta(G[(i, h, j)], k) - delta(G[(i, h, k)], j)
+        for m in range(1, geom.dim + 1):
+            want = want + G[(m, h, j)] * G[(i, m, k)] - G[(m, h, k)] * G[(i, m, j)]
+        assert e == want, idx
 
 
 class TestBerwaldImpliesVanishingP:

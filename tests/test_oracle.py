@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometry_for
+from conftest import STRUCTURE_NAMES, geometry_for
 from finslercalc import (
     Classification,
     FinslerStructure,
@@ -27,7 +28,10 @@ from finslercalc.oracle import (
     NumericGeometry,
     _basis,
     _dense_product,
+    _flat,
+    _point_table,
     _sparse_product,
+    _values,
     mat_inv,
 )
 
@@ -486,3 +490,56 @@ class TestVerify:
         reports = verify_many(berwald4d, ids, n_points=2, tol=1e-9, seed=0)
         for object_id, report in reports.items():
             assert report.passed, report.summary()
+
+
+PLAIN_IDS = [i for i in registry.base_object_ids() if registry.parse(i)[0] == "base"]
+# the tables read only at the point and by one derivative
+LEAF_IDS = ["l", "lup", "h", "Cmixed", "gamma", "Gamma"]
+COMPOUND_IDS = [
+    "hcov:Cmixed:cartan", "hcov:g:chern", "vcov:g:berwald", "hcov:Rtorsion:berwald",
+    "vcov:Cmixed:cartan",
+]
+
+
+def _bits(tree) -> list[bytes]:
+    """The leaves of a nested list of floats, sign of zero included."""
+    return [struct.pack("d", v) for v in _flat(tree)]
+
+
+class TestOrders:
+    """The oracle builds each jet table only to the orders it reads: the
+    leaf tables to order 1, and the values of derivatives come off the
+    degree-1 coefficients."""
+
+    @pytest.fixture(params=STRUCTURE_NAMES)
+    def point_jets(self, request):
+        geom = geometry_for(request.param)
+        (p,) = sample_points(geom.structure, 1, 0)
+        numgeom = NumericGeometry(geom.structure)
+        _point_table(numgeom, p, "g")  # inverts g first, as every caller does
+        return numgeom._at([float(v) for v in (*p.x, *p.y)])
+
+    def test_every_plain_table_has_a_first_derivative(self, point_jets):
+        for object_id in PLAIN_IDS:
+            orders = {e.order for e in _flat(getattr(point_jets, object_id))}
+            assert min(orders) >= 1, object_id
+            if object_id in LEAF_IDS:
+                assert orders == {1}, object_id
+
+    def test_slopes_and_delta_values_are_the_derivative_jets_values(self, point_jets):
+        n = point_jets.n
+        for object_id in PLAIN_IDS:
+            for v in range(2 * n):
+                want = _values(point_jets.derivative(object_id, v))
+                assert _bits(point_jets.slope(object_id, v)) == _bits(want), (object_id, v)
+            for k in range(n):
+                want = _values(point_jets.delta(object_id, k))
+                assert _bits(point_jets.delta_values(object_id, k)) == _bits(want), (object_id, k)
+
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_reports_equal_at_full_order(self, name, monkeypatch):
+        geom = geometry_for(name)
+        ids = registry.base_object_ids() + COMPOUND_IDS
+        truncated = verify_many(geom, ids, n_points=2, seed=0)
+        monkeypatch.setattr(Jet, "truncate", lambda self, order: self)
+        assert verify_many(geom, ids, n_points=2, seed=0) == truncated
