@@ -17,9 +17,8 @@ from .expr import (
 )
 from .parsing import ParseError, parse, to_latex, to_text
 from .tensor import (
-    DOWN, UP, Symmetry, Tensor, VarianceMismatch, alternate, antisymmetric,
-    contract_product, define, kronecker, move_index, nonzero_components, symmetric,
-    tensor_add, zero_tensor,
+    DOWN, UP, Symmetry, Tensor, VarianceMismatch, antisymmetric, contract_product,
+    define, nonzero_components, symmetric, zero_tensor,
 )
 from .geometry import (
     Classification, ConnectionKind, ConnectionTriple, Constraint, DegenerateMetric,
@@ -51,9 +50,8 @@ __all__ = [
     "UnknownIdentifierError", "Var", "ZeroStatus",
     "ParseError", "parse", "to_latex", "to_text",
     "DOWN", "UP", "Symmetry", "Tensor",
-    "VarianceMismatch", "alternate", "antisymmetric", "contract_product",
-    "define", "kronecker", "move_index", "nonzero_components", "symmetric",
-    "tensor_add", "zero_tensor",
+    "VarianceMismatch", "antisymmetric", "contract_product", "define",
+    "nonzero_components", "symmetric", "zero_tensor",
     "Classification", "ConnectionKind", "ConnectionTriple", "Constraint",
     "DegenerateMetric", "FinslerStructure", "Geometry", "GeometryError",
     "NotHomogeneous", "build",

@@ -574,30 +574,7 @@ class Expr:
         ctx._diff_cache[(self, sym)] = result
         return result
 
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute(self, bindings: Mapping[Var, "Expr"]) -> "Expr":
-        ctx = self.ctx
-        values: dict[int, Expr] = {}
-        for v, rep in bindings.items():
-            if not isinstance(v, Var):
-                v = ctx.var_named(str(v))
-            values[ctx.sym_of(v)] = rep if isinstance(rep, Expr) else ctx.number(rep)
-        atom_values: dict[int, Expr] = {}
-
-        def sym_value(sym: int) -> Expr:
-            if ctx.is_atom_sym(sym):
-                got = atom_values.get(sym)
-                if got is None:
-                    atom = ctx.atom_at(sym)
-                    got = ctx.root(atom.radicand.substitute(bindings), atom.q)
-                    atom_values[sym] = got
-                return got
-            return values.get(sym, Expr(ctx, Poly.variable(sym), Poly.one()))
-
-        num_v = _poly_apply(ctx, self.num, sym_value)
-        den_v = _poly_apply(ctx, self.den, sym_value)
-        return (num_v / den_v).scale(self.content)
+    # -- evaluation ---------------------------------------------------------
 
     def eval_at(self, point: "NumericPoint | Mapping[str, object] | _PointValues") -> float:
         """The value at a point, or at the table ``Context.point_values``
@@ -1008,17 +985,6 @@ def _ext_inverse(ctx: Context, u: list[Expr], q: int, radicand: Expr) -> list[Ex
         raise ExprError("radical expression is a zero divisor; cannot invert")
     c = r1[0]
     return [yi / c for yi in y1]
-
-
-def _poly_apply(ctx: Context, p: Poly, sym_value) -> Expr:
-    total = ctx.zero
-    for key, coeff in p.terms.items():
-        term = ctx.number(coeff)
-        for i, e in enumerate(unpack(key)):
-            if e:
-                term = term * sym_value(i) ** e
-        total = total + term
-    return total
 
 
 def _point_coord_values(ctx: Context, point) -> list:

@@ -38,7 +38,7 @@ _BASE = {
     "Gberwald": Entry("udd", lambda geom: geom.berwald_coefficients()),
     "Gamma": Entry("udd", lambda geom: geom.cartan_coefficients()),
     "Rtorsion": Entry("udd", lambda geom: geom.torsions()[0]),
-    "Ptorsion": Entry("udd", lambda geom: geom.torsions()[1]),
+    "Ptorsion": Entry("udd", lambda geom: geom._p_torsion()),
 }
 
 _KINDS = {k.value: k for k in ConnectionKind}
@@ -115,14 +115,3 @@ def resolve(geom: Geometry, object_id: str):
         return geom.h_cov_derivative(tensor, triple)
     return geom.v_cov_derivative(tensor, triple)
 
-
-def object_signature(object_id: str) -> str:
-    """Variance string ('u'/'d' per slot) of a tensor object id."""
-    op, *rest = parse(object_id)
-    if op == "classify":
-        raise ValueError("classify is not a tensor")
-    if op == "curvature":
-        return "uddd"
-    if op == "base":
-        return rest[0].sig
-    return rest[0].sig + "d"

@@ -9,9 +9,10 @@ from finslercalc import (
     build,
     contract_product,
     define,
-    move_index,
 )
 from finslercalc import tensor
+
+from tensor_algebra import move_index
 
 
 def _structure_specs():

@@ -13,9 +13,7 @@ from finslercalc import (
     FinslerStructure,
     build,
     contract_product,
-    move_index,
     registry,
-    tensor_add,
     verify_many,
 )
 from finslercalc.oracle import Jet, NumericGeometry, mat_inv, sample_points
@@ -23,6 +21,7 @@ from finslercalc.cli import build_config, run
 
 from conftest import geometry_for, lowered_cartan_curvatures, make_structure
 from golden_worked_example import MISPRINTS, TABLES
+from tensor_algebra import move_index, tensor_add
 from test_geometry import _closure
 
 PASS = "ACCEPTANCE criterion {n} ({name}): PASS — {detail}"

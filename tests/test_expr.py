@@ -472,27 +472,6 @@ class TestQuotientDerivative:
         assert got == ctx.parse("-12*x1*y1/(y1^2 + y2^2)^7")
 
 
-class TestSubstitute:
-    def test_to_zero(self, ctx):
-        e = ctx.parse("y3^2")
-        assert e.substitute({Var("y", 3): ctx.zero}).is_zero_expr()
-
-    def test_rescale(self, ctx):
-        e = ctx.parse("x3*y1/y2")
-        got = e.substitute({Var("x", 3): ctx.one, Var("y", 2): ctx.one})
-        assert str(got) == "y1"
-
-    def test_unknown_identifier(self, ctx):
-        e = ctx.parse("x3*y1")
-        with pytest.raises(UnknownIdentifierError):
-            e.substitute({Var("x", 9): ctx.one})
-
-    def test_through_radical(self, ctx):
-        e = ctx.sqrt(ctx.parse("x3*y1^2"))
-        got = e.substitute({Var("x", 3): ctx.number(4)})
-        assert zero_diff(got, ctx.fiber(1).scale(2) * ctx.sqrt(ctx.one))
-
-
 class TestEvalAt:
     def test_arithmetic(self, ctx):
         e = ctx.parse("3*x3*y1/y2")

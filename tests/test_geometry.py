@@ -8,6 +8,7 @@ from finslercalc import (
     DegenerateMetric,
     FinslerStructure,
     NotHomogeneous,
+    UP,
     Var,
     build,
     registry,
@@ -89,6 +90,14 @@ class TestBuild:
         geom = build(make_structure("worked-3d"))
         geom.curvature(ConnectionKind.CARTAN, "h")
         assert ("_curvature", "h", geom.cartan_coefficients(), geom._zero_c()) in geom._cache
+
+    def test_ptorsion_builds_no_rtorsion(self):
+        # the object id Ptorsion reads P^i_jk alone, not the pair that
+        # also builds R^i_jk by horizontal derivatives of N
+        geom = build(make_structure("worked-3d"))
+        p_tor = registry.resolve(geom, "Ptorsion")
+        assert ("torsions",) not in geom._cache
+        assert geom.torsions()[1] is p_tor
 
     def test_v_curvature_is_one_per_c(self):
         # S depends on C alone; it is built with the F = G connection of
@@ -387,3 +396,17 @@ def test_registry_is_complete(worked3d):
         registry.resolve(worked3d, "S:berwald")
     with pytest.raises(registry.UnknownObjectError):
         registry.resolve(worked3d, "nonsense")
+
+
+PLAIN_IDS = [oid for oid in registry.base_object_ids() if registry.parse(oid)[0] == "base"]
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_registered_signature_is_the_built_one(name):
+    # each plain id declares its variances beside its builder; the two
+    # must agree on every structure
+    assert len(PLAIN_IDS) == 14
+    geom = geometry_for(name)
+    for oid in PLAIN_IDS:
+        built = "".join("u" if v is UP else "d" for v in registry.resolve(geom, oid).sig)
+        assert registry.parse(oid)[1].sig == built, (name, oid)

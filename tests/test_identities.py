@@ -3,10 +3,11 @@ re-checked numerically at seeded sample points."""
 
 import pytest
 
-from finslercalc import ConnectionKind, Var, contract_product, tensor_add
+from finslercalc import ConnectionKind, Var, contract_product
 from finslercalc.oracle import NumericGeometry, sample_points
 
 from conftest import STRUCTURE_NAMES, geometry_for
+from tensor_algebra import tensor_add
 
 # structures kept symbolically light enough to sweep every identity
 IDENTITY_STRUCTURES = [

@@ -1,5 +1,6 @@
 """What a cold import loads: building and emitting need neither the jet
-oracle nor ``dataclasses``."""
+oracle nor ``dataclasses``; and the public names, pinned so that a change
+to them is deliberate."""
 
 import subprocess
 import sys
@@ -52,3 +53,40 @@ def test_star_import_binds_all():
     missing = [name for name in finslercalc.__all__ if name not in namespace]
     assert not missing
     assert namespace["verify"] is finslercalc.oracle.verify
+
+
+PUBLIC_NAMES = [
+    "Context", "DomainError", "Expr", "ExprError", "NumericPoint",
+    "UnknownIdentifierError", "Var", "ZeroStatus",
+    "ParseError", "parse", "to_latex", "to_text",
+    "DOWN", "UP", "Symmetry", "Tensor", "VarianceMismatch", "antisymmetric",
+    "contract_product", "define", "nonzero_components", "symmetric", "zero_tensor",
+    "Classification", "ConnectionKind", "ConnectionTriple", "Constraint",
+    "DegenerateMetric", "FinslerStructure", "Geometry", "GeometryError",
+    "NotHomogeneous", "build",
+    "NumericGeometry", "SamplingExhausted", "SingularMetricAt",
+    "VerificationReport", "numeric_object", "sample_points", "verify",
+    "verify_many",
+    "UnknownObjectError", "base_object_ids", "resolve",
+    "__version__",
+]
+
+
+def test_public_names_are_pinned():
+    assert finslercalc.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", ["kronecker", "tensor_add", "move_index", "alternate"])
+def test_test_only_tensor_algebra_is_not_shipped(name):
+    # these live in tests/tensor_algebra.py, as references for the tests
+    from finslercalc import tensor
+
+    assert not hasattr(finslercalc, name)
+    assert not hasattr(tensor, name)
+
+
+def test_removed_methods_stay_removed():
+    from finslercalc import registry
+
+    assert not hasattr(finslercalc.Expr, "substitute")
+    assert not hasattr(registry, "object_signature")

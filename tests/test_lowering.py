@@ -8,9 +8,10 @@ tensor again must give the direct one back.
 
 import pytest
 
-from finslercalc import DOWN, ConnectionKind, Var, contract_product, define, move_index
+from finslercalc import DOWN, ConnectionKind, Var, contract_product, define
 
 from conftest import geometry_for, lowered_cartan_curvatures
+from tensor_algebra import move_index
 
 WHICH = {"S": "v", "P": "hv"}
 

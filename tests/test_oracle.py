@@ -383,13 +383,13 @@ CONTRACT_IDS = [
 
 class TestRegistryContract:
     """The oracle reads every id through the registry: each tensor id has
-    a numeric table of the registered rank, and ids the registry rejects
-    are rejected by the oracle too."""
+    a numeric table of the symbolic tensor's rank, and ids the registry
+    rejects are rejected by the oracle too."""
 
     @pytest.mark.parametrize("object_id", CONTRACT_IDS)
     def test_numeric_shape_matches_signature(self, worked3d, object_id):
         p = sample_points(worked3d.structure, 1, seed=1)[0]
-        rank = len(registry.object_signature(object_id))
+        rank = registry.resolve(worked3d, object_id).rank
         assert _shape(numeric_object(worked3d, object_id, p)) == (3,) * rank
 
     @pytest.mark.parametrize("object_id", ["S:berwald", "R:nope"])

@@ -8,20 +8,19 @@ from finslercalc import (
     VarianceMismatch,
     Symmetry,
     ZeroStatus,
-    alternate,
     antisymmetric,
     base_object_ids,
     build,
     contract_product,
     define,
-    kronecker,
-    move_index,
     nonzero_components,
     resolve,
     symmetric,
     zero_tensor,
 )
 from finslercalc import geometry, tensor
+
+from tensor_algebra import alternate, kronecker, move_index
 
 
 @pytest.fixture(scope="module")
