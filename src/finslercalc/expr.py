@@ -28,10 +28,13 @@ non-monomial denominator is a monomial times powers of small squarefree,
 pairwise coprime polynomials, so the common multiple of denominators is
 exponent arithmetic and the gcd of a numerator with a denominator is a
 sequence of gcds against those factors.  A sum of any number of terms
-(``Context.sum``; ``a + b`` is the two-term case) goes over one common
-denominator, with one gcd against the factors two or more terms share.
-The gcds return exactly what ``poly_gcd`` would; the factorizations are
-derived data, outside equality and hashing.
+and products (``Context.sum``; ``a + b`` is the two-term case) goes over
+one common denominator, with one gcd against the factors two or more
+terms, or one product, bring to their greatest exponent.  A product in a
+sum is not normalized first: its denominator is the pair of its factors'
+denominators, factored from their cached factorizations.  The gcds
+return exactly what ``poly_gcd`` would; the factorizations are derived
+data, outside equality and hashing.
 
 A derivative (``Expr.diff``) works over the factored denominator too.
 With R the product of the parts of D that move with the variable s (s
@@ -231,35 +234,56 @@ class Context:
 
         return parse(text, self)
 
-    def sum(self, terms: Iterable["Expr"]) -> "Expr":
-        """The sum of ``terms`` over one common denominator (Knuth, TAOCP
-        vol. 2, 4.5.1), the package's one addition: ``a + b`` is the sum of
-        two terms.  Each numerator is scaled by its share of the common
-        content and by its cofactor (``FactorBase.common_denominator``),
-        the numerators are added once, and one gcd, against the factors of
-        the denominator that two or more terms share, keeps the result
-        coprime.  Sums never grow atom exponents, so nothing is reduced."""
+    def sum(self, terms: Iterable["Expr"], pairs=(), minus=()) -> "Expr":
+        """The sum of ``terms`` and of a * b over the (a, b) ``pairs``, minus
+        a * b over the ``minus`` pairs, over one common denominator (Knuth,
+        TAOCP vol. 2, 4.5.1): the package's one addition.  A product is not
+        normalized: its content is a.content * b.content, its numerator
+        a.num * b.num with atom powers reduced, and its denominator the pair
+        (a.den, b.den), factored from the two factorizations.  Only one over
+        two monomial denominators (a monomial gcd cross-cancels it), or
+        whose atom reduction leaves a denominator, is ``a * b``.  Numerators
+        are scaled by their share of the common content and their cofactor
+        (``FactorBase.common_denominator``) and added once; one gcd, against
+        the factors that two terms or a product bring to their greatest
+        exponent, keeps the result coprime."""
         terms = [t for t in terms if t.content]
-        if len(terms) < 2:
+        products = []
+        for sign, group in ((1, pairs), (-1, minus)):
+            for a, b in group:
+                if not (a.content and b.content):
+                    continue
+                da, db = a.den, b.den
+                if len(da.terms) > 1 or len(db.terms) > 1:
+                    num, extra = _reduce_atoms(self, a.num * b.num)
+                    if _is_one(extra):
+                        c = a.content * b.content
+                        ds = (da * db,) if _is_one(da) or _is_one(db) else (da, db)
+                        products.append((c if sign > 0 else -c, num, ds, 2))
+                        continue
+                terms.append(a * b if sign > 0 else -(a * b))
+        if not products and len(terms) < 2:
             return terms[0] if terms else self.zero
-        first, *rest = terms
-        c, den = first.content, first.den
+        items = [(t.content, t.num, (t.den,), 1) for t in terms] + products
+        c = items[0][0]
         scales = None
-        if any(t.content != c for t in rest):
-            top = gcd(*(t.content.numerator for t in terms))
-            low = lcm(*(t.content.denominator for t in terms))
+        if any(t[0] != c for t in items):
+            top = gcd(*(t[0].numerator for t in items))
+            low = lcm(*(t[0].denominator for t in items))
             c = Fraction(top, low)
-            scales = [t.content.numerator // top * (low // t.content.denominator) for t in terms]
-        if all(t.den == den for t in rest):
-            nums, shared = [t.num for t in terms], None  # the gcd runs against all of den
+            scales = [t[0].numerator // top * (low // t[0].denominator) for t in items]
+        ds = items[0][2]
+        if len(ds) == 1 and all(t[2] == ds for t in items):
+            den, shared = ds[0], None  # the gcd runs against all of den
+            nums = (t[1] for t in items)
         else:
-            dens: dict[Poly, int] = {}
-            for t in terms:
-                dens[t.den] = dens.get(t.den, 0) + 1
+            dens: dict[tuple[Poly, ...], int] = {}
+            for _, _, ds, w in items:
+                dens[ds] = dens.get(ds, 0) + w
             den, cofactors, shared = self.factors.common_denominator(dens)
-            nums = [t.num * cofactors[t.den] for t in terms]
+            nums = (num * cofactors[ds] for _, num, ds, _ in items)
         if scales is not None:
-            nums = [p.scale(s) for p, s in zip(nums, scales)]
+            nums = (p.scale(s) for p, s in zip(nums, scales))
         num = sum(nums, Poly.zero())
         if num.is_zero():
             return self.zero
@@ -446,8 +470,7 @@ class Expr:
         a_num, a_den = self.num, self.den
         b_num, b_den = o.num, o.den
         # cross-cancel each numerator against the other denominator (Knuth,
-        # TAOCP vol. 2, 4.5.1); products repeat the same pairs, so the
-        # factor base memoizes each pair's gcd
+        # TAOCP vol. 2, 4.5.1)
         if not _is_one(b_den):
             a_num, b_den = ctx.factors.cancel(a_num, b_den)
         if not _is_one(a_den):

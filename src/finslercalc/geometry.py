@@ -192,7 +192,7 @@ class Geometry:
     def _validate(self):
         ctx = self.ctx
         f2 = self.structure.f_squared
-        euler = _dot(ctx, ((ctx.fiber(i), f2.diff(Var("y", i))) for i in range(1, self.dim + 1)))
+        euler = ctx.sum((), ((ctx.fiber(i), f2.diff(Var("y", i))) for i in range(1, self.dim + 1)))
         if euler != f2.scale(2):
             raise NotHomogeneous(
                 "F**2 is not positively homogeneous of degree 2 in the fiber variables"
@@ -228,7 +228,7 @@ class Geometry:
             if not e.is_zero_expr():
                 sub = self._minor(rest, cols[:pos] + cols[pos + 1 :])
                 (minus if pos % 2 else plus).append((e, sub))
-        return _dot(self.ctx, plus, minus)
+        return self.ctx.sum((), plus, minus)
 
     @_memo
     def inverse_metric(self) -> Tensor:
@@ -263,7 +263,7 @@ class Geometry:
 
         def ldown_gen(idx):
             rs = range(1, self.dim + 1)
-            return _dot(ctx, ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
+            return ctx.sum((), ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
 
         ldown = define("l", ctx, self.dim, (DOWN,), ldown_gen)
 
@@ -292,7 +292,7 @@ class Geometry:
         def mixed_gen(idx):
             i, j, k = idx
             rs = range(1, self.dim + 1)
-            return _dot(self.ctx, ((ginv[(i, r)], c_down[(r, j, k)]) for r in rs))
+            return self.ctx.sum((), ((ginv[(i, r)], c_down[(r, j, k)]) for r in rs))
 
         c_mixed = define(
             "C", self.ctx, self.dim, (UP, DOWN, DOWN), mixed_gen, (symmetric(2, 3),)
@@ -311,7 +311,7 @@ class Geometry:
         half = Fraction(1, 2)
 
         def gen(idx):
-            return _dot(ctx, (
+            return ctx.sum((), (
                 (gamma[(idx[0], j, k)], ctx.fiber(j) * ctx.fiber(k))
                 for j in range(1, self.dim + 1)
                 for k in range(1, self.dim + 1)
@@ -345,7 +345,7 @@ class Geometry:
 
     def horizontal_derivative(self, e: Expr, k: int) -> Expr:
         """delta_k e = d_k e - N^r_k * (dot d)_r e."""
-        return _dot(self.ctx, (), self._n_pairs(e, k), (e.diff(Var("x", k)),))
+        return self.ctx.sum((e.diff(Var("x", k)),), (), self._n_pairs(e, k))
 
     def _n_pairs(self, e: Expr, k: int) -> list:
         """The pairs (N^r_k, (dot d)_r e) that delta_k e subtracts."""
@@ -388,12 +388,20 @@ class Geometry:
         def dg(j, k, r):
             return dgs[(j, k, r)] if r >= k else dgs[(j, r, k)]
 
+        # the Christoffel symbols of the first kind, symmetric in (j, k):
+        # one sum per (j <= k, r), not one per i as well
+        first = {
+            (j, k, r): self.ctx.sum((dg(j, k, r), dg(k, j, r), -dg(r, j, k)))
+            for j in range(1, n + 1)
+            for k in range(j, n + 1)
+            for r in range(1, n + 1)
+        }
+
         def gen(idx):
             i, j, k = idx
-            return _dot(self.ctx, (
-                (ginv[(i, r)], self.ctx.sum((dg(j, k, r), dg(k, j, r), -dg(r, j, k))))
-                for r in range(1, n + 1)
-            )).scale(half)
+            j, k = min(j, k), max(j, k)
+            pairs = ((ginv[(i, r)], first[(j, k, r)]) for r in range(1, n + 1))
+            return self.ctx.sum((), pairs).scale(half)
 
         return define(name, self.ctx, n, (UP, DOWN, DOWN), gen, (symmetric(2, 3),))
 
@@ -478,7 +486,7 @@ class Geometry:
                         plus.append((other, coeffs[(a, r, k)]))
                     else:
                         minus.append((other, coeffs[(r, a, k)]))
-            return _dot(ctx, plus, minus, (e.diff(Var("x" if horizontal else "y", k)),))
+            return ctx.sum((e.diff(Var("x" if horizontal else "y", k)),), plus, minus)
 
         sig = t.sig + (DOWN,)
         return define(t.name + ("|" if horizontal else "|v"), ctx, n, sig, gen, t.symmetries)
@@ -527,7 +535,7 @@ class Geometry:
                 i, h, j, k = idx
                 pairs = () if tor is None else ((C[(i, h, m)], tor[(m, j, k)]) for m in ms)
                 terms = (c_free[idx],) if hc is None else (c_free[idx], -hc[(i, h, k, j)])
-                return _dot(ctx, pairs, (), terms)
+                return ctx.sum(terms, pairs)
 
             return define(c_free.name, ctx, n, sig, gen, c_free.symmetries)
         if which == "h" and F is self.berwald_coefficients():
@@ -544,7 +552,7 @@ class Geometry:
                 fj, fk = F[(i, h, j)], F[(i, h, k)]
                 plus = self._n_pairs(fk, j) + [(F[(m, h, j)], F[(i, m, k)]) for m in ms]
                 minus = self._n_pairs(fj, k) + [(F[(m, h, k)], F[(i, m, j)]) for m in ms]
-                return _dot(ctx, plus, minus, (fj.diff(Var("x", k)), -fk.diff(Var("x", j))))
+                return ctx.sum((fj.diff(Var("x", k)), -fk.diff(Var("x", j))), plus, minus)
 
             return define("R", ctx, n, sig, r_gen, (antisymmetric(3, 4),))
         if which == "hv":
@@ -552,8 +560,8 @@ class Geometry:
 
         def s_gen(idx):
             i, h, j, k = idx
-            return _dot(
-                ctx,
+            return ctx.sum(
+                (),
                 ((C[(m, h, k)], C[(i, m, j)]) for m in ms),
                 ((C[(m, h, j)], C[(i, m, k)]) for m in ms),
             )
@@ -566,13 +574,3 @@ class Geometry:
     def classify(self) -> Classification:
         """Riemannian: C = 0.  Berwaldian: G^i_jk free of y."""
         return Classification(self.cartan_tensor()[0].is_zero_tensor(), self._berwald_space())
-
-
-def _dot(ctx: Context, pairs, minus=(), terms=()) -> Expr:
-    """The sum of ``terms`` and of a * b over the (a, b) pairs, minus a * b
-    over the ``minus`` pairs, skipping pairs with a zero factor.  It is one
-    ``Context.sum``: a component that is a sum of products is normalized
-    once, not once per product."""
-    out = [*terms, *(a * b for a, b in pairs if not (a.is_zero_expr() or b.is_zero_expr()))]
-    out += [-(a * b) for a, b in minus if not (a.is_zero_expr() or b.is_zero_expr())]
-    return ctx.sum(out)

@@ -781,27 +781,17 @@ class FactorBase:
 
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
-    The element order is the order factors arrive in.
-
-    ``cancel`` memoizes, per (numerator, denominator) pair, the gcd and the
-    denominator's cofactor: products multiply the same few component
-    numerators by the same few denominators again and again.  Both divide
-    the denominator, so they are small; the numerator's cofactor is
-    recomputed by one exact division instead of kept.  A gcd names no
-    element index, so a refinement leaves the memo valid, and it is never
-    cleared.
+    The element order is the order factors arrive in.  A product's
+    denominator is never expanded to be factored: ``common_denominator``
+    adds the cached factorizations of its canonical factors.
     """
 
-    __slots__ = (
-        "elements", "_factored", "_refinements", "_cancelled",
-        "_images", "_point", "_values", "_rng",
-    )
+    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_values", "_rng")
 
     def __init__(self):
         self.elements: list[Poly] = []
         self._factored: dict[Poly, tuple[int, dict[int, int]]] = {}
         self._refinements = 0
-        self._cancelled: dict[tuple[Poly, Poly], tuple[Poly, Poly]] = {}
         # for _divide_or_certify: per element, its main symbol and image
         # (or None); the evaluation point, drawn symbol by symbol in index
         # order; and the values of monomials at it modulo _P, by key
@@ -864,18 +854,21 @@ class FactorBase:
             if self._refinements == seen:
                 return got
 
-    def common_denominator(self, dens: dict[Poly, int]):
-        """(l, {d: l / d}, (key, {element: exponent})) for denominators d,
-        each with the number of terms over it.  l is their least common
-        multiple: each symbol and element at its greatest exponent.  The
-        pair factors a part of l that holds the gcd of l with any sum of the
-        terms: a factor at an exponent that one term alone reaches divides
-        the cofactor of every other term, not that term's own, so not the
-        sum.  A non-monomial d is factored only if another d is not a
-        monomial either, or two terms share d."""
-        polys = [d for d in dens if len(d.terms) > 1]
+    def common_denominator(self, dens: dict[tuple[Poly, ...], int]):
+        """(l, {ds: l / prod(ds)}, (key, {element: exponent})) for
+        denominators given as tuples ds of canonical factors, each with its
+        weight: the number of terms over it, a product's pair weighing two.
+        l is their least common multiple: each symbol and element at its
+        greatest exponent, with the factorizations of a tuple's factors
+        added.  The pair factors a part of l that holds the gcd of l with
+        any sum of the terms: a factor at an exponent that one term alone
+        reaches divides the cofactor of every other term, not that term's
+        own, so not the sum, unless the term is a product, whose numerator
+        may share it.  A non-monomial factor is factored only if another is
+        not a monomial either, or its weight is two or more."""
+        polys = [d for ds in dens for d in ds if len(d.terms) > 1]
         elements = self.elements
-        if len(polys) == 1 and dens[polys[0]] == 1:
+        if len(polys) == 1 and dens.get((polys[0],)) == 1:
             # none of its factors is shared, so one name for the rest will do
             (d,) = polys
             mono = monomial_gcd((d,))
@@ -883,31 +876,38 @@ class FactorBase:
             factored = {d: (next(iter(mono.terms)), {0: 1})}
         else:
             factored = dict(zip(polys, self._factor_all(polys)))
-        factored.update((d, (next(iter(d.terms)), {})) for d in dens if len(d.terms) == 1)
+        factored.update(
+            (d, (next(iter(d.terms)), {})) for ds in dens for d in ds if len(d.terms) == 1
+        )
+        items = {
+            ds: factored[ds[0]] if len(ds) == 1 else _product_factors(map(factored.get, ds))
+            for ds in dens
+        }
         top = shared_key = 0  # per symbol, the greatest exponent and the second
-        for d, (key, _) in factored.items():
-            for _ in range(min(dens[d], 2)):
-                low = _mono_min(top, key)  # max(a, b) is a + b - min(a, b)
-                shared_key += low - _mono_min(shared_key, low)
-                top += key - low
-        exps: dict[int, list[int]] = {}  # element: [exponent in l, terms at it]
-        for d, (_, d_exps) in factored.items():
+        for ds, (key, _) in items.items():
+            low = _mono_min(top, key)  # max(a, b) is a + b - min(a, b)
+            top += key - low
+            if dens[ds] > 1:
+                low = key
+            shared_key += low - _mono_min(shared_key, low)
+        exps: dict[int, list[int]] = {}  # element: [exponent in l, weight at it]
+        for ds, (_, d_exps) in items.items():
             for i, e in d_exps.items():
                 got = exps.get(i)
                 if got is None or e > got[0]:
-                    exps[i] = [e, dens[d]]
+                    exps[i] = [e, dens[ds]]
                 elif e == got[0]:
-                    got[1] += dens[d]
+                    got[1] += dens[ds]
         cofactors = {}
-        for d, (key, d_exps) in factored.items():
+        for ds, (key, d_exps) in items.items():
             cofactor = Poly({top - key: 1})
             for i, (e, _) in exps.items():
                 if e > d_exps.get(i, 0):
                     cofactor = cofactor * elements[i] ** (e - d_exps.get(i, 0))
-            cofactors[d] = cofactor
-        d = max(dens, key=lambda d: len(d.terms))
+            cofactors[ds] = cofactor
+        ds = max(dens, key=lambda ds: sum(len(d.terms) for d in ds))
         shared = {i: e for i, (e, n) in exps.items() if n > 1}
-        return d * cofactors[d], cofactors, (shared_key, shared)
+        return reduce(Poly.__mul__, ds, cofactors[ds]), cofactors, (shared_key, shared)
 
     def gcd_num_den(self, num: Poly, den: Poly, factored=None) -> tuple[Poly, Poly]:
         """``(g, num / g)`` with ``g = poly_gcd(num, den)``, for a
@@ -952,16 +952,9 @@ class FactorBase:
     def cancel(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
         """``(num / g, den / g)`` with ``g = gcd(num, den)``, as
         ``gcd_num_den`` finds it, for a denominator ``den`` (primitive,
-        positive leading coefficient).  g and den / g are memoized per
-        pair; an input that g does not reduce is returned as it is."""
-        key = (num, den)
-        got = self._cancelled.get(key)
-        if got is None:
-            g, num_g = self.gcd_num_den(num, den)
-            got = self._cancelled[key] = (g, den if g.is_const() else div_exact(den, g))
-            return num_g, got[1]
-        g, den_g = got
-        return (num if g.is_const() else div_exact(num, g)), den_g
+        positive leading coefficient)."""
+        g, num_g = self.gcd_num_den(num, den)
+        return num_g, (den if g.is_const() else div_exact(den, g))
 
     def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
         """(a / f or None, True only if gcd(a, f) = 1) for an element f.
@@ -1034,6 +1027,16 @@ class FactorBase:
         while len(point) <= sym:
             point.append(self._rng.randrange(2, _P))
         return point[sym]
+
+
+def _product_factors(parts) -> tuple[int, dict[int, int]]:
+    """The factorization of a product, from those of its factors."""
+    key, exps = 0, {}
+    for k, d_exps in parts:
+        key += k
+        for i, e in d_exps.items():
+            exps[i] = exps.get(i, 0) + e
+    return key, exps
 
 
 def _rem_mod(a: list[int], b: list[int]) -> list[int]:

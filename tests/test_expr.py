@@ -25,6 +25,8 @@ from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
 from finslercalc.poly import FactorBase, Poly, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
+from test_factor_base import factors, monomials
+from test_poly import small_polys
 
 
 @pytest.fixture(scope="module")
@@ -358,28 +360,7 @@ class TestSum:
         assert ctx.sum([]) == ctx.zero and ctx.sum([a]) is a
 
 
-class TestCancelMemo:
-    """A product's cross-cancellations read ``FactorBase.cancel``, which
-    memoizes each pair's gcd; sums and the normalizing constructor call
-    ``gcd_num_den`` directly and leave the memo alone."""
-
-    def test_repeated_product_tests_no_pair_again(self, monkeypatch):
-        ctx = _sum_context()
-        texts = ("(x1 + y1)*y2/((x2 + y2)*(x1 - 1))", "(x2 + y2)*(x1 - 1)^2/((x1 + y1)^2*y1)")
-        a, b = map(ctx.parse, texts)
-        a2, b2 = map(ctx.parse, texts)  # equal, but other objects
-        calls = _count_gcds(monkeypatch)
-        first = a * b
-        assert len(calls) == 2  # both cross-cancellations reduce
-        del calls[:]
-        again = [a * b, a2 * b2]
-        assert calls == []
-        monkeypatch.undo()
-        assert again == [first, first]
-        assert first == ctx.parse("(x1 - 1)*y2/((x1 + y1)*y1)")
-        assert_canonical(first)
-
-    def test_sums_and_constructors_leave_the_memo_empty(self, monkeypatch):
+    def test_sum_and_constructor_cancel_a_shared_factor(self, monkeypatch):
         ctx = _sum_context()
         f, g, h, y1 = (ctx.parse(t).num for t in ("x1 + y1", "y2", "x1 + y1 + y2", "y1"))
         calls = _count_gcds(monkeypatch)
@@ -388,9 +369,98 @@ class TestCancelMemo:
         total = ctx.sum(terms)
         reduced = Expr(ctx, f * y1, f * g)
         assert calls
-        assert ctx.factors._cancelled == {}
         assert (total.num, total.den) == (Poly.one(), g * h)
         assert (reduced.num, reduced.den) == (y1, g)
+
+
+@st.composite
+def _fused_sums(draw):
+    """(context, terms, pairs, minus) for ``Context.sum``: expressions
+    c * N / D over powers of one to two shared non-monomial factors, with
+    numerators that may hold those factors, and zero factors among them."""
+    ctx = _sum_context()
+    fs = draw(st.lists(factors(), min_size=1, max_size=2))
+    nums = small_polys(n_vars=3, max_terms=2, max_exp=1, max_coeff=3)
+
+    def expr():
+        num = draw(st.sampled_from([Poly.one(), *fs])) * draw(nums)
+        den = draw(monomials())
+        for f in fs:
+            den = den * f ** draw(st.integers(0, 2))
+        return Expr(ctx, num, den, draw(st.fractions(-3, 3, max_denominator=4)))
+
+    def exprs(k):
+        return [expr() for _ in range(draw(st.integers(0, k)))]
+
+    def pairs(k):
+        return [(expr(), expr()) for _ in range(draw(st.integers(0, k)))]
+
+    return ctx, exprs(2), pairs(3), pairs(2)
+
+
+def assert_fused_sum(ctx, terms, pairs, minus):
+    """The sum of terms and unnormalized products is canonical and equals
+    the sum of the terms and the normalized products."""
+    total = ctx.sum(terms, pairs, minus)
+    assert_canonical(total)
+    assert total == ctx.sum([*terms, *(a * b for a, b in pairs), *(-(a * b) for a, b in minus)])
+    return total
+
+
+class TestSumOfProducts:
+    """``Context.sum(terms, pairs, minus)`` adds products a * b without
+    normalizing them, over the denominator pairs (a.den, b.den)."""
+
+    @given(_fused_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_sum_of_normalized_products(self, drawn):
+        assert_fused_sum(*drawn)
+
+    @pytest.mark.parametrize(
+        "terms, pairs, minus, expected",
+        [
+            # a numerator shares x1 + y1 with the other factor's denominator,
+            # which only the product brings to its greatest exponent
+            (["x2/(x1 + y1)"], [("(x1 + y1)/y2", "y1/(x1 + y1)^2")], [],
+             "(x2*y2 + y1)/(y2*(x1 + y1))"),
+            # the same for the monomial part: y2^2 in the denominator pair
+            (["1/y2"], [("y2/(x1 + 1)", "x1/y2^2")], [], "(x1 + 1 + x1)/(y2*(x1 + 1))"),
+            # atom powers reduce: sqrt(R)*sqrt(R) = R, over monomial denominators
+            # (which normalize the product) and over others
+            ([], [("sqrt(y1^2 + y2^2)", "sqrt(y1^2 + y2^2)")], [], "y1^2 + y2^2"),
+            ([], [("sqrt(y1^2 + y2^2)/x1", "sqrt(y1^2 + y2^2)/(x1 + y1)")], [],
+             "(y1^2 + y2^2)/(x1*(x1 + y1))"),
+            (["x1"], [("sqrt(y1^2 + y2^2)/(x1 + y1)", "(x2 + sqrt(x1 + y2))/y1")], [],
+             "x1 + sqrt(y1^2 + y2^2)*(x2 + sqrt(x1 + y2))/((x1 + y1)*y1)"),
+            ([], [("x1/(x2 + y1)", "y2/(x1 + 1)")], [("y2/(x1 + 1)", "x1/(x2 + y1)")], "0"),
+            (["x1*y2/((x2 + y1)*(x1 + 1))"], [], [("x1/(x2 + y1)", "y2/(x1 + 1)")], "0"),
+            ([], [("(x1 + y1)/(x2 + y1)", "(x2 + y1)^2/(x1 + y1)")], [], "x2 + y1"),
+            ([], [], [("y1/(x1 + 1)", "(x1 + 1)/(x2 + y2)")], "-y1/(x2 + y2)"),
+            (["y1"], [("0", "1/(x1 + 1)"), ("x1/(x1 + 1)", "1/x2")], [("1/(x2 + 1)", "0")],
+             "y1 + x1/((x1 + 1)*x2)"),
+        ],
+    )
+    def test_examples(self, monkeypatch, terms, pairs, minus, expected):
+        """Each is one sum with at most one gcd, that factors no product of
+        two denominators."""
+        ctx = _sum_context()
+        terms = [ctx.parse(t) for t in terms]
+        pairs, minus = ([tuple(map(ctx.parse, pair)) for pair in group] for group in (pairs, minus))
+        one = Poly.one()
+        products = {a.den * b.den for a, b in [*pairs, *minus] if one not in (a.den, b.den)}
+        products -= {t.den for t in terms}
+        factored = []
+        factor = FactorBase.factor
+        monkeypatch.setattr(
+            FactorBase, "factor", lambda self, p: factored.append(p) or factor(self, p)
+        )
+        calls = _count_gcds(monkeypatch)
+        total = ctx.sum(terms, pairs, minus)
+        assert len(calls) <= 1
+        assert not products.intersection(factored)
+        monkeypatch.undo()
+        assert total == ctx.parse(expected)
+        assert assert_fused_sum(ctx, terms, pairs, minus) == total
 
 
 # a quotient to differentiate: numerators with and without a radical atom

@@ -176,9 +176,9 @@ class TestPartialHint:
 
 
 class TestCancel:
-    """``cancel`` memoizes each pair's gcd and denominator cofactor: its
-    answer equals ``poly_gcd`` and two exact divisions, again on a second
-    call, and after a refinement has renamed element indices."""
+    """``cancel`` divides both sides by the gcd that ``gcd_num_den`` finds:
+    its answer equals ``poly_gcd`` and two exact divisions, also after a
+    refinement has renamed element indices."""
 
     @given(
         factors(), factors(), factors(), monomials(), monomials(),
@@ -194,47 +194,30 @@ class TestCancel:
         nums = [m2 * f1**n * f3, f2 * m1 + f3, make_primitive(f1 * f2)[1]]
         for num in nums:
             assert_cancel(fb, num, den)
-        calls = []
-        gcd_num_den = FactorBase.gcd_num_den
-        with mock.patch.object(
-            FactorBase, "gcd_num_den", lambda self, *a: calls.append(a) or gcd_num_den(self, *a)
-        ):
-            for num in nums:
-                assert_cancel(fb, num, den)
-        assert calls == []
         fb.factor(make_primitive(m2 * f1 * f3)[1])
         for num in nums:
             assert_cancel(fb, num, den)
         assert_cancel(fb, f3 * f1**e, den)
         check_factor_base(fb)
 
-    def test_refinement_keeps_the_memo(self):
-        fb = FactorBase()
-        den = x * ((x + y) * (x + one)) ** 2
-        num = y * (x + y) ** 3
-        assert_cancel(fb, num, den)
-        assert fb.elements == [(x + y) * (x + one)]
-        fb.factor((x + y) * (y + z))
-        assert fb.elements == [x + y, x + one, y + z] and fb._refinements == 1
-        assert fb._cancelled[(num, den)] == ((x + y) ** 2, x * (x + one) ** 2)
-        assert_cancel(fb, num, den)
-
 
 def assert_cancel(fb: FactorBase, num: Poly, den: Poly) -> None:
     g = poly_gcd(num, den)
     expected = (num, den) if g.is_const() else (div_exact(num, g), div_exact(den, g))
     assert fb.cancel(num, den) == expected
-    assert fb._cancelled[(num, den)] == (g, expected[1])
 
 
 def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
     """The common denominator of a and b is a * b / ``poly_gcd(a, b)``,
-    and each cofactor times its denominator is that."""
-    dens = {a: 1}
-    dens[b] = dens.get(b, 0) + 1
+    and each cofactor times its denominator is that; with the product's
+    pair (a, b) beside a, it is a * b."""
+    dens = {(a,): 1}
+    dens[(b,)] = dens.get((b,), 0) + 1
     common, cofactors, _ = fb.common_denominator(dens)
     assert common == div_exact(a * b, poly_gcd(a, b))
-    assert all(cofactors[d] * d == common for d in dens)
+    assert all(cofactors[(d,)] * d == common for (d,) in dens)
+    common, cofactors, _ = fb.common_denominator({(a,): 1, (a, b): 2})
+    assert common == cofactors[(a,)] * a == cofactors[(a, b)] * a * b == a * b
 
 
 def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:
