@@ -32,9 +32,10 @@ and products (``Context.sum``; ``a + b`` is the two-term case) goes over
 one common denominator, with one gcd against the factors two or more
 terms, or one product, bring to their greatest exponent.  A product in a
 sum is not normalized first: its denominator is the pair of its factors'
-denominators, factored from their cached factorizations.  The gcds
-return exactly what ``poly_gcd`` would; the factorizations are derived
-data, outside equality and hashing.
+denominators, factored from their cached factorizations; ``a * b``
+multiplies, then takes one gcd over that pair.  The gcds return exactly
+what ``poly_gcd`` would; the factorizations are derived data, outside
+equality and hashing.
 
 A derivative (``Expr.diff``) works over the factored denominator too.
 With R the product of the parts of D that move with the variable s (s
@@ -240,28 +241,27 @@ class Context:
         TAOCP vol. 2, 4.5.1): the package's one addition.  A product is not
         normalized: its content is a.content * b.content, its numerator
         a.num * b.num with atom powers reduced, and its denominator the pair
-        (a.den, b.den), factored from the two factorizations.  Only one over
-        two monomial denominators (a monomial gcd cross-cancels it), or
-        whose atom reduction leaves a denominator, is ``a * b``.  Numerators
+        (a.den, b.den), factored from the two factorizations.  One over two
+        monomial denominators, or whose atom reduction leaves a denominator,
+        or alone in the sum, is ``a * b`` (``_product``).  Numerators
         are scaled by their share of the common content and their cofactor
         (``FactorBase.common_denominator``) and added once; one gcd, against
         the factors that two terms or a product bring to their greatest
         exponent, keeps the result coprime."""
         terms = [t for t in terms if t.content]
-        products = []
-        for sign, group in ((1, pairs), (-1, minus)):
-            for a, b in group:
-                if not (a.content and b.content):
-                    continue
-                da, db = a.den, b.den
-                if len(da.terms) > 1 or len(db.terms) > 1:
-                    num, extra = _reduce_atoms(self, a.num * b.num)
-                    if _is_one(extra):
-                        c = a.content * b.content
-                        ds = (da * db,) if _is_one(da) or _is_one(db) else (da, db)
-                        products.append((c if sign > 0 else -c, num, ds, 2))
-                        continue
-                terms.append(a * b if sign > 0 else -(a * b))
+        raw = [(sign, a, b) for sign, group in ((1, pairs), (-1, minus)) for a, b in group
+               if a.content and b.content]
+        fuse, products = len(terms) + len(raw) > 1, []
+        for sign, a, b in raw:
+            num, extra = _reduce_atoms(self, a.num * b.num)
+            da, db = a.den, b.den
+            if fuse and _is_one(extra) and len(da.terms) + len(db.terms) > 2:
+                c = a.content * b.content
+                ds = (da * db,) if _is_one(da) or _is_one(db) else (da, db)
+                products.append((c if sign > 0 else -c, num, ds, 2))
+            else:
+                p = _product(self, a, b, num, extra)
+                terms.append(p if sign > 0 else -p)
         if not products and len(terms) < 2:
             return terms[0] if terms else self.zero
         items = [(t.content, t.num, (t.den,), 1) for t in terms] + products
@@ -462,27 +462,9 @@ class Expr:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        a, b = self.content, o.content
-        if not (a and b):
-            return ctx.zero
-        c = b if a == 1 else a if b == 1 else a * b
-        a_num, a_den = self.num, self.den
-        b_num, b_den = o.num, o.den
-        # cross-cancel each numerator against the other denominator (Knuth,
-        # TAOCP vol. 2, 4.5.1)
-        if not _is_one(b_den):
-            a_num, b_den = ctx.factors.cancel(a_num, b_den)
-        if not _is_one(a_den):
-            b_num, a_den = ctx.factors.cancel(b_num, a_den)
-        num = a_num * b_num
-        den = a_den * b_den
-        reduced, extra = _reduce_atoms(ctx, num)
-        if reduced is not num or not _is_one(extra):
-            return Expr(ctx, reduced, den * extra, c)
-        # a product of primitive polynomials is primitive (Gauss's lemma)
-        c, num = _signed(c, num)
-        return Expr(ctx, num, den, c, _normalized=True)
+        if not (self.content and o.content):
+            return self.ctx.zero
+        return _product(self.ctx, self, o, *_reduce_atoms(self.ctx, self.num * o.num))
 
     __rmul__ = __mul__
 
@@ -592,7 +574,7 @@ class Expr:
                 result = Expr(ctx, num, den, c, _normalized=True)
         else:
             n_t = Expr(ctx, self.num * t, Poly.one())
-            top = ctx.sum((dnum * Expr(ctx, r, Poly.one()), -n_t))
+            top = ctx.sum((-n_t,), ((dnum, Expr(ctx, r, Poly.one())),))
             result = (top * Expr(ctx, Poly.one(), den, _ONE, _normalized=True)).scale(self.content)
         ctx._diff_cache[(self, sym)] = result
         return result
@@ -866,7 +848,7 @@ def _primitive(c: Fraction, p: Poly) -> tuple[Fraction, Poly]:
     """``c * p`` for a nonzero p over the integers, as (content, canonical
     numerator)."""
     k, p = int_primitive(p)
-    return _signed(c * k, p)
+    return _signed(c * k if k > 1 else c, p)
 
 
 def _normalize(ctx: Context, c: Fraction, num: Poly, den: Poly) -> tuple[Fraction, Poly, Poly]:
@@ -899,6 +881,21 @@ def _cancelled(
         c, num = _signed(c, num_g)
         den = div_exact(den, g)
     return c, num, den
+
+
+def _product(ctx: Context, a: Expr, b: Expr, num: Poly, extra: Poly) -> Expr:
+    """a * b for nonzero a, b and ``num, extra = _reduce_atoms(ctx, a.num *
+    b.num)``: over a.den * b.den, with one gcd against the pair's cached
+    factorizations if either is not a monomial, so the expanded product is
+    never factored.  An extra denominator takes the full normalization."""
+    x, y = a.content, b.content
+    c = y if x == 1 else x if y == 1 else x * y
+    da, db = a.den, b.den
+    if not _is_one(extra):
+        return Expr(ctx, num, da * db * extra, c)
+    hint = ctx.factors.factor_product([da, db]) if len(da.terms) + len(db.terms) > 2 else None
+    c, num, den = _cancelled(ctx, c, num, da * db, hint)
+    return Expr(ctx, num, den, c, _normalized=True)
 
 
 def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
@@ -938,9 +935,9 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
 
 def _poly_total_diff(ctx: Context, p: Poly, sym: int) -> Expr:
     """d/d(sym) of a polynomial, with chain rule through radical atoms."""
-    datoms = ((s, ctx._atom_derivative(s, sym)) for s in p.symbols() if ctx.is_atom_sym(s))
-    terms = [Expr(ctx, p.diff(s), Poly.one()) * d for s, d in datoms if not d.is_zero_expr()]
-    return ctx.sum([Expr(ctx, p.diff(sym), Poly.one()), *terms])
+    atoms = (s for s in p.symbols() if ctx.is_atom_sym(s))
+    pairs = ((Expr(ctx, p.diff(s), Poly.one()), ctx._atom_derivative(s, sym)) for s in atoms)
+    return ctx.sum((Expr(ctx, p.diff(sym), Poly.one()),), pairs)
 
 
 def _invert_atom_poly(ctx: Context, p: Poly) -> Expr:

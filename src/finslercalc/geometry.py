@@ -253,17 +253,17 @@ class Geometry:
         """(l_i, l^i, h_ij): normalized supporting element, its raised
         form y/F, and the angular metric g_ij - l_i l_j."""
         ctx = self.ctx
-        F = self.finsler_function()
+        inv_f = 1 / self.finsler_function()  # one inverse, not one per component
         g = self.metric()
 
         def lup_gen(idx):
-            return ctx.fiber(idx[0]) / F
+            return ctx.fiber(idx[0]) * inv_f
 
         lup = define("l", ctx, self.dim, (UP,), lup_gen)
 
         def ldown_gen(idx):
             rs = range(1, self.dim + 1)
-            return ctx.sum((), ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) / F
+            return ctx.sum((), ((g[(idx[0], r)], ctx.fiber(r)) for r in rs)) * inv_f
 
         ldown = define("l", ctx, self.dim, (DOWN,), ldown_gen)
 
@@ -412,10 +412,10 @@ class Geometry:
         N = self.nonlinear_connection()
 
         def r_gen(idx):
-            i, j, k = idx
-            return self.horizontal_derivative(N[(i, j)], k) - self.horizontal_derivative(
-                N[(i, k)], j
-            )
+            i, j, k = idx  # delta_k N^i_j - delta_j N^i_k, as one sum
+            nj, nk = N[(i, j)], N[(i, k)]
+            terms = (nj.diff(Var("x", k)), -nk.diff(Var("x", j)))
+            return self.ctx.sum(terms, self._n_pairs(nk, j), self._n_pairs(nj, k))
 
         r_tor = define(
             "R", self.ctx, self.dim, (UP, DOWN, DOWN), r_gen, (antisymmetric(2, 3),)

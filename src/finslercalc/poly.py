@@ -782,8 +782,8 @@ class FactorBase:
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
     The element order is the order factors arrive in.  A product's
-    denominator is never expanded to be factored: ``common_denominator``
-    adds the cached factorizations of its canonical factors.
+    denominator is never expanded to be factored: ``factor_product`` and
+    ``common_denominator`` add the cached factorizations of its factors.
     """
 
     __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_values", "_rng")
@@ -853,6 +853,11 @@ class FactorBase:
             got = [self.factor(d) for d in dens]
             if self._refinements == seen:
                 return got
+
+    def factor_product(self, dens: list[Poly]) -> tuple[int, dict[int, int]]:
+        """``factor`` of the product of denominators, as the sum of their
+        factorizations: the product is never expanded to be factored."""
+        return _product_factors(self._factor_all(dens))
 
     def common_denominator(self, dens: dict[tuple[Poly, ...], int]):
         """(l, {ds: l / prod(ds)}, (key, {element: exponent})) for
@@ -948,13 +953,6 @@ class FactorBase:
                 if g.is_const():
                     break
         return result, rest
-
-    def cancel(self, num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        """``(num / g, den / g)`` with ``g = gcd(num, den)``, as
-        ``gcd_num_den`` finds it, for a denominator ``den`` (primitive,
-        positive leading coefficient)."""
-        g, num_g = self.gcd_num_den(num, den)
-        return num_g, (den if g.is_const() else div_exact(den, g))
 
     def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
         """(a / f or None, True only if gcd(a, f) = 1) for an element f.

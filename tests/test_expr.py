@@ -373,29 +373,50 @@ class TestSum:
         assert (reduced.num, reduced.den) == (y1, g)
 
 
+def _draw_quotient(draw, ctx, fs, monomial_den=None):
+    """c * N / D over powers of the shared non-monomial factors ``fs``,
+    with a numerator that may hold one of them; ``monomial_den`` True or
+    False draws D a monomial or not, None either."""
+    num = draw(st.sampled_from([Poly.one(), *fs])) * draw(
+        small_polys(n_vars=3, max_terms=2, max_exp=1, max_coeff=3)
+    )
+    powers = [0 if monomial_den else draw(st.integers(0, 2)) for _ in fs]
+    if monomial_den is False and not any(powers):
+        powers[draw(st.integers(0, len(fs) - 1))] = draw(st.integers(1, 2))
+    den = draw(monomials())
+    for f, e in zip(fs, powers):
+        den = den * f**e
+    return Expr(ctx, num, den, draw(st.fractions(-3, 3, max_denominator=4)))
+
+
 @st.composite
 def _fused_sums(draw):
     """(context, terms, pairs, minus) for ``Context.sum``: expressions
-    c * N / D over powers of one to two shared non-monomial factors, with
-    numerators that may hold those factors, and zero factors among them."""
+    ``_draw_quotient`` over one to two shared non-monomial factors, and
+    zero factors among them."""
     ctx = _sum_context()
     fs = draw(st.lists(factors(), min_size=1, max_size=2))
-    nums = small_polys(n_vars=3, max_terms=2, max_exp=1, max_coeff=3)
-
-    def expr():
-        num = draw(st.sampled_from([Poly.one(), *fs])) * draw(nums)
-        den = draw(monomials())
-        for f in fs:
-            den = den * f ** draw(st.integers(0, 2))
-        return Expr(ctx, num, den, draw(st.fractions(-3, 3, max_denominator=4)))
 
     def exprs(k):
-        return [expr() for _ in range(draw(st.integers(0, k)))]
+        return [_draw_quotient(draw, ctx, fs) for _ in range(draw(st.integers(0, k)))]
 
     def pairs(k):
-        return [(expr(), expr()) for _ in range(draw(st.integers(0, k)))]
+        return [
+            (_draw_quotient(draw, ctx, fs), _draw_quotient(draw, ctx, fs))
+            for _ in range(draw(st.integers(0, k)))
+        ]
 
     return ctx, exprs(2), pairs(3), pairs(2)
+
+
+@st.composite
+def _products(draw):
+    """(context, a, b): two ``_draw_quotient`` factors whose denominators
+    are both monomials, one of each, or both not."""
+    ctx = _sum_context()
+    fs = draw(st.lists(factors(), min_size=1, max_size=2))
+    kinds = draw(st.sampled_from([(True, True), (True, False), (False, True), (False, False)]))
+    return (ctx, *(_draw_quotient(draw, ctx, fs, kind) for kind in kinds))
 
 
 def assert_fused_sum(ctx, terms, pairs, minus):
@@ -461,6 +482,71 @@ class TestSumOfProducts:
         monkeypatch.undo()
         assert total == ctx.parse(expected)
         assert assert_fused_sum(ctx, terms, pairs, minus) == total
+
+
+def assert_product(ctx, a, b):
+    """``a * b`` is canonical, is the one product ``Context.sum`` forms, and
+    equals the constructor's normalization of the expanded quotient."""
+    got = a * b
+    assert_canonical(got)
+    assert got == ctx.sum((), ((a, b),))
+    assert got == Expr(ctx, a.num * b.num, a.den * b.den, a.content * b.content)
+    return got
+
+
+class TestProduct:
+    """``a * b`` multiplies, then takes one gcd over the factored pair of
+    denominators (``expr._product``, shared with ``Context.sum``)."""
+
+    @given(_products())
+    @settings(max_examples=80, deadline=None)
+    def test_canonical_and_the_sum_of_one_product(self, drawn):
+        assert_product(*drawn)
+
+    @pytest.mark.parametrize(
+        "dim, a, b, expected",
+        [
+            # a radical atom squared over a non-monomial denominator
+            (2, "sqrt(x1/(y1 + 1))", "sqrt(x1/(y1 + 1))", "x1/(y1 + 1)"),
+            (2, "sqrt(x1/(y1 + 1))", "(y1 + 1)/sqrt(x1/(y1 + 1))", "y1 + 1"),
+            # a nested atom: berwald-4d's F, squared and times its inverse
+            (4, "sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))", "sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))",
+             "x1*y4*sqrt(y1^2+y2^2+y3^2)"),
+            (4, "sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))", "1/sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))", "1"),
+            (4, "y1/sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))", "sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))/(x1 + y4)",
+             "y1/(x1 + y4)"),
+        ],
+    )
+    def test_radical_examples(self, dim, a, b, expected):
+        ctx = Context(dim, [f"x{i}" for i in range(1, dim + 1)], [f"y{i}" for i in range(1, dim + 1)])
+        a, b = ctx.parse(a), ctx.parse(b)
+        assert assert_product(ctx, a, b) == ctx.parse(expected)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("(x2 + y1)/(x1 + y1)^2", "y2/((x1 + y1)*(x2 + 1))"),
+            ("(x1 + y1)/(y2*(x2 + y1))", "(x2 + y1)^2/(x1^2*(x1 + y1))"),
+            ("sqrt(y1^2 + y2^2)/(x1 + 1)", "sqrt(y1^2 + y2^2)/(x2 + y2)^2"),
+        ],
+    )
+    def test_no_expanded_denominator_is_factored(self, monkeypatch, a, b):
+        """Over two non-monomial denominators, both already factored, the
+        gcd reads the pair's factorization: ``FactorBase.factor`` never
+        sees the expanded product a.den * b.den."""
+        ctx = _sum_context()
+        a, b = ctx.parse(a), ctx.parse(b)
+        ctx.factors._factor_all([a.den, b.den])
+        factored = []
+        factor = FactorBase.factor
+        monkeypatch.setattr(
+            FactorBase, "factor", lambda self, p: factored.append(p) or factor(self, p)
+        )
+        got = a * b
+        assert a.den * b.den not in factored
+        assert all(p in (a.den, b.den) for p in factored)
+        monkeypatch.undo()
+        assert got == assert_product(ctx, a, b)
 
 
 # a quotient to differentiate: numerators with and without a radical atom

@@ -176,9 +176,9 @@ class TestPartialHint:
 
 
 class TestCancel:
-    """``cancel`` divides both sides by the gcd that ``gcd_num_den`` finds:
-    its answer equals ``poly_gcd`` and two exact divisions, also after a
-    refinement has renamed element indices."""
+    """Cancelling a quotient is ``gcd_num_den`` and one ``div_exact`` of the
+    denominator: the answer equals ``poly_gcd`` and two exact divisions,
+    also after a refinement has renamed element indices."""
 
     @given(
         factors(), factors(), factors(), monomials(), monomials(),
@@ -204,7 +204,8 @@ class TestCancel:
 def assert_cancel(fb: FactorBase, num: Poly, den: Poly) -> None:
     g = poly_gcd(num, den)
     expected = (num, den) if g.is_const() else (div_exact(num, g), div_exact(den, g))
-    assert fb.cancel(num, den) == expected
+    found, num_g = fb.gcd_num_den(num, den)
+    assert (num_g, div_exact(den, found)) == expected
 
 
 def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:

@@ -29,7 +29,7 @@ sympy = pytest.importorskip("sympy")
 STRUCTURES = ("worked-3d", "polar-flat-2d")
 OBJECT_IDS = (
     "g", "ginv", "gamma", "Gspray", "N", "Gberwald", "Gamma",
-    "Ptorsion", "R:cartan", "R:berwald", "R:chern", "R:hashiguchi",
+    "Rtorsion", "Ptorsion", "R:cartan", "R:berwald", "R:chern", "R:hashiguchi",
     "P:cartan", "P:chern", "P:hashiguchi",
 )
 
@@ -110,6 +110,7 @@ class Textbook:
         self.tables = {
             "g": g, "ginv": ginv, "gamma": gamma, "Gspray": {(i,): spray[i] for i in ns},
             "N": N, "Gberwald": Gb, "Gamma": Gamma,
+            "Rtorsion": {key: cancel(e) for key, e in r_tor.items()},
             "Ptorsion": {key: cancel(e) for key, e in p_tor.items()},
             "R:cartan": h_curvature(Gamma, True), "R:berwald": h_curvature(Gb, False),
             "R:chern": h_curvature(Gamma, False), "R:hashiguchi": h_curvature(Gb, True),
