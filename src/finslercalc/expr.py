@@ -242,25 +242,24 @@ class Context:
         normalized: its content is a.content * b.content, its numerator
         a.num * b.num with atom powers reduced, and its denominator the pair
         (a.den, b.den), factored from the two factorizations.  One over two
-        monomial denominators, or whose atom reduction leaves a denominator,
-        or alone in the sum, is ``a * b`` (``_product``).  Numerators
-        are scaled by their share of the common content and their cofactor
-        (``FactorBase.common_denominator``) and added once; one gcd, against
-        the factors that two terms or a product bring to their greatest
-        exponent, keeps the result coprime."""
+        monomial denominators, or alone in the sum, is ``a * b``
+        (``_product``).  Numerators are scaled by their share of the common
+        content and their cofactor (``FactorBase.common_denominator``) and
+        added once; one gcd, against the factors that two terms or a product
+        bring to their greatest exponent, keeps the result coprime."""
         terms = [t for t in terms if t.content]
         raw = [(sign, a, b) for sign, group in ((1, pairs), (-1, minus)) for a, b in group
                if a.content and b.content]
         fuse, products = len(terms) + len(raw) > 1, []
         for sign, a, b in raw:
-            num, extra = _reduce_atoms(self, a.num * b.num)
+            num = _reduce_atoms(self, a.num * b.num)
             da, db = a.den, b.den
-            if fuse and _is_one(extra) and len(da.terms) + len(db.terms) > 2:
+            if fuse and len(da.terms) + len(db.terms) > 2:
                 c = a.content * b.content
                 ds = (da * db,) if _is_one(da) or _is_one(db) else (da, db)
                 products.append((c if sign > 0 else -c, num, ds, 2))
             else:
-                p = _product(self, a, b, num, extra)
+                p = _product(self, a, b, num)
                 terms.append(p if sign > 0 else -p)
         if not products and len(terms) < 2:
             return terms[0] if terms else self.zero
@@ -464,7 +463,7 @@ class Expr:
             return NotImplemented
         if not (self.content and o.content):
             return self.ctx.zero
-        return _product(self.ctx, self, o, *_reduce_atoms(self.ctx, self.num * o.num))
+        return _product(self.ctx, self, o, _reduce_atoms(self.ctx, self.num * o.num))
 
     __rmul__ = __mul__
 
@@ -856,9 +855,7 @@ def _normalize(ctx: Context, c: Fraction, num: Poly, den: Poly) -> tuple[Fractio
         raise ZeroDivisionError("zero denominator in expression")
     if ctx.has_atoms(den):
         raise ExprError("internal: denominator carries radical atoms")
-    num, extra = _reduce_atoms(ctx, num)
-    if not _is_one(extra):
-        den = den * extra
+    num = _reduce_atoms(ctx, num)
     if num.is_zero() or not c:
         return _ZERO, Poly.zero(), Poly.one()
     k, den = make_primitive(den)
@@ -883,25 +880,23 @@ def _cancelled(
     return c, num, den
 
 
-def _product(ctx: Context, a: Expr, b: Expr, num: Poly, extra: Poly) -> Expr:
-    """a * b for nonzero a, b and ``num, extra = _reduce_atoms(ctx, a.num *
-    b.num)``: over a.den * b.den, with one gcd against the pair's cached
+def _product(ctx: Context, a: Expr, b: Expr, num: Poly) -> Expr:
+    """a * b for nonzero a, b and ``num = _reduce_atoms(ctx, a.num * b.num)``:
+    over a.den * b.den, with one gcd against the pair's cached
     factorizations if either is not a monomial, so the expanded product is
-    never factored.  An extra denominator takes the full normalization."""
+    never factored."""
     x, y = a.content, b.content
     c = y if x == 1 else x if y == 1 else x * y
     da, db = a.den, b.den
-    if not _is_one(extra):
-        return Expr(ctx, num, da * db * extra, c)
     hint = ctx.factors.factor_product([da, db]) if len(da.terms) + len(db.terms) > 2 else None
     c, num, den = _cancelled(ctx, c, num, da * db, hint)
     return Expr(ctx, num, den, c, _normalized=True)
 
 
-def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
-    """Rewrite atom powers >= q via atom**q -> radicand; returns the reduced
-    polynomial together with an atom-free extra denominator."""
-    den = Poly.one()
+def _reduce_atoms(ctx: Context, p: Poly) -> Poly:
+    """Rewrite atom powers >= q via atom**q -> radicand.  A radicand is an
+    integer polynomial (``Context.root`` clears its denominators), so the
+    rewrite needs no denominator."""
     while ctx.has_atoms(p):
         target = -1
         # the highest atom whose power reaches its root index
@@ -915,22 +910,16 @@ def _reduce_atoms(ctx: Context, p: Poly) -> tuple[Poly, Poly]:
             break
         atom = ctx.atom_at(target)
         q = atom.q
-        rad = atom.radicand
-        rad_num = rad.num.scale(rad.content.numerator)
-        rad_den = rad.den.scale(rad.content.denominator)
-        parts = p.split_by_symbol(target)
-        m = max(e // q for e in parts)
+        rad_num = atom.radicand.num.scale(atom.radicand.content.numerator)
         acc = Poly.zero()
-        for e, coeff in parts.items():
+        for e, coeff in p.split_by_symbol(target).items():
             t, rem = divmod(e, q)
-            piece = coeff * rad_num**t * rad_den ** (m - t)
+            piece = coeff * rad_num**t
             if rem:
                 piece = piece.mul_monomial(pack((0,) * target + (rem,)))
             acc = acc + piece
         p = acc
-        if m:
-            den = den * rad_den**m
-    return p, den
+    return p
 
 
 def _poly_total_diff(ctx: Context, p: Poly, sym: int) -> Expr:

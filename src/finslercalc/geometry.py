@@ -18,7 +18,10 @@ and covariant derivative is built once per coefficient tensor it reads,
 h-derivative and C for a v-derivative.  The two kinds with C = 0 share
 one zero C, and on a Berwald space (G^i_jk free of y, ``_berwald_space``)
 Gamma = G, so the kinds with F = Gamma take G itself as F: Chern is then
-Berwald and Cartan is Hashiguchi.
+Berwald and Cartan is Hashiguchi.  There every hv-curvature is the zero
+tensor, since a space is Berwald exactly when the Cartan tensor is
+h-parallel, C_hij|k = 0 (Matsumoto, Foundations of Finsler Geometry, 1986;
+Bao, Chern and Shen, An Introduction to Riemann-Finsler Geometry, 2000).
 """
 
 from __future__ import annotations
@@ -503,7 +506,7 @@ class Geometry:
         of ``connection(kind)``, or C alone for the v-curvature, so S:cartan
         builds no Gamma.  Kinds with identical coefficients (Chern and
         Berwald share the zero C; on a Berwald space F = G for all four)
-        get the identical object."""
+        get the identical object; there each hv-curvature is zero."""
         if which not in ("h", "hv", "v"):
             raise ValueError("which must be one of h, hv, v")
         if which == "v":
@@ -518,11 +521,16 @@ class Geometry:
         F = G, the equal (dot d)_h R^i_jk of the (v)h-torsion) and the
         hv-curvature (dot d)_k F.  Otherwise it is the one of (F, 0) plus, by
         component, C^i_hm R^m_jk or -C^i_hk|j + C^i_hm P^m_jk, where the
-        P-torsion is zero by definition if F = G."""
+        P-torsion is zero by definition if F = G.  On a Berwald space every
+        hv-curvature is the zero tensor, with no term built: (dot d)_k G = 0
+        is the test itself, F = G, and C^i_hk|j = 0 by the theorem that C is
+        h-parallel there (module docstring)."""
         ctx = self.ctx
         n = self.dim
         ms = range(1, n + 1)
         sig = (UP, DOWN, DOWN, DOWN)
+        if which == "hv" and self._berwald_space():
+            return zero_tensor("P", ctx, n, sig)
         if which != "v" and C is not self._zero_c():
             c_free = self._curvature(which, F, self._zero_c())
             if which == "h":

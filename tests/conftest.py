@@ -4,8 +4,10 @@ import pytest
 
 from finslercalc import (
     DOWN,
+    UP,
     ConnectionKind,
     FinslerStructure,
+    Var,
     build,
     contract_product,
     define,
@@ -103,6 +105,32 @@ def lowered_cartan_curvatures(name: str):
         )
         _LOWERED[name] = (s, p)
     return _LOWERED[name]
+
+
+def textbook_hv_curvature(geom, kind):
+    """The hv-curvature of ``kind`` assembled from its parts by the
+    corrected formula
+
+        P^i_hjk = (dot d)_k F^i_hj - C^i_hk|j + C^i_hm P^m_jk,
+
+    where (F, N, C) is the kind's triple, C^i_hk|j the generic
+    h-covariant derivative of C, and P^m_jk = (dot d)_k N^m_j - F^m_jk the
+    (v)hv-torsion of the kind's own F (zero by definition when F = G).  It
+    reads nothing of ``Geometry.curvature``."""
+    triple = geom.connection(kind)
+    F, N, C = triple.f_coeffs, triple.n_coeffs, triple.c_coeffs
+    c_h = geom.h_cov_derivative(C, triple)  # C^i_hk|j at (i, h, k, j)
+    ms = range(1, geom.dim + 1)
+
+    def gen(idx):
+        i, h, j, k = idx
+        yk = Var("y", k)
+        acc = F[(i, h, j)].diff(yk) - c_h[(i, h, k, j)]
+        for m in ms:
+            acc = acc + C[(i, h, m)] * (N[(m, j)].diff(yk) - F[(m, j, k)])
+        return acc
+
+    return define("P", geom.ctx, geom.dim, (UP, DOWN, DOWN, DOWN), gen)
 
 
 @pytest.fixture(scope="session")

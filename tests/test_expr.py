@@ -919,3 +919,32 @@ def test_canonical_form_invariants(name):
     for object_id in registry.verifiable_object_ids():
         for _, e in registry.resolve(geom, object_id).components():
             assert_canonical(e)
+
+
+def _assert_integer_radicands(ctx):
+    for atom in ctx._atoms:
+        assert atom.radicand.den == Poly.one(), atom
+        assert atom.radicand.content.denominator == 1, atom
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_radicands_are_integer_polynomials(name):
+    """Every atom interned while all 25 objects are built has a radicand
+    with denominator 1 and integer content, so rewriting atom**q as its
+    radicand (``expr._reduce_atoms``) brings in no denominator."""
+    geom = geometry_for(name)
+    for object_id in registry.base_object_ids():
+        registry.resolve(geom, object_id)
+    _assert_integer_radicands(geom.ctx)
+
+
+def test_root_clears_radicand_denominators():
+    """Rational and nested radicands are cleared to integer polynomials,
+    and an atom power at its root index reduces to the radicand."""
+    ctx = Context(2, ["x1", "x2"], ["y1", "y2"])
+    a = ctx.parse("sqrt(x1/3 + y1^2/(2*x2))")
+    b = ctx.parse("(y1/(5*x2) + sqrt(x1/7))^(1/3)")
+    assert len(ctx._atoms) == 3
+    _assert_integer_radicands(ctx)
+    assert a * a == ctx.parse("x1/3 + y1^2/(2*x2)")
+    assert b * b * b == ctx.parse("y1/(5*x2) + sqrt(x1/7)")

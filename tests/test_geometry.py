@@ -17,7 +17,7 @@ from finslercalc import (
 from finslercalc.poly import iter_indices
 from finslercalc.tensor import Symmetry, _orbit, _transpositions
 
-from conftest import STRUCTURE_NAMES, geometry_for, make_structure
+from conftest import STRUCTURE_NAMES, geometry_for, make_structure, textbook_hv_curvature
 from golden_worked_example import MISPRINTS, TABLES
 
 
@@ -190,6 +190,82 @@ class TestBerwaldSpaceTwins:
         geom = build(make_structure("worked-3d"))
         assert not geom.classify().berwaldian
         assert not [k for k in geom._cache if k[0] in ("curvature", "_curvature")]
+
+
+# locally Minkowski, hence Berwald, and not Riemannian: F = (du^4 + dv^4)^(1/4)
+# in the coordinates u = x1, v = x1*x2
+LOCALLY_MINKOWSKI = "locally-minkowski-2d"
+_LOCALLY_MINKOWSKI_F = "(y1^4 + (x2*y1 + x1*y2)^4)^(1/4)"
+EVERY_BERWALD = BERWALD_SPACES + tuple(sorted(RADICAL_BERWALD)) + (LOCALLY_MINKOWSKI,)
+
+
+def berwald_geometry(name: str):
+    if name == LOCALLY_MINKOWSKI:
+        if name not in _RADICAL_GEOMETRIES:
+            structure = FinslerStructure.from_f(
+                2, ["x1", "x2"], ["y1", "y2"], _LOCALLY_MINKOWSKI_F, ["x1 != 0"]
+            )
+            _RADICAL_GEOMETRIES[name] = build(structure)
+        return _RADICAL_GEOMETRIES[name]
+    return radical_geometry(name) if name in RADICAL_BERWALD else geometry_for(name)
+
+
+class TestBerwaldTheorem:
+    """A space is Berwald exactly when the Cartan tensor is h-parallel,
+    C_hij|k = 0 (Matsumoto 1986; Bao, Chern and Shen 2000), so every
+    hv-curvature is zero there and ``Geometry._curvature`` returns the zero
+    tensor without building C^i_hk|j.  The generic h-derivative, the
+    corrected formula assembled from its parts, and the oracle, which knows
+    no such rule, witness it."""
+
+    P_IDS = [f"P:{kind.value}" for kind in ConnectionKind]
+
+    @pytest.mark.parametrize("name", EVERY_BERWALD)
+    def test_cartan_tensor_is_h_parallel(self, name):
+        geom = berwald_geometry(name)
+        assert geom._berwald_space()
+        for kind in ConnectionKind:
+            triple = geom.connection(kind)
+            for c in geom.cartan_tensor():
+                assert geom.h_cov_derivative(c, triple).is_zero_tensor(), (name, kind, c.sig)
+
+    @pytest.mark.parametrize("name", EVERY_BERWALD)
+    def test_corrected_formula_is_zero(self, name):
+        geom = berwald_geometry(name)
+        for kind in ConnectionKind:
+            assert textbook_hv_curvature(geom, kind).is_zero_tensor(), (name, kind)
+            assert geom.curvature(kind, "hv").is_zero_tensor(), (name, kind)
+
+    @pytest.mark.parametrize("name", EVERY_BERWALD)
+    def test_oracle_witness(self, name):
+        geom = berwald_geometry(name)
+        ids = self.P_IDS + ["hcov:Cmixed:cartan"]
+        reports = verify_many(geom, ids, n_points=4, tol=1e-9, seed=0)
+        assert sorted(reports) == sorted(ids)
+        for object_id, report in reports.items():
+            assert report.passed, (name, object_id, report.summary())
+
+    def test_no_h_derivative_is_built(self):
+        geom = build(make_structure("berwald-4d"))
+        for kind in ConnectionKind:
+            assert geom.curvature(kind, "hv").is_zero_tensor()
+        assert not [k for k in geom._cache if k[0] == "_cov_derivative"]
+
+    def test_locally_minkowski_is_not_riemannian(self):
+        geom = berwald_geometry(LOCALLY_MINKOWSKI)
+        assert geom.classify() == Classification(riemannian=False, berwaldian=True)
+        g_jk = geom.berwald_coefficients()
+        assert sum(not e.is_zero_expr() for _, e in g_jk.components()) == 2
+
+    @pytest.mark.parametrize("name", NOT_BERWALD)
+    def test_built_by_the_formula_elsewhere(self, name):
+        geom = geometry_for(name)
+        assert not geom._berwald_space()
+        assert not geom.curvature(ConnectionKind.CARTAN, "hv").is_zero_tensor()
+        for kind in ConnectionKind:
+            p = geom.curvature(kind, "hv")
+            textbook = textbook_hv_curvature(geom, kind)
+            assert dict(p.components()) == dict(textbook.components()), (name, kind)
 
 
 class TestSharing:

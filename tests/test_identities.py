@@ -6,7 +6,7 @@ import pytest
 from finslercalc import ConnectionKind, Var, contract_product
 from finslercalc.oracle import NumericGeometry, sample_points
 
-from conftest import STRUCTURE_NAMES, geometry_for
+from conftest import STRUCTURE_NAMES, geometry_for, textbook_hv_curvature
 from tensor_algebra import tensor_add
 
 # structures kept symbolically light enough to sweep every identity
@@ -219,13 +219,18 @@ def test_berwald_h_curvature_is_the_delta_formula(name):
 
 
 class TestBerwaldImpliesVanishingP:
+    """The built P:cartan is zero, and so is the corrected formula assembled
+    from its parts, each built by the generic calculus."""
+
     def test_berwald_4d(self, berwald4d):
         assert berwald4d.classify().berwaldian
         assert berwald4d.curvature(ConnectionKind.CARTAN, "hv").is_zero_tensor()
+        assert textbook_hv_curvature(berwald4d, ConnectionKind.CARTAN).is_zero_tensor()
 
     def test_euclidean(self, euclid3d):
         assert euclid3d.classify().berwaldian
         assert euclid3d.curvature(ConnectionKind.CARTAN, "hv").is_zero_tensor()
+        assert textbook_hv_curvature(euclid3d, ConnectionKind.CARTAN).is_zero_tensor()
 
 
 class TestNumericSpotChecks:
