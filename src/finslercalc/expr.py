@@ -27,22 +27,20 @@ run against the context's factor base (``poly.FactorBase``): every
 non-monomial denominator is a monomial times powers of small squarefree,
 pairwise coprime polynomials, so the common multiple of denominators is
 exponent arithmetic and the gcd of a numerator with a denominator is a
-sequence of gcds against those factors.  A sum of any number of terms
-and products (``Context.sum``; ``a + b`` is the two-term case) goes over
-one common denominator, with one gcd against the factors two or more
-terms, or one product, bring to their greatest exponent.  A product in a
-sum is not normalized first: its denominator is the pair of its factors'
-denominators, factored from their cached factorizations; ``a * b``
-multiplies, then takes one gcd over that pair.  The gcds return exactly
-what ``poly_gcd`` would; the factorizations are derived data, outside
-equality and hashing.
+sequence of gcds against those factors.  Every such gcd reads the
+denominator's whole factorization.  A sum of any number of terms and
+products (``Context.sum``; ``a + b`` is the two-term case) goes over one
+common denominator, with one gcd.  A product in a sum is not normalized
+first: its denominator is the pair of its factors' denominators, factored
+from their cached factorizations; ``a * b`` multiplies, then takes one
+gcd over that pair.  The gcds return exactly what ``poly_gcd`` would; the
+factorizations are derived data, outside equality and hashing.
 
 A derivative (``Expr.diff``) works over the factored denominator too.
 With R the product of the parts of D that move with the variable s (s
 itself and each factor f with f' = df/ds != 0) and T = D' * R / D,
-d(N/D) = (N'*R - N*T) / (D*R), so D is never squared.  Modulo a moving f
-that is primitive in s the numerator is a product of parts coprime to f
-(see ``Expr._diff_sym``), so its one gcd skips s and those factors.
+d(N/D) = (N'*R - N*T) / (D*R), so D is never squared, and the one gcd
+reads the factorization of D*R.
 
 Numeric evaluation reads every symbol through one table per point,
 ``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
@@ -64,7 +62,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .poly import (
     FactorBase,
     Poly,
-    content_wrt,
     div_exact,
     int_power_extract,
     int_primitive,
@@ -245,8 +242,8 @@ class Context:
         monomial denominators, or alone in the sum, is ``a * b``
         (``_product``).  Numerators are scaled by their share of the common
         content and their cofactor (``FactorBase.common_denominator``) and
-        added once; one gcd, against the factors that two terms or a product
-        bring to their greatest exponent, keeps the result coprime."""
+        added once; one gcd, against the whole factorization of the common
+        denominator, keeps the result coprime."""
         terms = [t for t in terms if t.content]
         raw = [(sign, a, b) for sign, group in ((1, pairs), (-1, minus)) for a, b in group
                if a.content and b.content]
@@ -257,13 +254,13 @@ class Context:
             if fuse and len(da.terms) + len(db.terms) > 2:
                 c = a.content * b.content
                 ds = (da * db,) if _is_one(da) or _is_one(db) else (da, db)
-                products.append((c if sign > 0 else -c, num, ds, 2))
+                products.append((c if sign > 0 else -c, num, ds))
             else:
                 p = _product(self, a, b, num)
                 terms.append(p if sign > 0 else -p)
         if not products and len(terms) < 2:
             return terms[0] if terms else self.zero
-        items = [(t.content, t.num, (t.den,), 1) for t in terms] + products
+        items = [(t.content, t.num, (t.den,)) for t in terms] + products
         c = items[0][0]
         scales = None
         if any(t[0] != c for t in items):
@@ -273,20 +270,18 @@ class Context:
             scales = [t[0].numerator // top * (low // t[0].denominator) for t in items]
         ds = items[0][2]
         if len(ds) == 1 and all(t[2] == ds for t in items):
-            den, shared = ds[0], None  # the gcd runs against all of den
+            den, factored = ds[0], None
             nums = (t[1] for t in items)
         else:
-            dens: dict[tuple[Poly, ...], int] = {}
-            for _, _, ds, w in items:
-                dens[ds] = dens.get(ds, 0) + w
-            den, cofactors, shared = self.factors.common_denominator(dens)
-            nums = (num * cofactors[ds] for _, num, ds, _ in items)
+            dens = dict.fromkeys(t[2] for t in items)
+            den, cofactors, factored = self.factors.common_denominator(dens)
+            nums = (num * cofactors[ds] for _, num, ds in items)
         if scales is not None:
             nums = (p.scale(s) for p, s in zip(nums, scales))
         num = sum(nums, Poly.zero())
         if num.is_zero():
             return self.zero
-        c, num, den = _cancelled(self, c, num, den, shared)
+        c, num, den = _cancelled(self, c, num, den, factored)
         return Expr(self, num, den, c, _normalized=True)
 
     # -- radical atoms ------------------------------------------------------
@@ -530,17 +525,10 @@ class Expr:
 
             d(N/D)/ds = (N'*R - N*T) / (D*R),
 
-        over D*R, not D**2.  If N' has no denominator, the numerator Q is
-        -e_f * N * f' * R/f modulo a moving f, and -a * N * R/s modulo s.
-        N is coprime to D; R/f is s and elements, all coprime to f; and if
-        f is primitive in s, each irreducible factor h of the squarefree f
-        involves s, so h does not divide h', and h | f' = h'*f/h + h*(f/h)'
-        would give h | f/h.  So neither s nor such an f divides Q, and the
-        one gcd runs against the rest of D*R: the other symbols of M, the
-        elements that do not move, and the moving ones that are not
-        primitive in s, each at its exponent in D*R.  If N' has a
+        over D*R, not D**2.  If N' has no denominator, one gcd against the
+        factorization of D*R keeps the quotient coprime.  If N' has a
         denominator (a radicand's, which may share a factor with D), the
-        same quotient takes the full gcd."""
+        same quotient is formed by ``Context.sum`` and a product."""
         ctx = self.ctx
         got = ctx._diff_cache.get((self, sym))
         if got is not None:
@@ -551,16 +539,14 @@ class Expr:
         mono, exps = ctx.factors.factor(self.den)
         a = Poly({mono: 1}).degree_in(sym)
         r, t = (Poly.variable(sym), Poly.const(a)) if a else (Poly.one(), Poly.zero())
-        hint: dict[int, int] = {}
+        # D*R's factorization: D's, with s and each moving f one power up
+        key, dr_exps = mono + next(iter(r.terms)), dict(exps)
         for i, e in exps.items():
             f = ctx.factors.elements[i]
             df = f.diff(sym)
-            if df.is_zero():
-                hint[i] = e
-                continue
-            r, t = r * f, t * f + (df * r).scale(e)  # T/R gains e*f'/f
-            if not content_wrt(f, sym).is_const():
-                hint[i] = e + 1
+            if not df.is_zero():
+                r, t = r * f, t * f + (df * r).scale(e)  # T/R gains e*f'/f
+                dr_exps[i] = e + 1
         den = self.den * r
         if _is_one(dnum.den):
             p, q = dnum.content.numerator, dnum.content.denominator
@@ -568,8 +554,7 @@ class Expr:
             if num.is_zero():
                 result = ctx.zero
             else:
-                hint_key = mono - pack((0,) * sym + (a,))
-                c, num, den = _cancelled(ctx, self.content / q, num, den, (hint_key, hint))
+                c, num, den = _cancelled(ctx, self.content / q, num, den, (key, dr_exps))
                 result = Expr(ctx, num, den, c, _normalized=True)
         else:
             n_t = Expr(ctx, self.num * t, Poly.one())
@@ -867,11 +852,10 @@ def _cancelled(
 ) -> tuple[Fraction, Poly, Poly]:
     """``c * num / den`` for a nonzero num and a canonical den, as (content,
     numerator, denominator) in canonical form: num made primitive, then
-    num and den divided by their gcd.  ``factored`` is the hint of
-    ``FactorBase.gcd_num_den``; an empty one says that no factor of den
-    can divide num, and skips the gcd."""
+    num and den divided by their gcd.  ``factored`` is den's whole
+    factorization, if the caller holds it (``FactorBase.gcd_num_den``)."""
     c, num = _primitive(c, num)
-    if _is_one(den) or (factored is not None and not (factored[0] or factored[1])):
+    if _is_one(den):
         return c, num, den
     g, num_g = ctx.factors.gcd_num_den(num, den, factored)
     if not _is_one(g):

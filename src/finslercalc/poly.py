@@ -859,28 +859,14 @@ class FactorBase:
         factorizations: the product is never expanded to be factored."""
         return _product_factors(self._factor_all(dens))
 
-    def common_denominator(self, dens: dict[tuple[Poly, ...], int]):
-        """(l, {ds: l / prod(ds)}, (key, {element: exponent})) for
-        denominators given as tuples ds of canonical factors, each with its
-        weight: the number of terms over it, a product's pair weighing two.
+    def common_denominator(self, dens: dict[tuple[Poly, ...], None]):
+        """(l, {ds: l / prod(ds)}, factorization of l) for denominators
+        given as tuples ds of canonical factors, in the order they arrive.
         l is their least common multiple: each symbol and element at its
         greatest exponent, with the factorizations of a tuple's factors
-        added.  The pair factors a part of l that holds the gcd of l with
-        any sum of the terms: a factor at an exponent that one term alone
-        reaches divides the cofactor of every other term, not that term's
-        own, so not the sum, unless the term is a product, whose numerator
-        may share it.  A non-monomial factor is factored only if another is
-        not a monomial either, or its weight is two or more."""
+        added."""
         polys = [d for ds in dens for d in ds if len(d.terms) > 1]
-        elements = self.elements
-        if len(polys) == 1 and dens.get((polys[0],)) == 1:
-            # none of its factors is shared, so one name for the rest will do
-            (d,) = polys
-            mono = monomial_gcd((d,))
-            elements = [d if mono.is_const() else div_exact(d, mono)]
-            factored = {d: (next(iter(mono.terms)), {0: 1})}
-        else:
-            factored = dict(zip(polys, self._factor_all(polys)))
+        factored = dict(zip(polys, self._factor_all(polys)))
         factored.update(
             (d, (next(iter(d.terms)), {})) for ds in dens for d in ds if len(d.terms) == 1
         )
@@ -888,37 +874,28 @@ class FactorBase:
             ds: factored[ds[0]] if len(ds) == 1 else _product_factors(map(factored.get, ds))
             for ds in dens
         }
-        top = shared_key = 0  # per symbol, the greatest exponent and the second
-        for ds, (key, _) in items.items():
-            low = _mono_min(top, key)  # max(a, b) is a + b - min(a, b)
-            top += key - low
-            if dens[ds] > 1:
-                low = key
-            shared_key += low - _mono_min(shared_key, low)
-        exps: dict[int, list[int]] = {}  # element: [exponent in l, weight at it]
-        for ds, (_, d_exps) in items.items():
+        top, exps = 0, {}
+        for key, d_exps in items.values():
+            top += key - _mono_min(top, key)  # max(a, b) is a + b - min(a, b)
             for i, e in d_exps.items():
-                got = exps.get(i)
-                if got is None or e > got[0]:
-                    exps[i] = [e, dens[ds]]
-                elif e == got[0]:
-                    got[1] += dens[ds]
+                if e > exps.get(i, 0):
+                    exps[i] = e
         cofactors = {}
         for ds, (key, d_exps) in items.items():
             cofactor = Poly({top - key: 1})
-            for i, (e, _) in exps.items():
+            for i, e in exps.items():
                 if e > d_exps.get(i, 0):
-                    cofactor = cofactor * elements[i] ** (e - d_exps.get(i, 0))
+                    cofactor = cofactor * self.elements[i] ** (e - d_exps.get(i, 0))
             cofactors[ds] = cofactor
         ds = max(dens, key=lambda ds: sum(len(d.terms) for d in ds))
-        shared = {i: e for i, (e, n) in exps.items() if n > 1}
-        return reduce(Poly.__mul__, ds, cofactors[ds]), cofactors, (shared_key, shared)
+        return reduce(Poly.__mul__, ds, cofactors[ds]), cofactors, (top, exps)
 
     def gcd_num_den(self, num: Poly, den: Poly, factored=None) -> tuple[Poly, Poly]:
         """``(g, num / g)`` with ``g = poly_gcd(num, den)``, for a
         denominator ``den`` (primitive, positive leading coefficient).
-        ``factored`` may name, as ``factor`` does, a divisor of den that g
-        is known to divide; by default it is den's own factorization.
+        ``factored`` is den's whole factorization, as ``factor`` gives it,
+        when the caller holds it (a product's is the sum of its factors');
+        by default it is ``factor(den)``.
 
         g is the monomial gcd times, for each factor f of den, the gcds of
         num with f, divided out while they divide num.  Each gcd with an

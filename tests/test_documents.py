@@ -1,6 +1,7 @@
 """Pinned documents: the sha256 of the ``--format json`` document of every
-base object id on four standard structures, and of the ``--format text``
-and ``--format latex`` documents on worked-3d and berwald-4d.  The JSON
+base object id on four standard structures, of the ``--format text``
+and ``--format latex`` documents on worked-3d and berwald-4d, and of the
+one ``--format json`` output of all base ids on the 4-term quartic.  The JSON
 digests were taken before ``Poly`` switched to packed exponent keys, the
 text and LaTeX digests before the two printers shared their term joining;
 a change meant to leave the canonical form and its printing alone must
@@ -8,6 +9,7 @@ leave them unchanged.  The JSON documents must not depend on the order in
 which the ids are built either."""
 
 import hashlib
+import io
 
 import pytest
 
@@ -267,6 +269,24 @@ PRINTED = {"text": TEXT_DIGESTS, "latex": LATEX_DIGESTS}
 def test_printed_documents_unchanged(fmt, name):
     changed = changed_documents(name, fmt, PRINTED[fmt][name])
     assert not changed, f"{fmt} documents changed on {name}: {changed}"
+
+
+# F = sqrt(y1^4 + x1*y2^4 + x2*y3^4 + x3*y1^2*y2^2): its curvatures are sums
+# of products over large denominators, where a change to the gcds would show
+QUARTIC_ARGS = [
+    "--dim", "3", "--coords", "x1,x2,x3", "--fibers", "y1,y2,y3",
+    "--metric-function", "sqrt(y1^4+x1*y2^4+x2*y3^4+x3*y1^2*y2^2)",
+    "--constraints", "x1!=0,x2!=0", "--format", "json",
+]
+QUARTIC_DIGEST = "4e2fddcad7f504773a81828c5b1b3b7651586b19f267a7fb6f226a9ba039a882"
+
+
+def test_quartic_output_unchanged():
+    """What the CLI prints for all 25 ids on the 4-term quartic."""
+    objects = ",".join(registry.base_object_ids())
+    out = io.StringIO()
+    assert cli.run(cli.build_config([*QUARTIC_ARGS, "--objects", objects]), out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == QUARTIC_DIGEST
 
 
 @pytest.mark.parametrize("name", ["perturbed-flat-2d", "berwald-4d"])

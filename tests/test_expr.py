@@ -4,6 +4,7 @@ import time
 import warnings
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
 from finslercalc.poly import FactorBase, Poly, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
-from test_factor_base import factors, monomials
+from test_factor_base import factors, monomials, multiplied_out
 from test_poly import small_polys
 
 
@@ -336,24 +337,6 @@ class TestSum:
         monkeypatch.undo()
         assert total == reduce(operator.add, terms)
 
-    def test_monomial_denominators_factor_nothing(self, monkeypatch):
-        """With monomial denominators and one other, the common
-        denominator is that one times a monomial: nothing is factored."""
-        ctx = _sum_context()
-        terms = [
-            ctx.parse(text)
-            for text in ("(x1 + y1)/y1", "x2/(x1^2*y2)", "y1 + y2", "(x2 + y1)/(x1 + 1)")
-        ]
-        factored = []
-        factor = FactorBase.factor
-        monkeypatch.setattr(
-            FactorBase, "factor", lambda self, p: factored.append(p) or factor(self, p)
-        )
-        total = ctx.sum(terms)
-        assert factored == []
-        monkeypatch.undo()
-        assert total == reduce(operator.add, terms)
-
     def test_add_is_the_two_term_sum(self, ctx):
         a, b = ctx.parse("x1/(x2 + y1)"), ctx.parse("y2/(x2 + y1)^2")
         assert a + b == ctx.sum([a, b]) == ctx.sum([ctx.zero, a, ctx.zero, b])
@@ -599,33 +582,65 @@ class TestQuotientDerivative:
         assert_canonical(got)
         assert got == _textbook_diff(e, ctx.sym_of(v))
 
-    def test_no_square_and_no_gcd_against_a_moving_factor(self, monkeypatch):
+    def test_no_square_of_the_denominator(self, monkeypatch):
         """d/dy1 of x1/(y1^2 + y2^2)^6 forms no product of degree 24 =
-        deg D**2, and names y1^2 + y2^2 in no gcd: it moves with y1 and is
-        primitive in y1, so it cannot divide the new numerator."""
+        deg D**2."""
         ctx = _sum_context()
         e = ctx.parse("x1/(y1^2 + y2^2)^6")
-        element = ctx.parse("y1^2 + y2^2").num
-        degrees, named = [], []
-        mul, gcd_num_den = Poly.__mul__, FactorBase.gcd_num_den
+        degrees = []
+        mul = Poly.__mul__
 
         def recorded_mul(a, b):
             product = mul(a, b)
             degrees.append(product.total_degree())
             return product
 
-        def recorded_gcd(fb, num, den, factored=None):
-            _, exps = factored or fb.factor(den)
-            named.extend(fb.elements[i] for i in exps)
-            return gcd_num_den(fb, num, den, factored)
-
         monkeypatch.setattr(Poly, "__mul__", recorded_mul)
-        monkeypatch.setattr(FactorBase, "gcd_num_den", recorded_gcd)
         got = e.diff(Var("y", 1))
         monkeypatch.undo()
         assert degrees and max(degrees) < 24
-        assert element not in named
         assert got == ctx.parse("-12*x1*y1/(y1^2 + y2^2)^7")
+
+
+def _named_products(calls: list):
+    """A ``FactorBase.gcd_num_den`` that appends, for each call given a
+    factorization, (den, the monomial times the element powers it names)
+    to ``calls``."""
+    gcd_num_den = FactorBase.gcd_num_den
+
+    def recorded(fb, num, den, factored=None):
+        if factored is not None:
+            calls.append((den, multiplied_out(fb, factored)))
+        return gcd_num_den(fb, num, den, factored)
+
+    return recorded
+
+
+class TestWholeFactorization:
+    """Every gcd that a sum, a product or a derivative runs against a
+    denominator reads that denominator's whole factorization."""
+
+    @given(
+        _SUM_TERMS, st.sampled_from(_DIFF_NUMS), st.sampled_from(_DIFF_DENS),
+        st.sampled_from(["x1", "y1", "y2"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example([("x1 - 1", "x1^2*y2", Fraction(1)), ("y1*y2", "y1", Fraction(1))],
+             "x1", "(y1^2 + y2^2)^3", "y1")
+    @example([("x1 + 1", "(x2 + y1)^2*(x1 - 1)", Fraction(1)), ("1", "x1 - 1", Fraction(2))],
+             "y1 + sqrt(x1 + 1)", "y1*(x1 + 1)^2*(y1^2 + y2^2)", "x1")
+    def test_factorizations_multiply_out_to_the_denominator(self, specs, num, den, name):
+        ctx = _sum_context()
+        terms = [ctx.parse(n).scale(c) / ctx.parse(d) for n, d, c in specs]
+        quotient = ctx.parse(num) / ctx.parse(den)
+        calls = []
+        with mock.patch.object(FactorBase, "gcd_num_den", _named_products(calls)):
+            ctx.sum(terms)
+            ctx.sum(terms[:1], list(zip(terms, terms[1:])))
+            reduce(operator.mul, terms)
+            for e in (*terms, quotient):
+                e.diff(ctx.var_named(name))
+        assert [(den, named) for den, named in calls if den != named] == []
 
 
 class TestEvalAt:

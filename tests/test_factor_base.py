@@ -39,11 +39,18 @@ def check_factor_base(fb: FactorBase) -> None:
         assert squarefree_decomposition(f) == [(f, 1)], f"element {i} is not squarefree"
         for h in fb.elements[:i]:
             assert poly_gcd(f, h) == one, "elements are not pairwise coprime"
-    for den, (mono, exps) in fb._factored.items():
-        product = Poly({mono: 1})
-        for i, e in exps.items():
-            product = product * fb.elements[i] ** e
-        assert product == den
+    for den, factored in fb._factored.items():
+        assert multiplied_out(fb, factored) == den
+
+
+def multiplied_out(fb: FactorBase, factored) -> Poly:
+    """The monomial of a factorization (key, {element: exponent}) times
+    its element powers."""
+    mono, exps = factored
+    product = Poly({mono: 1})
+    for i, e in exps.items():
+        product = product * fb.elements[i] ** e
+    return product
 
 
 def factors(n_vars=3):
@@ -131,9 +138,11 @@ class TestFactorBase:
 
 
 class TestPartialHint:
-    """``gcd_num_den`` with a ``factored`` hint that names a part of den,
-    as a derivative passes it: when g divides the named part, the result
-    is ``poly_gcd``'s."""
+    """``gcd_num_den`` with a ``factored`` hint that names only a part of
+    den: when g divides the named part, the result is ``poly_gcd``'s.  No
+    caller passes such a hint (each passes den's whole factorization or
+    none); these pin that the gcd reads the factors it is given and no
+    others."""
 
     def test_named_part_only(self):
         fb = FactorBase()
@@ -210,15 +219,17 @@ def assert_cancel(fb: FactorBase, num: Poly, den: Poly) -> None:
 
 def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
     """The common denominator of a and b is a * b / ``poly_gcd(a, b)``,
-    and each cofactor times its denominator is that; with the product's
-    pair (a, b) beside a, it is a * b."""
-    dens = {(a,): 1}
-    dens[(b,)] = dens.get((b,), 0) + 1
-    common, cofactors, _ = fb.common_denominator(dens)
+    each cofactor times its denominator is that, and the factorization
+    returned multiplies out to it; with the product's pair (a, b) beside
+    a, it is a * b."""
+    dens = dict.fromkeys([(a,), (b,)])
+    common, cofactors, factored = fb.common_denominator(dens)
     assert common == div_exact(a * b, poly_gcd(a, b))
     assert all(cofactors[(d,)] * d == common for (d,) in dens)
-    common, cofactors, _ = fb.common_denominator({(a,): 1, (a, b): 2})
+    assert multiplied_out(fb, factored) == common
+    common, cofactors, factored = fb.common_denominator(dict.fromkeys([(a,), (a, b)]))
     assert common == cofactors[(a,)] * a == cofactors[(a, b)] * a * b == a * b
+    assert multiplied_out(fb, factored) == common
 
 
 def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:
