@@ -36,6 +36,12 @@ from their cached factorizations; ``a * b`` multiplies, then takes one
 gcd over that pair.  The gcds return exactly what ``poly_gcd`` would; the
 factorizations are derived data, outside equality and hashing.
 
+Every denominator that a sum, a product or a derivative forms is built
+from its factorization (``FactorBase.expand``): the common denominator,
+a pair's product, D*R below, and what a gcd leaves of each.  Each
+distinct factorization is expanded once per context and registered in
+the factor base, so factoring it again is a lookup.
+
 A derivative (``Expr.diff``) works over the factored denominator too.
 With R the product of the parts of D that move with the variable s (s
 itself and each factor f with f' = df/ds != 0) and T = D' * R / D,
@@ -62,7 +68,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .poly import (
     FactorBase,
     Poly,
-    div_exact,
     int_power_extract,
     int_primitive,
     make_primitive,
@@ -547,7 +552,7 @@ class Expr:
             if not df.is_zero():
                 r, t = r * f, t * f + (df * r).scale(e)  # T/R gains e*f'/f
                 dr_exps[i] = e + 1
-        den = self.den * r
+        den = ctx.factors.expand(key, dr_exps)
         if _is_one(dnum.den):
             p, q = dnum.content.numerator, dnum.content.denominator
             num = (dnum.num * r).scale(p) + (self.num * t).scale(-q)
@@ -853,27 +858,33 @@ def _cancelled(
     """``c * num / den`` for a nonzero num and a canonical den, as (content,
     numerator, denominator) in canonical form: num made primitive, then
     num and den divided by their gcd.  ``factored`` is den's whole
-    factorization, if the caller holds it (``FactorBase.gcd_num_den``)."""
+    factorization, if the caller holds it (``FactorBase.gcd_num_den``).
+    The new den is ``FactorBase.expand`` of the factorization that the gcd
+    leaves, so it is registered in the factor base."""
     c, num = _primitive(c, num)
     if _is_one(den):
         return c, num, den
-    g, num_g = ctx.factors.gcd_num_den(num, den, factored)
+    g, num_g, den_g = ctx.factors.gcd_num_den(num, den, factored)
     if not _is_one(g):
         c, num = _signed(c, num_g)
-        den = div_exact(den, g)
+        den = ctx.factors.expand(*den_g)
     return c, num, den
 
 
 def _product(ctx: Context, a: Expr, b: Expr, num: Poly) -> Expr:
     """a * b for nonzero a, b and ``num = _reduce_atoms(ctx, a.num * b.num)``:
     over a.den * b.den, with one gcd against the pair's cached
-    factorizations if either is not a monomial, so the expanded product is
-    never factored."""
+    factorizations if either is not a monomial: the product is ``expand``
+    of their sum, and is never factored."""
     x, y = a.content, b.content
     c = y if x == 1 else x if y == 1 else x * y
     da, db = a.den, b.den
-    hint = ctx.factors.factor_product([da, db]) if len(da.terms) + len(db.terms) > 2 else None
-    c, num, den = _cancelled(ctx, c, num, da * db, hint)
+    if len(da.terms) + len(db.terms) > 2:
+        hint = ctx.factors.factor_product([da, db])
+        den = ctx.factors.expand(*hint)
+    else:
+        hint, den = None, da * db
+    c, num, den = _cancelled(ctx, c, num, den, hint)
     return Expr(ctx, num, den, c, _normalized=True)
 
 

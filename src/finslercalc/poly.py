@@ -784,13 +784,24 @@ class FactorBase:
     The element order is the order factors arrive in.  A product's
     denominator is never expanded to be factored: ``factor_product`` and
     ``common_denominator`` add the cached factorizations of its factors.
+    The other way round, every denominator that a sum, a product or a
+    derivative forms is ``expand`` of its factorization: each distinct
+    factorization is multiplied out once per base and entered in the cache,
+    so factoring it again is a lookup.
     """
 
-    __slots__ = ("elements", "_factored", "_refinements", "_images", "_point", "_values", "_rng")
+    __slots__ = (
+        "elements", "_factored", "_expanded", "_common", "_refinements",
+        "_images", "_point", "_values", "_rng",
+    )
 
     def __init__(self):
         self.elements: list[Poly] = []
         self._factored: dict[Poly, tuple[int, dict[int, int]]] = {}
+        # expand's products by factorization, and common_denominator's
+        # results by key set: both name element indices, as _factored does
+        self._expanded: dict[tuple[int, frozenset], Poly] = {}
+        self._common: dict[tuple, tuple] = {}
         self._refinements = 0
         # for _divide_or_certify: per element, its main symbol and image
         # (or None); the evaluation point, drawn symbol by symbol in index
@@ -836,6 +847,8 @@ class FactorBase:
                 self.elements.append(part)
         got = (next(iter(mono.terms)), exps)
         self._factored[p] = got
+        if exps:
+            self._expanded[(got[0], frozenset(exps.items()))] = p
         return got
 
     def _refine(self, i: int, g: Poly) -> None:
@@ -844,7 +857,35 @@ class FactorBase:
         self.elements[i] = g
         self.elements.append(cofactor)
         self._factored.clear()
+        self._expanded.clear()
+        self._common.clear()
         self._refinements += 1
+
+    def expand(self, key: int, exps: dict[int, int]) -> Poly:
+        """The polynomial of the factorization (monomial ``key``, {element
+        index: positive exponent}), entered in the factorization cache
+        (``factor`` enters each polynomial it factors here in turn).
+
+        It is canonical as a denominator: every element is primitive with a
+        positive leading coefficient, so by Gauss's lemma the product is
+        primitive, and under grlex, a monomial order, a product's leading
+        term is the product of its factors' leading terms, so its leading
+        coefficient is positive too.  Each distinct factorization is
+        multiplied out once, until a refinement renames the indices; ``exps``
+        is kept as given, so the caller must not change it afterwards."""
+        if not exps:
+            return Poly({key: 1})
+        index = (key, frozenset(exps.items()))
+        p = self._expanded.get(index)
+        if p is None:
+            if key:
+                p = self.expand(0, exps).mul_monomial(key)
+            else:
+                elements = self.elements
+                p = reduce(Poly.__mul__, [elements[i] ** e for i, e in sorted(exps.items())])
+            self._expanded[index] = p
+            self._factored[p] = (key, exps)
+        return p
 
     def _factor_all(self, dens: list[Poly]) -> list[tuple[int, dict[int, int]]]:
         """``factor`` of each, again until no refinement renames an index."""
@@ -864,7 +905,13 @@ class FactorBase:
         given as tuples ds of canonical factors, in the order they arrive.
         l is their least common multiple: each symbol and element at its
         greatest exponent, with the factorizations of a tuple's factors
-        added."""
+        added.  l and each cofactor are ``expand`` of their exponents, and
+        the result is kept per key set (until a refinement); the caller
+        must not change it."""
+        index = tuple(dens)
+        got = self._common.get(index)
+        if got is not None:
+            return got
         polys = [d for ds in dens for d in ds if len(d.terms) > 1]
         factored = dict(zip(polys, self._factor_all(polys)))
         factored.update(
@@ -880,35 +927,51 @@ class FactorBase:
             for i, e in d_exps.items():
                 if e > exps.get(i, 0):
                     exps[i] = e
-        cofactors = {}
-        for ds, (key, d_exps) in items.items():
-            cofactor = Poly({top - key: 1})
-            for i, e in exps.items():
-                if e > d_exps.get(i, 0):
-                    cofactor = cofactor * self.elements[i] ** (e - d_exps.get(i, 0))
-            cofactors[ds] = cofactor
-        ds = max(dens, key=lambda ds: sum(len(d.terms) for d in ds))
-        return reduce(Poly.__mul__, ds, cofactors[ds]), cofactors, (top, exps)
+        cofactors = {
+            ds: self.expand(
+                top - key,
+                {i: e - d_exps.get(i, 0) for i, e in exps.items() if e > d_exps.get(i, 0)},
+            )
+            for ds, (key, d_exps) in items.items()
+        }
+        got = self._common[index] = (self.expand(top, exps), cofactors, (top, exps))
+        return got
 
-    def gcd_num_den(self, num: Poly, den: Poly, factored=None) -> tuple[Poly, Poly]:
-        """``(g, num / g)`` with ``g = poly_gcd(num, den)``, for a
-        denominator ``den`` (primitive, positive leading coefficient).
-        ``factored`` is den's whole factorization, as ``factor`` gives it,
-        when the caller holds it (a product's is the sum of its factors');
-        by default it is ``factor(den)``.
+    def gcd_num_den(
+        self, num: Poly, den: Poly, factored=None
+    ) -> tuple[Poly, Poly, tuple[int, dict[int, int]]]:
+        """``(g, num / g, factorization of den / g)`` with ``g =
+        poly_gcd(num, den)``, for a nonzero num and a denominator ``den``
+        (primitive, positive leading coefficient).  ``factored`` is den's
+        whole factorization, as ``factor`` gives it, when the caller holds
+        it (a product's is the sum of its factors'); by default it is
+        ``factor(den)``.
 
         g is the monomial gcd times, for each factor f of den, the gcds of
         num with f, divided out while they divide num.  Each gcd with an
         element f is found by trial division first (if f divides, the gcd
         is f, as f is squarefree), then by a modular certificate that it
         is 1 (both in ``_divide_or_certify``), and only when both fail by
-        ``poly_gcd``."""
-        if len(num.terms) <= 1 or len(den.terms) == 1:
+        ``poly_gcd``.  So den / g is den's factorization with the monomial
+        gcd and the elements that divided taken off, unless ``poly_gcd``
+        found a proper factor of an element.  Then den / g is no product of
+        elements: it is divided out, and factoring it refines the base.
+        With a ``factored`` that names a part of den only, den / g stands
+        for that part over g."""
+        if len(den.terms) == 1:
             g = poly_gcd(num, den)
-            return g, (num if g.is_const() else div_exact(num, g))
+            quotient = num if g.is_const() else div_exact(num, g)
+            return g, quotient, (next(iter(den.terms)) - next(iter(g.terms)), {})
         mono_den, factors = factored or self.factor(den)
         result = monomial_gcd((num, Poly({mono_den: 1}))) if mono_den else _ONE
-        rest = num if result.is_const() else div_exact(num, result)
+        low = next(iter(result.terms))
+        rest = num if not low else div_exact(num, result)
+        if len(rest.terms) == 1:
+            # an element is primitive and divisible by no symbol, so it
+            # shares no factor with a monomial
+            return result, rest, (mono_den - low, factors)
+        taken: dict[int, int] = {}
+        whole = True
         for i, e in factors.items():
             # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
             # g_1 = gcd(num, f), g_k+1 = gcd(num / (g_1 * ... * g_k), g_k)
@@ -925,11 +988,19 @@ class FactorBase:
                     rest = q
                     result = result * g
                     k += 1
+                    if g is f:
+                        taken[i] = k
+                    else:
+                        whole = False
                     continue
                 g = poly_gcd(rest, g)
                 if g.is_const():
                     break
-        return result, rest
+        if not whole:
+            return result, rest, self.factor(div_exact(self.expand(mono_den, factors), result))
+        if taken:
+            factors = {i: e - taken.get(i, 0) for i, e in factors.items() if e > taken.get(i, 0)}
+        return result, rest, (mono_den - low, factors)
 
     def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
         """(a / f or None, True only if gcd(a, f) = 1) for an element f.

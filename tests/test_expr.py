@@ -21,9 +21,9 @@ from finslercalc import (
     ZeroStatus,
 )
 
-from finslercalc import DOWN, build, define, expr, nonzero_components, registry
+from finslercalc import DOWN, build, define, expr, nonzero_components, poly, registry
 from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
-from finslercalc.poly import FactorBase, Poly, int_primitive
+from finslercalc.poly import FactorBase, Poly, div_exact, int_primitive
 
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 from test_factor_base import factors, monomials, multiplied_out
@@ -282,7 +282,8 @@ def _sum_context():
 
 
 def _count_gcds(monkeypatch) -> list:
-    """The argument tuples of every ``FactorBase.gcd_num_den`` call from now on."""
+    """The argument tuples of every ``FactorBase.gcd_num_den`` call from now
+    on; each call's (g, num / g, factorization of den / g) is passed on."""
     calls = []
     gcd_num_den = FactorBase.gcd_num_den
 
@@ -605,13 +606,16 @@ class TestQuotientDerivative:
 def _named_products(calls: list):
     """A ``FactorBase.gcd_num_den`` that appends, for each call given a
     factorization, (den, the monomial times the element powers it names)
-    to ``calls``."""
+    to ``calls``, and for every call (den / g, the same for the
+    factorization of den / g that it returns)."""
     gcd_num_den = FactorBase.gcd_num_den
 
     def recorded(fb, num, den, factored=None):
         if factored is not None:
             calls.append((den, multiplied_out(fb, factored)))
-        return gcd_num_den(fb, num, den, factored)
+        g, num_g, den_g = gcd_num_den(fb, num, den, factored)
+        calls.append((div_exact(den, g), multiplied_out(fb, den_g)))
+        return g, num_g, den_g
 
     return recorded
 
@@ -641,6 +645,97 @@ class TestWholeFactorization:
             for e in (*terms, quotient):
                 e.diff(ctx.var_named(name))
         assert [(den, named) for den, named in calls if den != named] == []
+
+
+def assert_registered(e: Expr) -> None:
+    """A non-monomial denominator of e is in its context's factorization
+    cache: ``factor`` of it runs no gcd and no division, and its
+    factorization multiplies out to it."""
+    if len(e.den.terms) == 1:
+        return
+    fb = e.ctx.factors
+    assert e.den in fb._factored
+    calls = []
+
+    def spy(f):
+        def counted(*args):
+            calls.append(f.__name__)
+            return f(*args)
+
+        return counted
+
+    with mock.patch.object(poly, "poly_gcd", spy(poly.poly_gcd)), mock.patch.object(
+        poly, "div_exact", spy(poly.div_exact)
+    ):
+        factored = fb.factor(e.den)
+    assert calls == []
+    assert multiplied_out(fb, factored) == e.den
+
+
+class TestRegisteredDenominators:
+    """Every denominator that a sum, a product or a derivative forms is
+    ``FactorBase.expand`` of its factorization, which enters it in the
+    factorization cache: factoring it again is a lookup."""
+
+    @given(
+        _SUM_TERMS, st.sampled_from(_DIFF_NUMS), st.sampled_from(_DIFF_DENS),
+        st.sampled_from(["x1", "y1", "y2"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example([("x1 + 1", "(x2 + y1)^2*(x1 - 1)", Fraction(1)), ("1", "x1^2 - 1", Fraction(2))],
+             "y1 + sqrt(x1 + 1)", "y1*(x1 + 1)^2*(y1^2 + y2^2)", "x1")
+    @example([("y1*y2", "x1 + 1", Fraction(1)), ("y1*y2", "x1 + 1", Fraction(-1, 2))],
+             "x2 + y1", "x1*y1^2 + x1*y2^2 + y1^2 + y2^2", "y1")
+    def test_every_formed_denominator_is_registered(self, specs, num, den, name):
+        ctx = _sum_context()
+        terms = [ctx.parse(n).scale(c) / ctx.parse(d) for n, d, c in specs]
+        quotient = ctx.parse(num) / ctx.parse(den)
+        assert_registered(quotient)
+        if len(terms) > 1:
+            assert_registered(ctx.sum(terms))
+            assert_registered(ctx.sum(terms[:1], list(zip(terms, terms[1:]))))
+        product = terms[0]
+        for t in terms[1:]:
+            product = product * t
+            assert_registered(product)
+        v = ctx.var_named(name)
+        # each once: a second diff is read from the diff cache, and a
+        # refinement since may have cleared its denominator's entry
+        for e in dict.fromkeys((*terms, quotient)):
+            assert_registered(e.diff(v))
+
+    @pytest.mark.parametrize(
+        "terms, pairs, quotient",
+        [
+            # one denominator: the numerator x1 + 1 is a proper factor of it
+            (["x1/(x1^2 + 3*x1 + 2)", "1/(x1^2 + 3*x1 + 2)"], [],
+             ("x1 + 1", "x1^2 + 3*x1 + 2")),
+            # over the pair (x2 + y1, x1^2 + 3*x1 + 2): the numerator is
+            # (x1 + 1)*(x2 + y1), so an element divides and one splits
+            (["x1/(x1^2 + 3*x1 + 2)"], [("1/(x2 + y1)", "(x2 + y1)/(x1^2 + 3*x1 + 2)")],
+             ("(x1 + 1)*(x2 + y1)", "(x2 + y1)*(x1^2 + 3*x1 + 2)")),
+        ],
+    )
+    def test_a_gcd_that_splits_an_element(self, terms, pairs, quotient):
+        """x1^2 + 3*x1 + 2 = (x1 + 1)*(x1 + 2) enters the factor base
+        whole; a sum whose numerator shares x1 + 1 with it finds that by
+        ``poly_gcd``, so den / g is no product of elements.  It is divided
+        out and factored: the base splits, and the sum's denominator is
+        registered."""
+        ctx = _sum_context()
+        terms = [ctx.parse(t) for t in terms]
+        pairs = [tuple(map(ctx.parse, pair)) for pair in pairs]
+        fb = ctx.factors
+        assert ctx.parse("x1^2 + 3*x1 + 2").num in fb.elements
+        refinements = fb._refinements
+        total = ctx.sum(terms, pairs)
+        assert fb._refinements == refinements + 1
+        assert {ctx.parse("x1 + 1").num, ctx.parse("x1 + 2").num} <= set(fb.elements)
+        assert_canonical(total)
+        assert_registered(total)
+        assert total == ctx.parse("1/(x1 + 2)")
+        num, den = (ctx.parse(text).num for text in quotient)
+        assert total == Expr(ctx, num, den)
 
 
 class TestEvalAt:

@@ -83,9 +83,13 @@ class TestFactorBase:
         fb = FactorBase()
         den = x * ((x + y) * (x + one)) ** 3
         num = x * y * (x + y) ** 2 * (y + one)
-        g, cofactor = fb.gcd_num_den(num, den)
+        g, cofactor, den_g = fb.gcd_num_den(num, den)
         assert g == poly_gcd(num, den) == x * (x + y) ** 2
         assert cofactor == y * (y + one)
+        # (x + y)**2 is a proper factor of the element's cube: den / g is
+        # divided out and factored, which splits the element
+        assert set(fb.elements) == {x + y, x + one}
+        assert multiplied_out(fb, den_g) == (x + y) * (x + one) ** 3
 
     @given(
         factors(), factors(), factors(), factors(),
@@ -137,6 +141,88 @@ class TestFactorBase:
                 assert_num_den_gcd(fb, num, den)
 
 
+class TestExpand:
+    """``expand`` multiplies a factorization out once, canonically, and
+    enters it in the cache so that ``factor`` of it is a lookup."""
+
+    @given(st.lists(factors(), min_size=1, max_size=3), monomials(),
+           st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    @example(fs=[(x + y) * (x + one), x + y], m=x * y, powers=[2, 1, 3])
+    def test_canonical_and_factored_back(self, fs, m, powers):
+        fb = FactorBase()
+        for f in fs:
+            fb.factor(f)
+        (key,) = m.terms
+        exps = {i: powers[i % 3] for i in range(len(fb.elements)) if powers[i % 3]}
+        p = fb.expand(key, exps)
+        assert make_primitive(p) == (1, p)
+        assert p == multiplied_out(fb, (key, exps))
+        assert fb.factor(p) == (key, exps)
+        # a base that holds the same elements and factors p from scratch
+        fresh = FactorBase()
+        fresh.elements = list(fb.elements)
+        assert fresh.factor(p) == (key, exps)
+        muls = []
+        with mock.patch.object(Poly, "__mul__", lambda a, b: muls.append(1)):
+            again = fb.expand(key, dict(exps))
+        assert again == p and not muls
+        if exps:
+            assert again is p
+
+    def test_refinement_renames_the_indices(self):
+        """After (x + y)*(x + 1) splits, index 0 names x + y alone, and
+        ``expand`` multiplies the new elements out."""
+        fb = FactorBase()
+        fb.factor((x + y) * (x + one))
+        assert fb.expand(0, {0: 2}) == ((x + y) * (x + one)) ** 2
+        fb.factor(x + y)
+        assert fb.elements == [x + y, x + one]
+        assert fb.expand(0, {0: 2}) == (x + y) ** 2
+        (key,) = x.terms
+        assert fb.expand(key, {0: 1, 1: 1}) == x * (x + y) * (x + one)
+        check_factor_base(fb)
+
+
+class TestCommonDenominatorMemo:
+    """``common_denominator`` is kept per key set until a refinement renames
+    the element indices its factorization names."""
+
+    def test_second_call_multiplies_nothing(self):
+        fb = FactorBase()
+        dens = [((x + y) ** 2 * x,), ((x + one) * (x + y), y * (y + z)), (z,)]
+        first = fb.common_denominator(dict.fromkeys(dens))
+        muls = []
+        mul = Poly.__mul__
+        with mock.patch.object(Poly, "__mul__", lambda a, b: muls.append(1) or mul(a, b)):
+            second = fb.common_denominator(dict.fromkeys(dens))
+        assert not muls
+        assert second == first
+        assert first[0] == x * z * (x + y) ** 2 * (x + one) * y * (y + z)
+
+    @given(factors(), factors(), factors(), monomials(), st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    @example(f1=x + y, f2=x + one, f3=y + z, m=x, e=2)
+    def test_after_refinement_equals_a_fresh_base(self, f1, f2, f3, m, e):
+        """f1 * f2 enters whole; f1 alone then splits it (when it is
+        squarefree), and the key set's results, asked again, are those of
+        a fresh base, with a factorization in the new indices."""
+        dens = dict.fromkeys([
+            (make_primitive(m * (f1 * f2) ** e)[1],),
+            (make_primitive(f3 * f1 * f2)[1], f3),
+        ])
+        fb = FactorBase()
+        before = fb.common_denominator(dens)
+        refinements = fb._refinements
+        fb.factor(f1)
+        got = fb.common_denominator(dens)
+        fresh = FactorBase().common_denominator(dens)
+        assert got[:2] == fresh[:2] == before[:2]
+        assert multiplied_out(fb, got[2]) == got[0]
+        if (f1, f2, f3, m, e) == (x + y, x + one, y + z, x, 2):
+            assert fb._refinements == refinements + 1
+
+
 class TestPartialHint:
     """``gcd_num_den`` with a ``factored`` hint that names only a part of
     den: when g divides the named part, the result is ``poly_gcd``'s.  No
@@ -151,9 +237,8 @@ class TestPartialHint:
         mono, exps = fb.factor(den)
         i = fb.elements.index(x + y)
         hint = (0, {i: exps[i]})
-        assert fb.gcd_num_den(num, den, hint) == (x + y, x * z + one) == (
-            poly_gcd(num, den), div_exact(num, x + y)
-        )
+        g, num_g = gcd_num_den_checked(fb, num, den, hint)
+        assert (g, num_g) == (x + y, x * z + one) == (poly_gcd(num, den), div_exact(num, x + y))
 
     @given(
         factors(), factors(), factors(), factors(), monomials(), monomials(),
@@ -181,7 +266,7 @@ class TestPartialHint:
             g = poly_gcd(num, den)
             if num.is_zero() or div_exact(part, g) is None:
                 continue  # g is not known to divide the named part
-            assert fb.gcd_num_den(num, den, hint) == (g, div_exact(num, g))
+            assert gcd_num_den_checked(fb, num, den, hint) == (g, div_exact(num, g))
 
 
 class TestCancel:
@@ -213,7 +298,7 @@ class TestCancel:
 def assert_cancel(fb: FactorBase, num: Poly, den: Poly) -> None:
     g = poly_gcd(num, den)
     expected = (num, den) if g.is_const() else (div_exact(num, g), div_exact(den, g))
-    found, num_g = fb.gcd_num_den(num, den)
+    found, num_g = gcd_num_den_checked(fb, num, den)
     assert (num_g, div_exact(den, found)) == expected
 
 
@@ -233,9 +318,23 @@ def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
 
 
 def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:
-    g, cofactor = fb.gcd_num_den(num, den)
+    g, cofactor = gcd_num_den_checked(fb, num, den)
     assert g == poly_gcd(num, den)
     assert cofactor == (num if g.is_const() else div_exact(num, g))
+
+
+def gcd_num_den_checked(fb: FactorBase, num: Poly, den: Poly, factored=None):
+    """``fb.gcd_num_den(num, den, factored)``, after checking that the
+    factorization of den / g it returns (of the part of den that
+    ``factored`` names, if given) multiplies out to it, and that
+    ``expand`` gives it and enters it in the cache."""
+    part = den if factored is None else multiplied_out(fb, factored)
+    g, num_g, den_g = fb.gcd_num_den(num, den, factored)
+    quotient = div_exact(part, g)
+    assert multiplied_out(fb, den_g) == fb.expand(*den_g) == quotient
+    if len(quotient.terms) > 1:
+        assert fb._factored[quotient] == den_g
+    return g, num_g
 
 
 def certified(fb: FactorBase, a: Poly, f: Poly) -> bool:
@@ -263,7 +362,7 @@ class TestCoprimalityCertificate:
             return poly_gcd(*args)
 
         with mock.patch.object(poly, "poly_gcd", counted_gcd):
-            assert fb.gcd_num_den(a, f) == (one, a)
+            assert fb.gcd_num_den(a, f) == (one, a, fb.factor(f))
         assert calls, "the gcd did not fall back to poly_gcd"
         # at any other value of y the certificate holds
         assert certified(fb, x + y + (y - c - one) * z, f)
@@ -278,7 +377,7 @@ class TestCoprimalityCertificate:
         assert poly._gcd_degree_mod(fb._image(a, 0), fb._image(h, 0)) == 0
         assert fb._element_image(h)[0] == 1
         assert not certified(fb, a, h)
-        assert fb.gcd_num_den(a, h) == (y + z, x + Poly.const(2))
+        assert gcd_num_den_checked(fb, a, h) == (y + z, x + Poly.const(2))
 
     def test_degree_drop_is_refused(self):
         # f = ((y - c) * x + 1) * (x + z), c the point's value of y: the
