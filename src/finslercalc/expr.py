@@ -142,11 +142,12 @@ class Context:
 
     Expressions are tied to the context that created them.  The context
     also memoizes derivatives, holds the denominator factor base, and keeps
-    the printers' monomial texts and the zero tests' sample points.  It
-    is single-threaded: radical atoms are numbered, and factor-base
-    elements ordered, in the order they first arrive, so both depend on a
-    deterministic order of operations (the canonical form itself does not
-    depend on the element order).
+    the printers' monomial texts, the zero tests' sample points and the
+    tensors' symmetry orbits per shape.  It is single-threaded: radical
+    atoms are numbered, and factor-base elements ordered, in the order
+    they first arrive, so both depend on a deterministic order of
+    operations (the canonical form itself does not depend on the element
+    order).
     """
 
     def __init__(self, dim: int, coord_names: Sequence[str], fiber_names: Sequence[str]):
@@ -169,6 +170,7 @@ class Context:
         self.factors = FactorBase()
         self.printed: dict = {}  # what the printers keep (``parsing``)
         self._zero_test_points: dict[tuple, _ZeroTestPoints] = {}
+        self._orbit_plans: dict[tuple, tuple] = {}  # per tensor shape (``tensor``)
         self.zero = Expr(self, Poly.zero(), Poly.one(), _ZERO, _normalized=True)
         self.one = Expr(self, Poly.one(), Poly.one(), _ONE, _normalized=True)
 

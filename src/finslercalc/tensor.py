@@ -4,7 +4,10 @@ Components are canonical expressions indexed by 1-based multi-indices
 over [1..dim]^rank.  Declared symmetries are trusted: they cut generation
 work to one generator call per orbit.  The test suite checks them
 exactly, on every orbit, and the oracle compares full component tables
-that assume no symmetry.  All tensors are immutable after construction.
+that assume no symmetry.  The orbits of one (dim, rank, symmetries)
+shape are found once per ``Context`` (``_orbit_plan``), and that one plan
+drives both ``define`` and ``nonzero_components``.  All tensors are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -102,6 +105,27 @@ def _orbit(idx: tuple[int, ...], gens) -> dict[tuple[int, ...], int]:
     return seen
 
 
+def _orbit_plan(ctx: Context, dim: int, rank: int, symmetries: Sequence[Symmetry]) -> tuple:
+    """The orbits of [1..dim]^rank under ``symmetries``, in lexicographic
+    order of their least members, each as ``(least member, ((member,
+    sign), ...))``.  The least member comes first with sign 1, or every
+    sign is 0 where antisymmetry forces the orbit to zero.  Built once
+    per shape and kept in ``ctx._orbit_plans``, so it lives as long as
+    the ``Context`` and no longer."""
+    key = (dim, rank, tuple(symmetries))
+    plan = ctx._orbit_plans.get(key)
+    if plan is None:
+        gens = _transpositions(symmetries)
+        orbits, seen = [], set()
+        for idx in iter_indices(dim, rank):
+            if idx not in seen:
+                orbit = _orbit(idx, gens) if gens else {idx: 1}
+                seen.update(orbit)
+                orbits.append((idx, tuple(orbit.items())))
+        plan = ctx._orbit_plans[key] = tuple(orbits)
+    return plan
+
+
 class Tensor:
     """Immutable dense tensor over [1..dim]^rank with Expr components."""
 
@@ -160,22 +184,20 @@ def define(
     The generator is called once per symmetry orbit, on its
     lexicographically least index, and the value is propagated with the
     declared signs; orbits that antisymmetry forces to zero are never
-    generated.  The symmetries are trusted here: the tests check them
-    exactly on every orbit, and the oracle compares full tables.
+    generated.  The orbits come from the context's plan for this shape
+    (``_orbit_plan``), found once per ``Context``.  The symmetries are
+    trusted here: the tests check them exactly on every orbit, and the
+    oracle compares full tables.
     """
     _validate_symmetries(sig, symmetries)
-    gens = _transpositions(symmetries)
     comp: dict[tuple[int, ...], Expr] = {}
-    for idx in iter_indices(dim, len(sig)):
-        if idx in comp:
-            continue
-        orbit = _orbit(idx, gens) if gens else {idx: 1}
-        if all(s == 0 for s in orbit.values()):
-            for member in orbit:
+    for idx, orbit in _orbit_plan(ctx, dim, len(sig), symmetries):
+        if orbit[0][1] == 0:  # antisymmetry forces the orbit to zero
+            for member, _ in orbit:
                 comp[member] = ctx.zero
             continue
         value = generator(idx)
-        for member, sign in orbit.items():
+        for member, sign in orbit:
             comp[member] = value if sign == 1 else -value
     return Tensor(name, ctx, dim, sig, comp, symmetries)
 
@@ -249,20 +271,20 @@ def nonzero_components(
     """Nonvanishing entries in lexicographic index order.
 
     By default one representative per symmetry orbit is reported (the
-    lexicographically least index); ``full_table`` lists every index.
+    lexicographically least index, read from the context's orbit plan
+    for the tensor's shape); ``full_table`` lists every index.
     Canonically zero entries are dropped.  Each other entry carries the
     status of ``Expr.is_zero``: ``NON_ZERO`` for a rational expression,
     decided by the canonical form, and for a radical expression sampled
     at points that satisfy ``constraints``; a radical entry that is only
     numerically zero is kept and flagged ``NUMERICALLY_ZERO``.
     """
-    gens = _transpositions(t.symmetries)
+    if full_table:
+        indices = iter_indices(t.dim, t.rank)
+    else:
+        indices = (idx for idx, _ in _orbit_plan(t.ctx, t.dim, t.rank, t.symmetries))
     out = []
-    for idx in iter_indices(t.dim, t.rank):
-        if not full_table and gens:
-            orbit = _orbit(idx, gens)
-            if min(orbit) != idx:
-                continue
+    for idx in indices:
         e = t[idx]
         if not e.is_zero_expr():
             out.append(ComponentEntry(idx, e, e.is_zero(constraints=constraints, seed=seed)))

@@ -10,6 +10,10 @@ which the ids are built either."""
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +308,34 @@ def test_json_documents_independent_of_build_order(name):
             docs[-1][object_id] = cli.emit(tensor, "json", geom.structure, object_id)
     forward, backward = docs
     assert [i for i in ids if forward[i] != backward[i]] == []
+
+
+BERWALD_4D_ARGS = [
+    "--dim", "4", "--coords", "x1,x2,x3,x4", "--fibers", "y1,y2,y3,y4",
+    "--given-f", "sqrt(x1*y4*sqrt(y1^2+y2^2+y3^2))",
+    "--constraints", "x1!=0,y4!=0,y1^2+y2^2+y3^2!=0", "--format", "json",
+]
+WORKED_3D_ARGS = [
+    "--dim", "3", "--coords", "x1,x2,x3", "--fibers", "y1,y2,y3",
+    "--metric-function", "x3*y1^3/y2 + y3^2",
+    "--constraints", "x3!=0,y2!=0,y1^2+y3^2!=0", "--format", "json",
+]
+
+
+def test_documents_independent_of_earlier_runs_in_the_process():
+    """Each run builds a fresh structure, whose Context starts with no
+    orbit plan or other cache: berwald-4d run after itself and after
+    worked-3d in one process prints what a fresh process prints."""
+    objects = ["--objects", ",".join(registry.base_object_ids())]
+    outs = []
+    for args in (BERWALD_4D_ARGS, WORKED_3D_ARGS, BERWALD_4D_ARGS):
+        out = io.StringIO()
+        assert cli.run(cli.build_config(args + objects), out) == 0
+        outs.append(out.getvalue().encode())
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "finslercalc.cli", *BERWALD_4D_ARGS, *objects],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert outs[2] == outs[0] == fresh.stdout

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_structure
+from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 from finslercalc import (
     Context,
     DOWN,
@@ -16,6 +16,7 @@ from finslercalc import (
     nonzero_components,
     resolve,
     symmetric,
+    Tensor,
     zero_tensor,
 )
 from finslercalc import geometry, tensor
@@ -258,3 +259,90 @@ class TestNonzeroComponents:
         full = nonzero_components(worked3d.metric(), full_table=True)
         assert len(full) == len(reduced) + 1  # the symmetric (2,1) partner
         assert all(e.status is ZeroStatus.NON_ZERO for e in full)
+
+
+# every (rank, symmetries) shape the package builds: the tensors it
+# declares, the scalars and curvatures, and each of them with the one more
+# slot that a covariant derivative gives it
+PACKAGE_SHAPES = [
+    (0, ()), (1, ()), (2, ()), (3, ()), (4, ()), (5, ()),
+    (2, (symmetric(1, 2),)), (3, (symmetric(1, 2),)),
+    (3, (symmetric(1, 2, 3),)), (4, (symmetric(1, 2, 3),)),
+    (3, (symmetric(2, 3),)), (4, (symmetric(2, 3),)),
+    (3, (antisymmetric(2, 3),)), (4, (antisymmetric(2, 3),)),
+    (4, (antisymmetric(3, 4),)), (5, (antisymmetric(3, 4),)),
+]
+
+
+def _context(dim):
+    return Context(dim, [f"x{i}" for i in range(1, dim + 1)], [f"y{i}" for i in range(1, dim + 1)])
+
+
+def _shape_id(shape):
+    rank, symmetries = shape
+    return f"rank{rank}" + "".join(
+        f"-{s.kind[:4]}{''.join(map(str, s.positions))}" for s in symmetries
+    )
+
+
+class TestOrbitPlan:
+    @pytest.mark.parametrize("rank, symmetries", PACKAGE_SHAPES, ids=map(_shape_id, PACKAGE_SHAPES))
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_orbits_partition_the_index_box(self, dim, rank, symmetries):
+        plan = tensor._orbit_plan(_context(dim), dim, rank, symmetries)
+        gens = tensor._transpositions(symmetries)
+        members = [m for _, orbit in plan for m, _ in orbit]
+        assert sorted(members) == list(tensor.iter_indices(dim, rank))
+        leasts = [least for least, _ in plan]
+        assert leasts == sorted(set(leasts))
+        for least, orbit in plan:
+            first, sign = orbit[0]
+            assert first == least == min(m for m, _ in orbit)
+            assert sign == 1 or all(s == 0 for _, s in orbit)
+            assert dict(orbit) == (tensor._orbit(least, gens) if gens else {least: 1})
+
+    def test_built_once_per_context(self):
+        symmetries = (symmetric(1, 2, 3),)
+        ctx = _context(3)
+        plan = tensor._orbit_plan(ctx, 3, 3, symmetries)
+        assert tensor._orbit_plan(ctx, 3, 3, symmetries) is plan
+        assert list(ctx._orbit_plans) == [(3, 3, symmetries)]
+        other = _context(3)
+        assert tensor._orbit_plan(other, 3, 3, symmetries) is not plan
+        assert tensor._orbit_plan(other, 3, 3, symmetries) == plan
+
+    def test_package_shapes_are_covered(self):
+        """Every shape a build of all ids, and of each base id's covariant
+        derivatives, asks a plan for is one of ``PACKAGE_SHAPES``."""
+        geom = build(make_structure("perturbed-flat-2d"))
+        for object_id in base_object_ids():
+            resolve(geom, object_id)
+        for base in [i for i in base_object_ids() if ":" not in i and i != "classify"]:
+            for op in ("hcov", "vcov"):
+                resolve(geom, f"{op}:{base}:cartan")
+        shapes = {(rank, symmetries) for _, rank, symmetries in geom.ctx._orbit_plans}
+        assert shapes <= set(PACKAGE_SHAPES), shapes - set(PACKAGE_SHAPES)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_representatives_are_the_least_orbit_members(name):
+    """On every tensor id (all but ``classify``), ``nonzero_components``
+    reports exactly the nonzero indices that are the least of their orbit,
+    and ``full_table`` every nonzero index."""
+    geom = geometry_for(name)
+    for object_id in base_object_ids():
+        t = resolve(geom, object_id)
+        if not isinstance(t, Tensor):
+            continue
+        gens = tensor._transpositions(t.symmetries)
+        nonzero = [idx for idx in tensor.iter_indices(t.dim, t.rank) if not t[idx].is_zero_expr()]
+        least = [idx for idx in nonzero if not gens or min(tensor._orbit(idx, gens)) == idx]
+        assert [e.index for e in nonzero_components(t)] == least, object_id
+        assert [e.index for e in nonzero_components(t, full_table=True)] == nonzero, object_id
+
+
+def test_orbit_plans_stay_in_their_context():
+    geom = build(make_structure("worked-3d"))
+    resolve(geom, "R:cartan")
+    assert geom.ctx._orbit_plans
+    assert make_structure("worked-3d").ctx._orbit_plans == {}
