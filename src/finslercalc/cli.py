@@ -13,9 +13,9 @@ verification fails.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 from . import registry
@@ -192,9 +192,26 @@ def _index_label(tensor: Tensor, idx: tuple[int, ...], coords: list[str]) -> str
     return tensor.name + "".join(parts)
 
 
+def _json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a document's dicts, lists,
+    strings, ints and bools, written directly: with an indent,
+    ``json.dumps`` runs its pure-Python encoder."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):
+        return str(value).lower()  # the digits, true or false
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_str(key)}: {_json(v, inner)}" for key, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    items = [_json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+
+
 def emit(obj, fmt: str, structure: FinslerStructure, object_id: str,
          full_table: bool = False, seed: int = 0) -> str:
-    """One display document for a tensor or classification."""
+    """One display document for a tensor or classification; a JSON one is
+    laid out exactly as ``json.dumps(doc, indent=2)`` lays it out."""
     coords = list(structure.ctx.coord_names)
     if isinstance(obj, Classification):
         if fmt == "json":
@@ -203,7 +220,7 @@ def emit(obj, fmt: str, structure: FinslerStructure, object_id: str,
                 "riemannian": obj.riemannian,
                 "berwaldian": obj.berwaldian,
             }
-            return json.dumps(doc, indent=2)
+            return _json(doc)
         lines = [f"# {object_id}"] if fmt == "text" else []
         lines.append(f"riemannian = {str(obj.riemannian).lower()}")
         lines.append(f"berwaldian = {str(obj.berwaldian).lower()}")
@@ -235,7 +252,7 @@ def emit(obj, fmt: str, structure: FinslerStructure, object_id: str,
             ],
             "symmetry_reduced": not full_table,
         }
-        return json.dumps(doc, indent=2)
+        return _json(doc)
     lines = [f"# {object_id}"]
     if not entries:
         lines.append("no nonvanishing components")

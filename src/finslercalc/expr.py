@@ -62,6 +62,7 @@ import enum
 import random
 import warnings
 from fractions import Fraction
+from functools import reduce
 from math import gcd, isfinite, lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -76,6 +77,7 @@ from .poly import (
     power_free_extract,
     unpack,
 )
+from .poly import _BITS, _FIELD, _GUARD, _limit_error, _mono_min, _span  # packed keys
 
 
 _ZERO = Fraction(0)
@@ -135,6 +137,7 @@ class _Atom(NamedTuple):
     sym: int
     q: int
     radicand: "Expr"  # canonical, involves only symbols below ``sym``
+    powers: dict  # t: (terms of the integer radicand**t, their greatest fields)
 
 
 class Context:
@@ -354,7 +357,7 @@ class Context:
         if got is not None:
             return got
         sym = 2 * self.dim + len(self._atoms)
-        self._atoms.append(_Atom(sym, q, Expr(self, rad_poly, Poly.one())))
+        self._atoms.append(_Atom(sym, q, Expr(self, rad_poly, Poly.one()), {}))
         self._atoms_by_key[key] = sym
         return sym
 
@@ -891,32 +894,43 @@ def _product(ctx: Context, a: Expr, b: Expr, num: Poly) -> Expr:
 
 
 def _reduce_atoms(ctx: Context, p: Poly) -> Poly:
-    """Rewrite atom powers >= q via atom**q -> radicand.  A radicand is an
-    integer polynomial (``Context.root`` clears its denominators), so the
-    rewrite needs no denominator."""
-    while ctx.has_atoms(p):
-        target = -1
-        # the highest atom whose power reaches its root index
-        for s in sorted(p.symbols(), reverse=True):
-            if not ctx.is_atom_sym(s):
-                break
-            if p.degree_in(s) >= ctx.atom_at(s).q:
-                target = s
-                break
-        if target < 0:
-            break
-        atom = ctx.atom_at(target)
-        q = atom.q
-        rad_num = atom.radicand.num.scale(atom.radicand.content.numerator)
-        acc = Poly.zero()
-        for e, coeff in p.split_by_symbol(target).items():
-            t, rem = divmod(e, q)
-            piece = coeff * rad_num**t
-            if rem:
-                piece = piece.mul_monomial(pack((0,) * target + (rem,)))
-            acc = acc + piece
-        p = acc
-    return p
+    """Rewrite atom powers >= q via atom**q -> radicand, in one pass over
+    the terms per atom whose field in the span of the keys reaches q,
+    highest atom first (a radicand holds lower symbols only).  A radicand
+    is an integer polynomial (``Context.root`` clears its denominators), so
+    the rewrite needs no denominator.  As in a ``Poly`` product, an
+    exponent past the limit raises ``ExponentLimitError``."""
+    terms = p.terms
+    span = _span(terms)
+    for sym in range((span.bit_length() - 1) // _BITS, 2 * ctx.dim - 1, -1):
+        atom = ctx.atom_at(sym)
+        q, shift = atom.q, _BITS * sym
+        if span >> shift & _FIELD < q:
+            continue
+        powers, out, rewritten = atom.powers, {}, False
+        for key, c in terms.items():
+            e = key >> shift & _FIELD
+            if e < q:
+                out[key] = out.get(key, 0) + c
+                continue
+            t, r = divmod(e, q)
+            got = powers.get(t)
+            if got is None:
+                rad = atom.radicand.num.scale(atom.radicand.content.numerator)
+                rad_t = (rad**t).terms
+                top = reduce(lambda a, b: a + b - _mono_min(a, b), rad_t, 0)  # greatest fields
+                got = powers[t] = (tuple(rad_t.items()), top)
+            key -= (e - r) << shift
+            if (key + got[1]) & _GUARD:
+                raise _limit_error()
+            for k, d in got[0]:
+                k += key
+                out[k] = out.get(k, 0) + c * d
+            rewritten = True
+        if rewritten:
+            terms = {key: c for key, c in out.items() if c}
+            span = _span(terms)
+    return p if terms is p.terms else Poly(terms)
 
 
 def _poly_total_diff(ctx: Context, p: Poly, sym: int) -> Expr:

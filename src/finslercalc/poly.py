@@ -777,7 +777,10 @@ class FactorBase:
     a numerator with a denominator needs gcds against the elements only: a
     trial division, then a modular certificate of coprimality, and
     ``poly_gcd`` only when both fail.  That gcd equals what ``poly_gcd``
-    returns.
+    returns.  Both tests read univariate images modulo a prime: monomial
+    values come from a table of powers by (symbol, exponent), and one gcd
+    carries the image of the numerator's rest from one division to the
+    next, exact up to a unit (``_divide_or_certify``).
 
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
@@ -972,6 +975,7 @@ class FactorBase:
             return result, rest, (mono_den - low, factors)
         taken: dict[int, int] = {}
         whole = True
+        image = None  # (x, image of rest in x), carried while rest is divided by elements
         for i, e in factors.items():
             # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
             # g_1 = gcd(num, f), g_k+1 = gcd(num / (g_1 * ... * g_k), g_k)
@@ -979,7 +983,7 @@ class FactorBase:
             k = 0
             while k < e:
                 if g is f:
-                    q, coprime = self._divide_or_certify(rest, f)
+                    q, coprime, image = self._divide_or_certify(rest, f, image)
                     if coprime:
                         break
                 else:
@@ -992,6 +996,7 @@ class FactorBase:
                         taken[i] = k
                     else:
                         whole = False
+                        image = None
                     continue
                 g = poly_gcd(rest, g)
                 if g.is_const():
@@ -1002,13 +1007,18 @@ class FactorBase:
             factors = {i: e - taken.get(i, 0) for i, e in factors.items() if e > taken.get(i, 0)}
         return result, rest, (mono_den - low, factors)
 
-    def _divide_or_certify(self, a: Poly, f: Poly) -> tuple[Poly | None, bool]:
-        """(a / f or None, True only if gcd(a, f) = 1) for an element f.
+    def _divide_or_certify(self, a: Poly, f: Poly, image: tuple | None = None) -> tuple:
+        """(a / f or None, True only if gcd(a, f) = 1, (x, image of the
+        rest)) for an element f; the rest is a / f if f divides a, else a.
+        ``image`` is (x, image of a) when the caller holds it.
 
-        Both come from one univariate image modulo the prime ``_P``: every
+        All come from one univariate image modulo the prime ``_P``: every
         symbol but a main symbol x of f is set to a fixed point.  f can
         divide a only if its image divides the image of a, so the exact
-        division is tried only then.  The coprimality certificate is Brown's (JACM 18, 1971): let
+        division is tried only then, and the image quotient is the image
+        of a / f.  Images are exact up to a unit of GF(_P) (f's is kept
+        monic), which changes neither divisibility nor the degree of a
+        gcd.  The coprimality certificate is Brown's (JACM 18, 1971): let
         also f be primitive in x and its image keep its degree in x.  A
         common factor h of a and f then has positive degree in x (f is
         primitive in x), an image of the same degree (its leading
@@ -1019,14 +1029,18 @@ class FactorBase:
             self._images[f] = self._element_image(f)
         image_f = self._images[f]
         if image_f is None:
-            return div_exact(a, f), False
-        rem = _rem_mod(self._image(a, image_f[0]), image_f[1])
-        if not rem:
-            return div_exact(a, f), False
-        return None, _gcd_degree_mod(image_f[1], rem) == 0
+            return div_exact(a, f), False, None
+        x, monic = image_f
+        if image is None or image[0] != x:
+            image = (x, self._image(a, x))
+        quotient, rem = _divmod_mod(image[1], monic)
+        if rem:
+            return None, _gcd_degree_mod(monic, rem) == 0, image
+        q = div_exact(a, f)
+        return q, False, image if q is None else (x, quotient)
 
     def _element_image(self, f: Poly) -> tuple[int, list[int]] | None:
-        """(x, image of f in x) for the first symbol x in which f is
+        """(x, monic image of f in x) for the first symbol x in which f is
         primitive and whose leading coefficient keeps its degree, or None."""
         for x in sorted(f.symbols()):
             lc = f.coeff_of(x, f.degree_in(x))
@@ -1034,38 +1048,44 @@ class FactorBase:
                 continue
             image = self._image(f, x)
             if len(image) == f.degree_in(x) + 1:
-                return x, image
+                return x, _monic(image)
         return None
 
     def _image(self, p: Poly, x: int) -> list[int]:
         """Coefficients (low to high in x) of p modulo ``_P`` with every
-        other symbol set to its point.  Leading zeros are trimmed."""
+        other symbol set to its point, each reduced once.  Leading zeros
+        are trimmed."""
         values = self._values
-        out: dict[int, int] = {}
+        sums: dict[int, int] = {}
         shift = _BITS * x
         for key, c in p.terms.items():
-            v = c % _P
             d = key >> shift & _FIELD
             key -= d << shift
             if key:
                 pw = values.get(key)
                 if pw is None:
                     pw = values[key] = self._monomial_value(key)
-                v = v * pw % _P
-            out[d] = (out.get(d, 0) + v) % _P
-        dense = [0] * (max(out, default=0) + 1)
-        for d, v in out.items():
-            dense[d] = v
+                c *= pw
+            sums[d] = sums.get(d, 0) + c
+        dense = [sums.get(d, 0) % _P for d in range(max(sums, default=-1) + 1)]
         while dense and not dense[-1]:
             dense.pop()
         return dense
 
     def _monomial_value(self, key: int) -> int:
-        """The monomial of ``key`` at the point, modulo ``_P``."""
+        """The monomial of ``key`` at the point, modulo ``_P``: a product
+        of powers of one symbol each, which ``_values`` keeps under their
+        own keys, as a power table by (symbol, exponent)."""
+        values = self._values
         v = 1
-        for sym, e in enumerate(unpack(key)):
-            if e:
-                v = v * pow(self._point_at(sym), e, _P) % _P
+        while key:
+            shift = (key.bit_length() - 1) // _BITS * _BITS
+            power = key >> shift << shift
+            pw = values.get(power)
+            if pw is None:
+                pw = values[power] = pow(self._point_at(shift // _BITS), key >> shift, _P)
+            v = v * pw % _P
+            key -= power
         return v
 
     def _point_at(self, sym: int) -> int:
@@ -1085,28 +1105,32 @@ def _product_factors(parts) -> tuple[int, dict[int, int]]:
     return key, exps
 
 
-def _rem_mod(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of a by b in GF(_P)[x], for dense coefficient lists (low
-    to high, no leading zeros, b not empty)."""
+def _monic(b: list[int]) -> list[int]:
     inv = pow(b[-1], -1, _P)
+    return [c * inv % _P for c in b]
+
+
+def _divmod_mod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by a monic b in GF(_P)[x], for dense
+    coefficient lists (low to high, no leading zeros).  A coefficient is
+    reduced once, when it is read as the quotient's or the remainder's."""
     db = len(b) - 1
-    a = list(a)
-    while len(a) > db:
-        c = a[-1] * inv % _P
+    a, quotient = list(a), [0] * (len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = quotient[shift] = a[shift + db] % _P
         if c:
-            shift = len(a) - 1 - db
-            for j in range(db):
-                a[shift + j] = (a[shift + j] - c * b[j]) % _P
-        a.pop()
-        while a and not a[-1]:
-            a.pop()
-    return a
+            for j, bj in enumerate(b, shift):
+                a[j] -= c * bj
+    rem = [v % _P for v in a[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient, rem
 
 
 def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
     """Degree of gcd(a, b) in GF(_P)[x]; the gcd of a and 0 is a."""
     while b:
-        a, b = b, _rem_mod(a, b)
+        a, b = b, _divmod_mod(a, _monic(b))[1]
     return len(a) - 1
 
 

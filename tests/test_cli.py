@@ -7,11 +7,13 @@ import time
 
 import pytest
 
-from finslercalc import Classification, FinslerStructure, build, oracle, registry
+from finslercalc import DOWN, Classification, FinslerStructure, Tensor, build, oracle, registry
 from finslercalc.geometry import GeometryError
 from finslercalc.cli import MAX_CHECK_POINTS, CheckParams, build_config, emit, main, run
 from finslercalc.oracle import SingularMetricAt, sample_points, verify_many
 from finslercalc.expr import draw_points
+
+from conftest import STRUCTURE_NAMES, geometry_for
 
 WORKED = [
     "--dim", "3",
@@ -137,13 +139,52 @@ class TestFormats:
     def test_json_zero_tensor(self):
         status, out = run_cli(WORKED + ["--objects", "S:cartan", "--format", "json"])
         assert status == 0
-        doc = json.loads(out)
+        assert '"components": []' in out
+        doc = assert_json_layout(out.removesuffix("\n"))
         assert doc["components"] == []
 
     def test_latex(self):
         status, out = run_cli(WORKED + ["--objects", "Cmixed", "--format", "latex"])
         assert status == 0
         assert r"C^{x1}_{x1 x1} = -\frac{1}{y1}" in out
+
+
+def assert_json_layout(doc: str) -> dict:
+    """The document is laid out exactly as ``json.dumps(indent=2)`` lays
+    out what it parses to; that parse is returned."""
+    parsed = json.loads(doc)
+    assert doc == json.dumps(parsed, indent=2)
+    return parsed
+
+
+class TestJsonWriter:
+    """``emit`` writes its JSON documents itself, in the layout of
+    ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize("full_table", [False, True])
+    @pytest.mark.parametrize("name", STRUCTURE_NAMES)
+    def test_every_document_has_the_json_dumps_layout(self, name, full_table):
+        geom = geometry_for(name)
+        for object_id in registry.base_object_ids() + ["hcov:Cmixed:cartan"]:
+            obj = registry.resolve(geom, object_id)
+            assert_json_layout(emit(obj, "json", geom.structure, object_id, full_table=full_table))
+
+    def test_classification(self):
+        geom = geometry_for("berwald-4d")
+        doc = emit(registry.resolve(geom, "classify"), "json", geom.structure, "classify")
+        assert assert_json_layout(doc) == {
+            "name": "classify", "riemannian": False, "berwaldian": True,
+        }
+
+    def test_numerically_zero_entry(self):
+        structure = FinslerStructure(2, ["x1", "x2"], ["y1", "y2"], "y1^2 + y2^2")
+        ctx = structure.ctx
+        e = ctx.parse("((y1^4+y2^4)^(1/4))^2 - sqrt(y1^4+y2^4)")
+        tensor = Tensor("T", ctx, 2, (DOWN,), {(1,): e, (2,): ctx.zero})
+        with pytest.warns(UserWarning, match="numerically zero"):
+            doc = emit(tensor, "json", structure, "T")
+        (entry,) = assert_json_layout(doc)["components"]
+        assert entry["index"] == ["x1"] and entry["numerically_zero"] is True
 
 
 class TestValidation:

@@ -25,6 +25,7 @@ from finslercalc import DOWN, build, define, expr, nonzero_components, poly, reg
 from finslercalc.expr import Expr, _point_coord_values, _poly_total_diff
 from finslercalc.poly import FactorBase, Poly, div_exact, int_primitive
 
+from atom_reduction import reduce_atoms_by_split
 from conftest import STRUCTURE_NAMES, geometry_for, make_structure
 from test_factor_base import factors, monomials, multiplied_out
 from test_poly import small_polys
@@ -1058,3 +1059,58 @@ def test_root_clears_radicand_denominators():
     _assert_integer_radicands(ctx)
     assert a * a == ctx.parse("x1/3 + y1^2/(2*x2)")
     assert b * b * b == ctx.parse("y1/(5*x2) + sqrt(x1/7)")
+
+
+def _atom_context(q1: int, q2: int | None):
+    """A context with the atom a = (y1^2 + x1*y2)^(1/q1) at symbol 4 and,
+    if q2 is given, the nested atom b = (y1 + x2*a)^(1/q2) at symbol 5."""
+    ctx = Context(2, ["x1", "x2"], ["y1", "y2"])
+    a = ctx.root(ctx.parse("y1^2 + x1*y2"), q1)
+    if q2 is not None:
+        ctx.root(ctx.parse("y1") + ctx.parse("x2") * a, q2)
+    assert [atom.sym for atom in ctx._atoms] == list(range(4, 4 + len(ctx._atoms)))
+    return ctx
+
+
+def _reduced_or_limit(reduce_atoms, ctx, p):
+    try:
+        return reduce_atoms(ctx, p)
+    except poly.ExponentLimitError:
+        return "exponent limit"
+
+
+class TestReduceAtoms:
+    """The one-pass rewrite of atom powers gives what the split-based
+    rewrite it replaced gives (``tests/atom_reduction.py``), and refuses an
+    exponent past the limit in the same cases."""
+
+    @given(
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([None, 2, 3, 4]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_split_rewrite(self, q1, q2, data):
+        ctx = _atom_context(q1, q2)
+        y1_exponents = st.one_of(
+            st.integers(0, 3), st.integers(poly.EXPONENT_LIMIT - 6, poly.EXPONENT_LIMIT)
+        )
+        term = st.tuples(
+            st.integers(-3, 3).filter(bool),
+            st.integers(0, 2),
+            y1_exponents,
+            st.integers(0, 2 * q1 + 1),
+            st.integers(0, 2 * (q2 or 0) + 1 if q2 else 0),
+        )
+        terms = data.draw(st.lists(term, min_size=1, max_size=6))
+        p = sum(
+            (Poly({poly.pack((ex, 0, ey, 0, ea, eb)): c}) for c, ex, ey, ea, eb in terms),
+            Poly.zero(),
+        )
+        want = _reduced_or_limit(reduce_atoms_by_split, ctx, p)
+        assert _reduced_or_limit(expr._reduce_atoms, ctx, p) == want
+
+    def test_unchanged_below_every_root_index(self):
+        ctx = _atom_context(3, 2)
+        p = Poly({poly.pack((1, 0, 0, 0, 2, 1)): 1, poly.pack((0, 0, 1, 0, 1)): 2})
+        assert expr._reduce_atoms(ctx, p) is p

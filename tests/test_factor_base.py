@@ -250,19 +250,27 @@ class TestPartialHint:
         f1=x + y, f2=y + z, f3=x * z + one, num_factor=x * y + z, m1=x, m2=y * z,
         powers=[2, 3, 1], named=[True, False, True, True],
     )
+    @example(  # the second numerator's gcd splits y + 1 off the element (y + 1)(z - 1)
+        f1=x * x * y * z + x * x * z, f2=z + one, f3=z - one,
+        num_factor=Poly.const(2) * x * x * y * z * z + Poly.const(2) * x * x * z * z - x * z,
+        m1=one, m2=x * z, powers=[2, 1, 2], named=[True, False, True, False],
+    )
     def test_equals_poly_gcd(self, f1, f2, f3, num_factor, m1, m2, powers, named):
         """den = m1 * f1**a * f2**b * f3**c; the hint names its monomial
         (or not) and the factor-base elements the draw picks, at their
-        exponents, and the numerator's gcd with den lies in that part."""
-        fb = FactorBase()
+        exponents, and the numerator's gcd with den lies in that part.
+        Each numerator gets a base of its own: a gcd that refines an
+        element leaves the hint's indices naming other factors."""
         den = make_primitive(m1 * f1 ** powers[0] * f2 ** powers[1] * f3 ** powers[2])[1]
-        mono, exps = fb.factor(den)
-        picked = {i: e for k, (i, e) in enumerate(exps.items()) if named[1 + k % 3]}
-        hint = (mono if named[0] else 0, picked)
-        part = Poly({hint[0]: 1})
-        for i, e in picked.items():
-            part = part * fb.elements[i] ** e
-        for num in (num_factor * m2 * part, num_factor * f1 * m1, num_factor + m2):
+        for which in range(3):
+            fb = FactorBase()
+            mono, exps = fb.factor(den)
+            picked = {i: e for k, (i, e) in enumerate(exps.items()) if named[1 + k % 3]}
+            hint = (mono if named[0] else 0, picked)
+            part = Poly({hint[0]: 1})
+            for i, e in picked.items():
+                part = part * fb.elements[i] ** e
+            num = (num_factor * m2 * part, num_factor * f1 * m1, num_factor + m2)[which]
             g = poly_gcd(num, den)
             if num.is_zero() or div_exact(part, g) is None:
                 continue  # g is not known to divide the named part
@@ -392,6 +400,69 @@ class TestCoprimalityCertificate:
         # f is primitive in x alone, and x is refused
         assert fb._element_image(f) is None
         assert not certified(fb, a, f)
+
+
+def assert_image_up_to_a_unit(image: list[int], want: list[int]) -> None:
+    """``image`` is ``want`` times a nonzero constant modulo the prime."""
+    assert len(image) == len(want)
+    if want:
+        unit = image[-1] * pow(want[-1], -1, poly._P) % poly._P
+        assert unit and [unit * c % poly._P for c in want] == image
+
+
+class TestImages:
+    """The modular images behind trial division and the certificate."""
+
+    @given(factors(), factors(), factors(), factors(), st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    @example(f=x + y, f1=x + one, f2=y + z, b=x * z + one, e=4)
+    @example(f=x + one, f1=x + one, f2=y + z, b=y + one, e=2)
+    def test_gcd_with_powers_of_an_element(self, f, f1, f2, b, e):
+        """For a = f**k * b, k = 0..4, against a den holding f**e and the
+        reducible element f1 * f2, the gcd is ``poly_gcd`` and the
+        factorization of den / g multiplies out to it; b runs over a
+        cofactor and over one that shares f1, a proper factor of an
+        element."""
+        fb = FactorBase()
+        reducible = make_primitive(f1 * f2)[1]
+        fb.factor(reducible)
+        den = make_primitive(f**e * reducible)[1]
+        for k in range(5):
+            for cofactor in (b, f1 * b):
+                assert_num_den_gcd(fb, f**k * cofactor, den)
+        check_factor_base(fb)
+
+    @given(factors(), factors(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    @example(f=x * y + z, b=x + Poly.const(2), k=3)
+    def test_carried_image_is_the_quotient_image(self, f, b, k):
+        """The image that one division by an element hands on is, up to a
+        unit, a fresh image of the quotient, division after division."""
+        fb = FactorBase()
+        fb.factor(f)
+        for element in list(fb.elements):
+            a, image = element**k * b, None
+            for _ in range(k):
+                q, coprime, image = fb._divide_or_certify(a, element, image)
+                assert q == div_exact(a, element) and not coprime
+                a = q
+                if fb._images[element] is None:
+                    assert image is None
+                    break
+                assert image[0] == fb._images[element][0]
+                assert_image_up_to_a_unit(image[1], fb._image(a, image[0]))
+
+    def test_monomial_value_of_a_high_degree_key(self):
+        """Degree-1000 keys, like those of a hostile sum, are valued by
+        powers of one symbol each: no recursion and no entry per prefix."""
+        fb = FactorBase()
+        for exps in [(1000,), (0, 999, 1), (400, 300, 0, 300), (1,) * 40 + (960,)]:
+            want = 1
+            for sym, e in enumerate(exps):
+                want = want * pow(fb._point_at(sym), e, poly._P) % poly._P
+            assert fb._monomial_value(poly.pack(exps)) == want
+        for key in fb._values:
+            assert sum(1 for e in unpack(key) if e) == 1
 
 
 @pytest.mark.parametrize("name", ["perturbed-flat-2d", "worked-3d", "cuberoot-3d"])
