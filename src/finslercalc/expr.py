@@ -44,9 +44,10 @@ the factor base, so factoring it again is a lookup.
 
 A derivative (``Expr.diff``) works over the factored denominator too.
 With R the product of the parts of D that move with the variable s (s
-itself and each factor f with f' = df/ds != 0) and T = D' * R / D,
-d(N/D) = (N'*R - N*T) / (D*R), so D is never squared, and the one gcd
-reads the factorization of D*R.
+itself and each factor f with f' = df/ds != 0), T = D' * R / D and
+N' = A/B (B a radicand's denominator, brought by an atom's derivative,
+else 1), d(N/D) = (A*R - N*T*B) / (B*D*R), so D is never squared, and
+the one gcd reads the factorization of B*D*R, B's and D's added.
 
 Numeric evaluation reads every symbol through one table per point,
 ``Context.values_at``, whose radical atoms ``real_root`` takes.  Floats and
@@ -78,6 +79,7 @@ from .poly import (
     unpack,
 )
 from .poly import _BITS, _FIELD, _GUARD, _limit_error, _mono_min, _span  # packed keys
+from .poly import _product_factors
 
 
 _ZERO = Fraction(0)
@@ -299,11 +301,13 @@ class Context:
     def root(self, e: "Expr", q: int) -> "Expr":
         """The real q-th root of ``e`` as a canonical expression.
 
-        Perfect q-th-power factors are extracted (valid on the positive
-        sampling domain), the radicand is cleared of denominators via
-        root(n/d) = root(n*d**(q-1))/d and normalized to a primitive
-        polynomial times a q-th-power-free integer, and structurally
-        equal radicands share one atom.
+        The radicand is cleared of denominators via root(n/d) =
+        root(n*d**(q-1))/d.  Perfect q-th powers are pulled out of it
+        (valid on the positive sampling domain): a monomial m**q (atoms
+        too), a polynomial b**q and an integer; what is left is normalized
+        to a primitive polynomial times a q-th-power-free integer, and
+        structurally equal radicands share one atom.  The root is one
+        expression, c * b*m*atom / d with c rational, normalized once.
         """
         if q < 2:
             if q == 1:
@@ -314,21 +318,16 @@ class Context:
         if not e.content:
             return self.zero
         radicand = e.num * e.den ** (q - 1)
-        prefactor = Expr(self, Poly.one(), e.den)
-        # pull q-th powers out of the monomial part (valid for atoms too)
         (low,) = monomial_gcd((radicand,)).terms
-        mono_out = [(i, m // q) for i, m in enumerate(unpack(low)) if m >= q]
-        if mono_out:
-            shift = pack([m // q * q for m in unpack(low)])
-            radicand = Poly({key - shift: c for key, c in radicand.terms.items()})
+        m = pack([k // q for k in unpack(low)])
+        if m:
+            radicand = Poly({key - m * q: c for key, c in radicand.terms.items()})
         if self.has_atoms(radicand):
             # tower case: polynomial factor extraction would need atom-aware
             # derivatives, so normalize the sign only
-            sign, a_poly = make_primitive(radicand)
+            (sign, a_poly), b_poly = make_primitive(radicand), Poly.one()
         else:
             sign, a_poly, b_poly = power_free_extract(radicand, q)
-            if not b_poly.is_const():
-                prefactor = prefactor * Expr(self, b_poly, Poly.one())
         content = e.content * sign
         # content = sign * s/t; root(content*a) = (b2/t)*root(sign*a2*a)
         # with s*t**(q-1) = a2*b2**q and a2 q-th-power free
@@ -339,14 +338,10 @@ class Context:
         if sign < 0 and q % 2 == 1:
             const_mult = -const_mult
             sign = 1
-        result = prefactor.scale(const_mult)
-        for sym, power in mono_out:
-            result = result * Expr(self, Poly.monomial((0,) * sym + (power,)), Poly.one())
         rad_final = a_poly.scale(sign * a2)
-        if _is_one(rad_final):
-            return result
-        atom_sym = self._intern_atom(rad_final, q)
-        return result * Expr(self, Poly.variable(atom_sym), Poly.one())
+        if not _is_one(rad_final):
+            m += next(iter(Poly.variable(self._intern_atom(rad_final, q)).terms))
+        return Expr(self, b_poly.mul_monomial(m), e.den, const_mult)
 
     def sqrt(self, e: "Expr") -> "Expr":
         return self.root(e, 2)
@@ -531,45 +526,41 @@ class Expr:
         for s = ``sym``, elements f and a monomial M free of s.  R is the
         product of the parts of D that move with s: s if a > 0, and each f
         with f' = df/ds != 0.  With T = a*R/s + sum e_f * f' * R/f, D' is
-        D*T/R, so
+        D*T/R.  N' = (p/q) * A/B, where B is 1 unless an atom's derivative
+        brings a radicand's denominator, so
 
-            d(N/D)/ds = (N'*R - N*T) / (D*R),
+            d(N/D)/ds = (p*A*R - q*N*T*B) / (q * B*D*R),
 
-        over D*R, not D**2.  If N' has no denominator, one gcd against the
-        factorization of D*R keeps the quotient coprime.  If N' has a
-        denominator (a radicand's, which may share a factor with D), the
-        same quotient is formed by ``Context.sum`` and a product."""
+        over B*D*R, not D**2.  Its factorization is B's plus D's, with s
+        and each moving f one power up, and one gcd against it keeps the
+        quotient coprime."""
         ctx = self.ctx
         got = ctx._diff_cache.get((self, sym))
         if got is not None:
             return got
-        # N' first: its atom derivatives may refine the factor base, which
-        # renames the element indices of the factorization below
+        # N' first: its atom derivatives may refine the factor base, and
+        # factoring B may too; _factor_all names B's and D's factors alike
         dnum = _poly_total_diff(ctx, self.num, sym)
-        mono, exps = ctx.factors.factor(self.den)
+        (key, b_exps), (mono, exps) = ctx.factors._factor_all([dnum.den, self.den])
         a = Poly({mono: 1}).degree_in(sym)
         r, t = (Poly.variable(sym), Poly.const(a)) if a else (Poly.one(), Poly.zero())
-        # D*R's factorization: D's, with s and each moving f one power up
-        key, dr_exps = mono + next(iter(r.terms)), dict(exps)
+        key += mono + next(iter(r.terms))
+        bdr_exps = dict(b_exps)
         for i, e in exps.items():
             f = ctx.factors.elements[i]
             df = f.diff(sym)
             if not df.is_zero():
                 r, t = r * f, t * f + (df * r).scale(e)  # T/R gains e*f'/f
-                dr_exps[i] = e + 1
-        den = ctx.factors.expand(key, dr_exps)
-        if _is_one(dnum.den):
-            p, q = dnum.content.numerator, dnum.content.denominator
-            num = (dnum.num * r).scale(p) + (self.num * t).scale(-q)
-            if num.is_zero():
-                result = ctx.zero
-            else:
-                c, num, den = _cancelled(ctx, self.content / q, num, den, (key, dr_exps))
-                result = Expr(ctx, num, den, c, _normalized=True)
+                e += 1
+            bdr_exps[i] = bdr_exps.get(i, 0) + e
+        den = ctx.factors.expand(key, bdr_exps)
+        p, q = dnum.content.numerator, dnum.content.denominator
+        num = (dnum.num * r).scale(p) + (self.num * (t * dnum.den)).scale(-q)
+        if num.is_zero():
+            result = ctx.zero
         else:
-            n_t = Expr(ctx, self.num * t, Poly.one())
-            top = ctx.sum((-n_t,), ((dnum, Expr(ctx, r, Poly.one())),))
-            result = (top * Expr(ctx, Poly.one(), den, _ONE, _normalized=True)).scale(self.content)
+            c, num, den = _cancelled(ctx, self.content / q, num, den, (key, bdr_exps))
+            result = Expr(ctx, num, den, c, _normalized=True)
         ctx._diff_cache[(self, sym)] = result
         return result
 
@@ -878,17 +869,18 @@ def _cancelled(
 
 def _product(ctx: Context, a: Expr, b: Expr, num: Poly) -> Expr:
     """a * b for nonzero a, b and ``num = _reduce_atoms(ctx, a.num * b.num)``:
-    over a.den * b.den, with one gcd against the pair's cached
-    factorizations if either is not a monomial: the product is ``expand``
-    of their sum, and is never factored."""
+    over a.den * b.den, with one gcd against the pair's factorization: the
+    sum of their cached ones, of which the product is ``expand`` and is
+    never factored, or for two monomials the key of their product."""
     x, y = a.content, b.content
     c = y if x == 1 else x if y == 1 else x * y
     da, db = a.den, b.den
     if len(da.terms) + len(db.terms) > 2:
-        hint = ctx.factors.factor_product([da, db])
+        hint = _product_factors(ctx.factors._factor_all([da, db]))
         den = ctx.factors.expand(*hint)
     else:
-        hint, den = None, da * db
+        den = da * db
+        hint = (next(iter(den.terms)), {})
     c, num, den = _cancelled(ctx, c, num, den, hint)
     return Expr(ctx, num, den, c, _normalized=True)
 

@@ -785,8 +785,9 @@ class FactorBase:
     Factorizations are cached per denominator; refining an element clears
     the cache, since the indices in it no longer name the same factors.
     The element order is the order factors arrive in.  A product's
-    denominator is never expanded to be factored: ``factor_product`` and
-    ``common_denominator`` add the cached factorizations of its factors.
+    denominator is never expanded to be factored: ``common_denominator``,
+    and a product or a derivative in ``expr``, add the cached
+    factorizations of its factors (``_factor_all``, ``_product_factors``).
     The other way round, every denominator that a sum, a product or a
     derivative forms is ``expand`` of its factorization: each distinct
     factorization is multiplied out once per base and entered in the cache,
@@ -898,11 +899,6 @@ class FactorBase:
             if self._refinements == seen:
                 return got
 
-    def factor_product(self, dens: list[Poly]) -> tuple[int, dict[int, int]]:
-        """``factor`` of the product of denominators, as the sum of their
-        factorizations: the product is never expanded to be factored."""
-        return _product_factors(self._factor_all(dens))
-
     def common_denominator(self, dens: dict[tuple[Poly, ...], None]):
         """(l, {ds: l / prod(ds)}, factorization of l) for denominators
         given as tuples ds of canonical factors, in the order they arrive.
@@ -960,11 +956,8 @@ class FactorBase:
         found a proper factor of an element.  Then den / g is no product of
         elements: it is divided out, and factoring it refines the base.
         With a ``factored`` that names a part of den only, den / g stands
-        for that part over g."""
-        if len(den.terms) == 1:
-            g = poly_gcd(num, den)
-            quotient = num if g.is_const() else div_exact(num, g)
-            return g, quotient, (next(iter(den.terms)) - next(iter(g.terms)), {})
+        for that part over g.  A monomial den takes the same route: it
+        factors as (its key, {}), so g is the monomial gcd alone."""
         mono_den, factors = factored or self.factor(den)
         result = monomial_gcd((num, Poly({mono_den: 1}))) if mono_den else _ONE
         low = next(iter(result.terms))

@@ -535,14 +535,18 @@ class TestProduct:
 
 
 # a quotient to differentiate: numerators with and without a radical atom
-# (sqrt(x1 + 1) gives N' the denominator x1 + 1 under d/dx1); denominators
+# (sqrt(x1 + 1) gives N' the denominator x1 + 1 under d/dx1), and nested
+# radicals, whose N' has the denominator B of an inverted radicand that
+# holds an atom (the last two, _NESTED_NUMS); denominators
 # that are a monomial in the variable, free of it, a repeated element, and
 # (x1 + 1)*(y1^2 + y2^2) expanded, which is squarefree but not primitive in
 # y1 and splits when x1 + 1 arrives in the factor base
 _DIFF_NUMS = [
     "1", "y1*y2 - x1", "x1 + 1", "x2 + y1", "y1^2 + y2^2",
     "sqrt(y1^2 + y2^2)", "y1 + sqrt(x1 + 1)", "x2*sqrt(y1^2 + y2^2) + y1",
+    "sqrt(x1*y2*sqrt(y1^2 + y2^2))", "y1*sqrt(x2 + sqrt(x1 + 1))",
 ]
+_NESTED_NUMS = _DIFF_NUMS[-2:]
 _DIFF_DENS = [
     "1", "y1^2", "x1*y1", "x1 - 1", "(y1^2 + y2^2)^3", "(x2 + y1)^2*(x1 - 1)",
     "x1*y1^2 + x1*y2^2 + y1^2 + y2^2", "x1 + 1", "y1*(x1 + 1)^2*(y1^2 + y2^2)",
@@ -583,6 +587,21 @@ class TestQuotientDerivative:
         got = e.diff(v)
         assert_canonical(got)
         assert got == _textbook_diff(e, ctx.sym_of(v))
+
+    @pytest.mark.parametrize("num", _NESTED_NUMS)
+    def test_nested_radicals(self, num):
+        """Every denominator and variable with a nested-radical numerator:
+        d/dx1 of sqrt(x2 + sqrt(x1 + 1)) divides by its radicand, which
+        holds an atom, so B comes from ``_invert_atom_poly``; the one
+        quotient over B*D*R equals the textbook rule."""
+        for den in _DIFF_DENS:
+            ctx = _sum_context()
+            e = ctx.parse(num) / ctx.parse(den)
+            for name in ("x1", "y1", "y2"):
+                sym = ctx.var_named(name)
+                got = e.diff(sym)
+                assert_canonical(got)
+                assert got == _textbook_diff(e, ctx.sym_of(sym)), (den, name)
 
     def test_no_square_of_the_denominator(self, monkeypatch):
         """d/dy1 of x1/(y1^2 + y2^2)^6 forms no product of degree 24 =
@@ -1059,6 +1078,62 @@ def test_root_clears_radicand_denominators():
     _assert_integer_radicands(ctx)
     assert a * a == ctx.parse("x1/3 + y1^2/(2*x2)")
     assert b * b * b == ctx.parse("y1/(5*x2) + sqrt(x1/7)")
+
+
+# radicands for ``Context.root``, {q} standing for the index: a monomial
+# q-th power, a monomial with a q-th power in it, an atom in the pulled-out
+# monomial (the tower case: the radicand keeps an atom), a negative
+# content, rational and integer contents, and denominators; each with its
+# printed roots for q = 2, 3, 4
+_ROOTS = {
+    "x1^{q}*y1^{q2}": ("x1*y1^2", "x1*y1^2", "x1*y1^2"),
+    "x1^{q1}*y1^{q}*y2": ("x1*y1*sqrt(x1*y2)", "x1*y1*(x1*y2)^(1/3)", "x1*y1*(x1*y2)^(1/4)"),
+    "y1^{q}*((x1 + 1)^(1/5))^{q}*(y2 + (x1 + 1)^(1/5))": (
+        "y1*(x1 + 1)^(1/5)*sqrt(y2 + (x1 + 1)^(1/5))",
+        "y1*(x1 + 1)^(1/5)*(y2 + (x1 + 1)^(1/5))^(1/3)",
+        "y1*(y2*((x1 + 1)^(1/5))^4 + x1 + 1)^(1/4)",
+    ),
+    "-8*x1^3*y1": ("2*x1*sqrt(-2*x1*y1)", "-2*x1*(y1)^(1/3)", "(-8*x1^3*y1)^(1/4)"),
+    "4/9*y1^2*(x2 + y2)": (
+        "2*y1*sqrt(x2 + y2)/3",
+        "(12*x2*y1^2 + 12*y1^2*y2)^(1/3)/3",
+        "(36*x2*y1^2 + 36*y1^2*y2)^(1/4)/3",
+    ),
+    "12*x1*y1^{q}": ("2*y1*sqrt(3*x1)", "y1*(12*x1)^(1/3)", "y1*(12*x1)^(1/4)"),
+    "y1/(x1*(y2 + 1)^2)": (
+        "sqrt(x1*y1)/(x1*y2 + x1)",
+        "(x1^2*y1*y2 + x1^2*y1)^(1/3)/(x1*y2 + x1)",
+        "(x1^3*y1*y2^2 + 2*x1^3*y1*y2 + x1^3*y1)^(1/4)/(x1*y2 + x1)",
+    ),
+    "x1^2*(y1 + y2)^{q}/(y1^3 + y2^3)": (
+        "x1*sqrt(y1^3 + y2^3)/(y1^2 - y1*y2 + y2^2)",
+        "(x1^2*y1^6 + 2*x1^2*y1^3*y2^3 + x1^2*y2^6)^(1/3)/(y1^2 - y1*y2 + y2^2)",
+        "(x1^2*y1^9 + 3*x1^2*y1^6*y2^3 + 3*x1^2*y1^3*y2^6 + x1^2*y2^9)^(1/4)"
+        "/(y1^2 - y1*y2 + y2^2)",
+    ),
+    "-27/8*(x1 + y1)^3/y2^2": (
+        "(3*x1*sqrt(-6*x1 - 6*y1) + 3*y1*sqrt(-6*x1 - 6*y1))/(4*y2)",
+        "(-3*x1*(y2)^(1/3) - 3*y1*(y2)^(1/3))/(2*y2)",
+        "(-54*x1^3*y2^2 - 162*x1^2*y1*y2^2 - 162*x1*y1^2*y2^2 - 54*y1^3*y2^2)^(1/4)/(2*y2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("radicand", list(_ROOTS))
+def test_root(radicand, q, monkeypatch):
+    """``Context.root`` builds one expression, with no product of
+    expressions, whose q-th power is the radicand; the texts are pinned."""
+    ctx = _sum_context()
+    e = ctx.parse(radicand.format(q=q, q1=q + 1, q2=2 * q))
+    products = []
+    monkeypatch.setattr(Expr, "__mul__", lambda a, b: products.append((a, b)))
+    root = ctx.root(e, q)
+    monkeypatch.undo()
+    assert not products
+    assert_canonical(root)
+    assert str(root) == _ROOTS[radicand][q - 2]
+    assert root**q == e
 
 
 def _atom_context(q1: int, q2: int | None):

@@ -141,6 +141,32 @@ class TestFactorBase:
                 assert_num_den_gcd(fb, num, den)
 
 
+class TestMonomialDenominators:
+    """A monomial denominator factors as (its key, {}), so ``gcd_num_den``
+    takes the route every denominator takes: its gcd is the monomial gcd,
+    with no ``poly_gcd`` call."""
+
+    @pytest.mark.parametrize("hint", [False, True], ids=["factored=None", "factored=factor(den)"])
+    @pytest.mark.parametrize("den", [one, y**2, x * y**3], ids=["1", "y1^2", "x1*y1^3"])
+    def test_general_route(self, den, hint):
+        fb = FactorBase()
+        fb.factor(x * y + one)  # an element, which a monomial never meets
+        nums = [
+            one, Poly.const(5),                                  # constants
+            y, x**2 * y**5, z,                                    # monomials
+            x + y, x * y**2 + y**4 * z, (x * y + one) * y**3 + x,  # not monomials
+        ]
+        for num in nums:
+            factored = fb.factor(den) if hint else None
+            with mock.patch.object(poly, "poly_gcd", side_effect=AssertionError("poly_gcd")):
+                g, cofactor, den_g = fb.gcd_num_den(num, den, factored)
+            assert g == poly_gcd(num, den)
+            assert cofactor == (num if g.is_const() else div_exact(num, g))
+            quotient = div_exact(den, g)
+            assert den_g == fb.factor(quotient) == (next(iter(quotient.terms)), {})
+            assert_num_den_gcd(fb, num, den, factored)
+
+
 class TestExpand:
     """``expand`` multiplies a factorization out once, canonically, and
     enters it in the cache so that ``factor`` of it is a lookup."""
@@ -325,8 +351,8 @@ def assert_common_denominator(fb: FactorBase, a: Poly, b: Poly) -> None:
     assert multiplied_out(fb, factored) == common
 
 
-def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly) -> None:
-    g, cofactor = gcd_num_den_checked(fb, num, den)
+def assert_num_den_gcd(fb: FactorBase, num: Poly, den: Poly, factored=None) -> None:
+    g, cofactor = gcd_num_den_checked(fb, num, den, factored)
     assert g == poly_gcd(num, den)
     assert cofactor == (num if g.is_const() else div_exact(num, g))
 
