@@ -774,10 +774,10 @@ class FactorBase:
     symbol.  A denominator (primitive with positive leading coefficient)
     factors as a monomial times a product of element powers, so the least
     common multiple of denominators is exponent arithmetic, and the gcd of
-    a numerator with a denominator needs gcds against the elements only: a
-    trial division, then a modular certificate of coprimality, and
-    ``poly_gcd`` only when both fail.  That gcd equals what ``poly_gcd``
-    returns.  Both tests read univariate images modulo a prime: monomial
+    a numerator with a denominator needs gcds against the elements only.
+    ``_divide``, which ``factor`` shares, finds each by a trial division,
+    then a modular certificate of coprimality, and ``poly_gcd`` only when
+    both fail.  Both tests read univariate images modulo a prime: monomial
     values come from a table of powers by (symbol, exponent), and one gcd
     carries the image of the numerator's rest from one division to the
     next, exact up to a unit (``_divide_or_certify``).
@@ -816,34 +816,19 @@ class FactorBase:
         self._rng = random.Random(_POINT_SEED)
 
     def factor(self, p: Poly) -> tuple[int, dict[int, int]]:
-        """(monomial key, {element index: exponent}) of a polynomial
-        that is primitive with positive leading coefficient."""
+        """(monomial key, {element index: exponent}) of a polynomial that
+        is primitive with positive leading coefficient: ``_divide`` by each
+        element in turn, unbounded; what is left enters as new elements."""
         got = self._factored.get(p)
         if got is not None:
             return got
         mono = monomial_gcd((p,))
         rest = p if mono.is_const() else div_exact(p, mono)
         exps: dict[int, int] = {}
-        i = 0
+        i, image = 0, None
         while i < len(self.elements) and not rest.is_const():
-            f = self.elements[i]
-            g = poly_gcd(rest, f)
-            if g.is_const():
-                i += 1
-                continue
-            if g != f:
-                # f = g * (f/g) with coprime parts, as f is squarefree
-                self._refine(i, g)
-                if i in exps:
-                    exps[len(self.elements) - 1] = exps[i]
-                f = g
-            while True:
-                q = div_exact(rest, f)
-                if q is None:
-                    break
-                rest = q
-                exps[i] = exps.get(i, 0) + 1
-            # stay at i: a proper factor of f may still divide the rest
+            rest, image = self._divide(rest, i, (exps,), image=image)
+            i += 1
         if not rest.is_const():
             # the rest is coprime to every element
             for part, mult in squarefree_decomposition(rest):
@@ -855,7 +840,35 @@ class FactorBase:
             self._expanded[(got[0], frozenset(exps.items()))] = p
         return got
 
+    def _divide(self, a: Poly, i: int, held: tuple, limit=None, image=None) -> tuple:
+        """(a divided by element i while it divides, at most ``limit`` times,
+        image of that quotient); each division adds 1 to ``held[0][i]``.  A
+        step is ``_divide_or_certify``, then ``poly_gcd`` if both its tests
+        fail: a proper factor g of f = element i splits f (``_refine``), f / g
+        inherits i's entry in each dict of ``held``, and division goes on by
+        g (a is coprime to f / g, as f is squarefree)."""
+        k = 0
+        while limit is None or k < limit:
+            f = self.elements[i]
+            q, coprime, image = self._divide_or_certify(a, f, image)
+            if q is None:
+                if coprime:
+                    break
+                g = poly_gcd(a, f)
+                if g.is_const():
+                    break
+                self._refine(i, g)
+                for d in held:
+                    if i in d:
+                        d[len(self.elements) - 1] = d[i]
+                continue
+            a, k = q, k + 1
+            held[0][i] = held[0].get(i, 0) + 1
+        return a, image
+
     def _refine(self, i: int, g: Poly) -> None:
+        """Split element i into its proper factor g, which keeps index i,
+        and its cofactor, appended; the caches name indices, so they go."""
         cofactor = div_exact(self.elements[i], g)
         assert cofactor is not None
         self.elements[i] = g
@@ -911,11 +924,8 @@ class FactorBase:
         got = self._common.get(index)
         if got is not None:
             return got
-        polys = [d for ds in dens for d in ds if len(d.terms) > 1]
+        polys = [d for ds in dens for d in ds]
         factored = dict(zip(polys, self._factor_all(polys)))
-        factored.update(
-            (d, (next(iter(d.terms)), {})) for ds in dens for d in ds if len(d.terms) == 1
-        )
         items = {
             ds: factored[ds[0]] if len(ds) == 1 else _product_factors(map(factored.get, ds))
             for ds in dens
@@ -946,18 +956,16 @@ class FactorBase:
         it (a product's is the sum of its factors'); by default it is
         ``factor(den)``.
 
-        g is the monomial gcd times, for each factor f of den, the gcds of
-        num with f, divided out while they divide num.  Each gcd with an
-        element f is found by trial division first (if f divides, the gcd
-        is f, as f is squarefree), then by a modular certificate that it
-        is 1 (both in ``_divide_or_certify``), and only when both fail by
-        ``poly_gcd``.  So den / g is den's factorization with the monomial
-        gcd and the elements that divided taken off, unless ``poly_gcd``
-        found a proper factor of an element.  Then den / g is no product of
-        elements: it is divided out, and factoring it refines the base.
-        With a ``factored`` that names a part of den only, den / g stands
-        for that part over g.  A monomial den takes the same route: it
-        factors as (its key, {}), so g is the monomial gcd alone."""
+        g is the monomial gcd times, for each factor f of den at exponent
+        e, gcd(num, f**e): for squarefree f that is g_1 * ... * g_e with g_1
+        = gcd(num, f) and g_k+1 = gcd(num / (g_1 * ... * g_k), g_k), each
+        divided out of num in turn by ``_divide`` with e as its limit.  A
+        g_k that is a proper factor of f splits f in the base, and f / g_k
+        keeps f's exponent in den.  So g is ``expand`` of what divided, and
+        den / g is den's factorization with that taken off.  With a
+        ``factored`` that names a part of den only, den / g stands for that
+        part over g.  A monomial den takes the same route: it factors as
+        (its key, {}), so g is the monomial gcd alone."""
         mono_den, factors = factored or self.factor(den)
         result = monomial_gcd((num, Poly({mono_den: 1}))) if mono_den else _ONE
         low = next(iter(result.terms))
@@ -966,39 +974,14 @@ class FactorBase:
             # an element is primitive and divisible by no symbol, so it
             # shares no factor with a monomial
             return result, rest, (mono_den - low, factors)
-        taken: dict[int, int] = {}
-        whole = True
+        exps, taken = dict(factors), {}
         image = None  # (x, image of rest in x), carried while rest is divided by elements
         for i, e in factors.items():
-            # for squarefree f, gcd(num, f**e) = g_1 * ... * g_e with
-            # g_1 = gcd(num, f), g_k+1 = gcd(num / (g_1 * ... * g_k), g_k)
-            f = g = self.elements[i]
-            k = 0
-            while k < e:
-                if g is f:
-                    q, coprime, image = self._divide_or_certify(rest, f, image)
-                    if coprime:
-                        break
-                else:
-                    q = div_exact(rest, g)
-                if q is not None:
-                    rest = q
-                    result = result * g
-                    k += 1
-                    if g is f:
-                        taken[i] = k
-                    else:
-                        whole = False
-                        image = None
-                    continue
-                g = poly_gcd(rest, g)
-                if g.is_const():
-                    break
-        if not whole:
-            return result, rest, self.factor(div_exact(self.expand(mono_den, factors), result))
-        if taken:
-            factors = {i: e - taken.get(i, 0) for i, e in factors.items() if e > taken.get(i, 0)}
-        return result, rest, (mono_den - low, factors)
+            rest, image = self._divide(rest, i, (taken, exps), e, image)
+        if not taken:
+            return result, rest, (mono_den - low, factors)
+        exps = {i: e - taken.get(i, 0) for i, e in exps.items() if e > taken.get(i, 0)}
+        return self.expand(low, taken), rest, (mono_den - low, exps)
 
     def _divide_or_certify(self, a: Poly, f: Poly, image: tuple | None = None) -> tuple:
         """(a / f or None, True only if gcd(a, f) = 1, (x, image of the

@@ -53,9 +53,17 @@ def _structure_specs():
 
 STRUCTURE_NAMES = list(_structure_specs())
 
+# Kept out of STRUCTURE_NAMES: the one structure whose parse refines the
+# factor base.  x1^2 + 3*x1 + 2 = (x1 + 1)*(x1 + 2) enters it whole, and the
+# next term's denominator x1 + 1 splits it; no structure above ever splits
+# an element.
+REFINING_2D = "refining-2d"
+REFINING_2D_F2 = "y1^2 + y2^2 + x1*y1^3/((x1^2+3*x1+2)*y2) + y1*y2/(x1+1)"
+
 
 def make_structure(name: str) -> FinslerStructure:
-    dim, f2, constraints, f_text = _structure_specs()[name]
+    specs = {**_structure_specs(), REFINING_2D: (2, REFINING_2D_F2, ("y2 != 0",), None)}
+    dim, f2, constraints, f_text = specs[name]
     coords = [f"x{i}" for i in range(1, dim + 1)]
     fibers = [f"y{i}" for i in range(1, dim + 1)]
     if f_text is not None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import geometry_for, make_structure
+from conftest import REFINING_2D, REFINING_2D_F2, geometry_for, make_structure
 from finslercalc import build, cli, registry
 
 DIGESTS = {
@@ -285,15 +285,34 @@ QUARTIC_ARGS = [
 QUARTIC_DIGEST = "4e2fddcad7f504773a81828c5b1b3b7651586b19f267a7fb6f226a9ba039a882"
 
 
-def test_quartic_output_unchanged():
-    """What the CLI prints for all 25 ids on the 4-term quartic."""
+# the structure whose parse splits a factor-base element (conftest.REFINING_2D)
+REFINING_ARGS = [
+    "--dim", "2", "--coords", "x1,x2", "--fibers", "y1,y2",
+    "--metric-function", REFINING_2D_F2, "--constraints", "y2!=0", "--format", "json",
+]
+REFINING_DIGEST = "be010f8b28cca3d3cb8c6c7d96017df3c78406865d9ef59913e8cc40cdb0442e"
+
+
+def all_ids_digest(args):
+    """sha256 of what the CLI prints for all 25 ids."""
     objects = ",".join(registry.base_object_ids())
     out = io.StringIO()
-    assert cli.run(cli.build_config([*QUARTIC_ARGS, "--objects", objects]), out) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == QUARTIC_DIGEST
+    assert cli.run(cli.build_config([*args, "--objects", objects]), out) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["perturbed-flat-2d", "berwald-4d"])
+def test_quartic_output_unchanged():
+    """What the CLI prints for all 25 ids on the 4-term quartic."""
+    assert all_ids_digest(QUARTIC_ARGS) == QUARTIC_DIGEST
+
+
+def test_refining_output_unchanged():
+    """What the CLI prints for all 25 ids on the structure whose parse
+    refines the factor base."""
+    assert all_ids_digest(REFINING_ARGS) == REFINING_DIGEST
+
+
+@pytest.mark.parametrize("name", ["perturbed-flat-2d", "berwald-4d", REFINING_2D])
 def test_json_documents_independent_of_build_order(name):
     """Building the ids in reverse order fills the per-Context caches (the
     factor base, its gcd memo, the derivative cache) in another order; no

@@ -739,8 +739,8 @@ class TestRegisteredDenominators:
     def test_a_gcd_that_splits_an_element(self, terms, pairs, quotient):
         """x1^2 + 3*x1 + 2 = (x1 + 1)*(x1 + 2) enters the factor base
         whole; a sum whose numerator shares x1 + 1 with it finds that by
-        ``poly_gcd``, so den / g is no product of elements.  It is divided
-        out and factored: the base splits, and the sum's denominator is
+        ``poly_gcd``, which splits the element at once: den / g is the
+        factorization with x1 + 1 taken off, and the sum's denominator is
         registered."""
         ctx = _sum_context()
         terms = [ctx.parse(t) for t in terms]

@@ -19,7 +19,7 @@ from finslercalc.poly import (
     unpack,
 )
 
-from conftest import geometry_for
+from conftest import REFINING_2D, geometry_for, make_structure
 from test_poly import small_polys
 
 x = Poly.variable(0)
@@ -83,13 +83,34 @@ class TestFactorBase:
         fb = FactorBase()
         den = x * ((x + y) * (x + one)) ** 3
         num = x * y * (x + y) ** 2 * (y + one)
-        g, cofactor, den_g = fb.gcd_num_den(num, den)
+        fb.factor(den)  # so that the gcd's own factor(den) is a lookup
+        with counted_gcds() as calls:
+            g, cofactor, den_g = fb.gcd_num_den(num, den)
         assert g == poly_gcd(num, den) == x * (x + y) ** 2
         assert cofactor == y * (y + one)
-        # (x + y)**2 is a proper factor of the element's cube: den / g is
-        # divided out and factored, which splits the element
-        assert set(fb.elements) == {x + y, x + one}
+        # (x + y)**2 is a proper factor of the element's cube: the one gcd
+        # that the certificate leaves finds x + y, which splits the element
+        # at once, and den / g keeps the cofactor x + 1 at the cube's exponent
+        assert len(calls) == 1 and fb._refinements == 1
+        assert fb.elements == [x + y, x + one]
+        assert den_g == (0, {0: 1, 1: 3})
         assert multiplied_out(fb, den_g) == (x + y) * (x + one) ** 3
+
+    def test_factor_against_coprime_elements_certifies(self):
+        """Against seven coprime elements, ``factor`` proves coprimality
+        by trial division and the certificate: ``poly_gcd`` runs only in
+        the squarefree decomposition of the part that is new."""
+        fb = FactorBase()
+        two, three = Poly.const(2), Poly.const(3)
+        coprime = [x + y, y + z, x * z + one, x + two, y * z + three, x * x + z, y * y + x]
+        for f in coprime:
+            fb.factor(f)
+        assert fb.elements == coprime and fb._refinements == 0
+        with counted_gcds() as calls:
+            mono, exps = fb.factor((x + one) * (x * y + one))
+        assert calls and set(calls) == {"squarefree_decomposition"}
+        assert (mono, exps) == (0, {7: 1})
+        assert fb.elements[7:] == [(x + one) * (x * y + one)]
 
     @given(
         factors(), factors(), factors(), factors(),
@@ -371,6 +392,29 @@ def gcd_num_den_checked(fb: FactorBase, num: Poly, den: Poly, factored=None):
     return g, num_g
 
 
+@contextlib.contextmanager
+def counted_gcds():
+    """Record each ``poly.poly_gcd`` call: "squarefree_decomposition" if
+    that runs it, "elsewhere" if not."""
+    calls, running = [], []
+    gcd, squarefree = poly.poly_gcd, poly.squarefree_decomposition
+
+    def counted_gcd(a, b):
+        calls.append("squarefree_decomposition" if running else "elsewhere")
+        return gcd(a, b)
+
+    def counted_squarefree(p):
+        running.append(p)
+        try:
+            return squarefree(p)
+        finally:
+            running.pop()
+
+    with mock.patch.object(poly, "poly_gcd", counted_gcd), \
+            mock.patch.object(poly, "squarefree_decomposition", counted_squarefree):
+        yield calls
+
+
 def certified(fb: FactorBase, a: Poly, f: Poly) -> bool:
     return fb._divide_or_certify(a, f)[1]
 
@@ -491,7 +535,21 @@ class TestImages:
             assert sum(1 for e in unpack(key) if e) == 1
 
 
-@pytest.mark.parametrize("name", ["perturbed-flat-2d", "worked-3d", "cuberoot-3d"])
+def test_refining_structure_splits_an_element_while_parsed():
+    """Parsing the F^2 of ``REFINING_2D`` splits x1^2 + 3*x1 + 2, which its
+    first term enters whole, by the second term's denominator x1 + 1."""
+    split = []
+    refine = FactorBase._refine
+    with mock.patch.object(
+        FactorBase, "_refine", lambda self, i, g: split.append(g) or refine(self, i, g)
+    ):
+        structure = make_structure(REFINING_2D)
+    assert split == [x + one]
+    assert structure.ctx.factors.elements == [x + one, x + Poly.const(2)]
+    check_factor_base(structure.ctx.factors)
+
+
+@pytest.mark.parametrize("name", ["perturbed-flat-2d", "worked-3d", "cuberoot-3d", REFINING_2D])
 def test_invariants_after_full_registry(name):
     geom = geometry_for(name)
     for object_id in registry.base_object_ids():

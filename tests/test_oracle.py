@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STRUCTURE_NAMES, geometry_for
+from conftest import REFINING_2D, STRUCTURE_NAMES, geometry_for
 from finslercalc import (
     Classification,
     FinslerStructure,
@@ -490,6 +490,14 @@ class TestVerify:
         reports = verify_many(berwald4d, ids, n_points=2, tol=1e-9, seed=0)
         for object_id, report in reports.items():
             assert report.passed, report.summary()
+
+    def test_all_objects_on_the_refining_structure(self):
+        """The structure whose parse splits a factor-base element."""
+        ids = registry.base_object_ids()
+        reports = verify_many(geometry_for(REFINING_2D), ids, n_points=2, tol=1e-9, seed=0)
+        assert len(reports) == 25
+        for object_id, report in reports.items():
+            assert report.passed, (object_id, report.summary())
 
 
 PLAIN_IDS = [i for i in registry.base_object_ids() if registry.parse(i)[0] == "base"]
